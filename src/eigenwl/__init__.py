@@ -4,6 +4,7 @@ Submodules:
 
 * :mod:`eigenwl.graphs` - graph type, graph6 I/O, matrices, structural oracles
 * :mod:`eigenwl.spectral` - eigendecompositions, projection pair tokens, exact backend
+* :mod:`eigenwl.exact` - fraction-free integer linear algebra for the exact tokens
 * :mod:`eigenwl.distances` - the seven spectral distances with dual-route checks
 * :mod:`eigenwl.refinement` - generic color-refinement engine and algorithm zoo
 * :mod:`eigenwl.furer` - Furer gadgets, twists, and counterexample search

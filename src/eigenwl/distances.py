@@ -16,12 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import exact
 from .graphs import Graph, MatrixKind, build_matrix
-from .spectral import DEFAULT_QUANT, Quantization, decomposition_for, quantize, quantize_fraction
+from .spectral import DEFAULT_QUANT, Quantization, _walk_powers, decomposition_for, quantize
 
 __all__ = [
     "CrossCheckReport",
@@ -204,18 +206,13 @@ def _spd_min_power(g: Graph) -> np.ndarray:
     power, since both sum strictly positive weights over the same walks.
     """
     n = g.n
-    adj = [[1 if g.has_edge(u, v) else 0 for v in range(n)] for u in range(n)]
+    adj = exact.int_matrix(g, MatrixKind.ADJACENCY)
     vals = np.full((n, n), np.inf)
     np.fill_diagonal(vals, 0.0)
-    power = [[1 if u == v else 0 for v in range(n)] for u in range(n)]
+    power = exact.identity(n)
     for i in range(1, n):
-        power = [
-            [sum(adj[u][w] * power[w][v] for w in range(n)) for v in range(n)] for u in range(n)
-        ]
-        for u in range(n):
-            for v in range(n):
-                if power[u][v] > 0 and np.isinf(vals[u, v]):
-                    vals[u, v] = float(i)
+        power = exact.matmul(power, adj)
+        vals[np.isinf(vals) & np.array([[x > 0 for x in row] for row in power])] = float(i)
     return vals
 
 
@@ -473,91 +470,47 @@ _INF_TOKEN = b"inf"
 _TOKEN_CACHE: dict[tuple, list[bytes]] = {}
 
 
-def _fraction_walk_powers(g: Graph, count: int) -> list[list[list[Fraction]]]:
-    """(D^-1 A)^k for k = 0..count as exact rationals."""
+def _exact_ratio_tokens(g: Graph, kind: DistanceKind, digits: int) -> list[bytes]:
+    """rd, htd, ctd and biharmonic tokens from the exact per-component L^+."""
     n = g.n
-    walk = [
-        [Fraction(1, g.degree(u)) if g.has_edge(u, v) else Fraction(0) for v in range(n)]
-        for u in range(n)
-    ]
-    powers = [[[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]]
-    for _ in range(count):
-        prev = powers[-1]
-        powers.append(
-            [[sum(prev[i][t] * walk[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-        )
-    return powers
-
-
-def _fraction_laplacian_pinv(g: Graph) -> list[list[Fraction]]:
-    """Moore-Penrose inverse of the Laplacian of a connected graph, exact.
-
-    Uses (L + J/n)^{-1} = L^+ + J/n: the all-ones shift moves the kernel
-    off zero, Gauss-Jordan inverts exactly, and the shift is removed.
-    """
-    n = g.n
-    shift = Fraction(1, n)
-    mat = [
-        [
-            (Fraction(g.degree(u)) if u == v else Fraction(-1 if g.has_edge(u, v) else 0)) + shift
-            for v in range(n)
-        ]
-        for u in range(n)
-    ]
-    inverse = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot_row = next(r for r in range(col, n) if mat[r][col] != 0)
-        mat[col], mat[pivot_row] = mat[pivot_row], mat[col]
-        inverse[col], inverse[pivot_row] = inverse[pivot_row], inverse[col]
-        pivot = mat[col][col]
-        mat[col] = [x / pivot for x in mat[col]]
-        inverse[col] = [x / pivot for x in inverse[col]]
-        for r in range(n):
-            if r != col and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[col])]
-                inverse[r] = [a - factor * b for a, b in zip(inverse[r], inverse[col])]
-    return [[inverse[i][j] - shift for j in range(n)] for i in range(n)]
-
-
-def _exact_component_matrix(g: Graph, kind: DistanceKind) -> list[list[Optional[Fraction]]]:
-    """Exact distance values with None across components (rational kinds)."""
-    n = g.n
-    out: list[list[Optional[Fraction]]] = [[None] * n for _ in range(n)]
+    out = [_INF_TOKEN] * (n * n)
     for comp in g.components():
-        if len(comp) == 1:
-            out[comp[0]][comp[0]] = Fraction(0)
-            continue
         sub = _subgraph(g, comp)
-        ldag = _fraction_laplacian_pinv(sub)
+        num, den = exact.laplacian_pinv(sub)
         k = sub.n
-        if kind.name == "rd":
+        if kind.name == "biharmonic":
+            num, den = exact.matmul(num, num), den * den
+        diag = [num[i][i] for i in range(k)]
+        if kind.name == "htd":
+            edges2 = sum(sub.degrees)
+            weighted = [sum(map(mul, row, sub.degrees)) for row in num]
             block = [
-                [ldag[i][i] + ldag[j][j] - 2 * ldag[i][j] for j in range(k)] for i in range(k)
-            ]
-        elif kind.name == "biharmonic":
-            sq = [
-                [sum(ldag[i][t] * ldag[t][j] for t in range(k)) for j in range(k)]
+                [weighted[i] - weighted[j] + edges2 * (diag[j] - num[i][j]) for j in range(k)]
                 for i in range(k)
             ]
-            block = [[sq[i][i] + sq[j][j] - 2 * sq[i][j] for j in range(k)] for i in range(k)]
-        else:  # htd and ctd
-            degs = [Fraction(d) for d in sub.degrees]
-            edges2 = Fraction(sum(sub.degrees))
-            weighted = [sum(ldag[i][t] * degs[t] for t in range(k)) for i in range(k)]
-            block = [
-                [
-                    weighted[i] - weighted[j] + edges2 * ldag[j][j] - edges2 * ldag[i][j]
-                    for j in range(k)
-                ]
-                for i in range(k)
-            ]
-            if kind.name == "ctd":
-                block = [[block[i][j] + block[j][i] for j in range(k)] for i in range(k)]
+        else:  # rd, biharmonic, and ctd = 2|E| rd per component
+            f = sum(sub.degrees) if kind.name == "ctd" else 1
+            block = [[f * (diag[i] + diag[j] - 2 * num[i][j]) for j in range(k)] for i in range(k)]
         for i, u in enumerate(comp):
             for j, v in enumerate(comp):
-                out[u][v] = Fraction(0) if u == v else block[i][j]
+                out[u * n + v] = exact.round_ratio(block[i][j], den, digits).encode()
     return out
+
+
+def _prd_tokens(g: Graph, weights: tuple[Fraction, ...], digits: int) -> list[bytes]:
+    """Exact PageRank tokens sum_k gamma_k M^k(u, v) / l^k over one denominator."""
+    if g.has_isolated:
+        raise ValueError("PageRank distance undefined: graph has an isolated vertex")
+    steps = len(weights) - 1
+    scale, powers = _walk_powers(g, steps)
+    den = math.lcm(*(w.denominator for w in weights)) * scale**steps
+    coeffs = [w.numerator * den // (w.denominator * scale**k) for k, w in enumerate(weights)]
+    n = g.n
+    return [
+        exact.round_ratio(sum(c * p[u][v] for c, p in zip(coeffs, powers)), den, digits).encode()
+        for u in range(n)
+        for v in range(n)
+    ]
 
 
 def distance_tokens(g: Graph, kind: DistanceKind, quant: Quantization = DEFAULT_QUANT) -> list[bytes]:
@@ -578,21 +531,9 @@ def distance_tokens(g: Graph, kind: DistanceKind, quant: Quantization = DEFAULT_
         vals = distance_matrix(g, kind).values
         out = [quantize(vals[u, v], quant).encode() for u in range(n) for v in range(n)]
     elif kind.name == "prd":
-        if g.has_isolated:
-            raise ValueError("PageRank distance undefined: graph has an isolated vertex")
-        powers = _fraction_walk_powers(g, len(kind.weights) - 1)
-        out = []
-        for u in range(n):
-            for v in range(n):
-                total = sum((w * p[u][v] for w, p in zip(kind.weights, powers)), Fraction(0))
-                out.append(quantize_fraction(total, quant).encode())
+        out = _prd_tokens(g, kind.weights, quant.digits)
     else:
-        exact = _exact_component_matrix(g, kind)
-        out = [
-            _INF_TOKEN if exact[u][v] is None else quantize_fraction(exact[u][v], quant).encode()
-            for u in range(n)
-            for v in range(n)
-        ]
+        out = _exact_ratio_tokens(g, kind, quant.digits)
     _TOKEN_CACHE[key] = out
     return out
 

@@ -34,9 +34,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from . import exact
 from .distances import DistanceKind, distance_tokens
 from .graphs import Graph, MatrixKind
-from .spectral import DEFAULT_QUANT, Quantization, decomposition_for, quantize_fraction, quantized_projections
+from .spectral import DEFAULT_QUANT, Quantization, _walk_powers, decomposition_for, quantized_projections
 
 __all__ = [
     "AlgorithmSpec",
@@ -629,15 +630,14 @@ def _girt_init(g: Graph, steps: int, quant: Quantization) -> list:
     Walk powers are exact rationals; their decimal expansions routinely
     end in a tie digit, so rounding must not be left to float noise.
     """
-    from .distances import _fraction_walk_powers
-
-    powers = _fraction_walk_powers(g, steps)
+    scale, powers = _walk_powers(g, steps)
+    dens = [scale**k for k in range(steps + 1)]
     n = g.n
-    out = []
-    for u in range(n):
-        for v in range(n):
-            out.append(tuple(quantize_fraction(m[u][v], quant) for m in powers))
-    return out
+    return [
+        tuple(exact.round_ratio(p[u][v], d, quant.digits) for p, d in zip(powers, dens))
+        for u in range(n)
+        for v in range(n)
+    ]
 
 
 _VARIANTS: dict[str, _VariantBase] = {}
@@ -713,13 +713,6 @@ class ColorState:
 
     def domain_size(self, i: int) -> int:
         return self._ctxs[i].size
-
-    def partition_classes(self, i: int) -> dict[int, list[int]]:
-        """Domain elements of graph i grouped by color id."""
-        groups: dict[int, list[int]] = {}
-        for idx, c in enumerate(self.colors[i]):
-            groups.setdefault(c, []).append(idx)
-        return groups
 
 
 def initial_coloring(

@@ -8,11 +8,12 @@ decimal quantization so that tokens compare exactly across graphs and
 platforms.
 
 An exact rational backend (characteristic polynomial plus the moment
-sequence M^k(u, v), all big-rational arithmetic) cross-validates the
-floating-point tokens: equal exact tokens always imply equal invariant
-values, and for the adjacency and Laplacian kinds the converse holds
-within a fixed spectrum (Vandermonde invertibility).  For the normalized
-Laplacian the exact token is a sufficient-only certificate.
+sequence M^k(u, v), computed fraction-free over the integers by
+:mod:`eigenwl.exact`) cross-validates the floating-point tokens: equal
+exact tokens always imply equal invariant values, and for the adjacency
+and Laplacian kinds the converse holds within a fixed spectrum
+(Vandermonde invertibility).  For the normalized Laplacian the exact
+token is a sufficient-only certificate.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import exact
 from .graphs import Graph, MatrixKind, build_matrix
 
 __all__ = [
@@ -61,13 +63,18 @@ class SpectralError(RuntimeError):
 class Quantization:
     """Token quantization parameters.
 
-    ``digits`` is the decimal rounding (half-even) applied to eigenvalues
-    and projection entries before serialization; ``eig_gap_scale`` scales
-    the eigenvalue clustering threshold tau = scale * max(1, max|M|).
+    ``digits`` (at least 0) is the decimal rounding (half-even) applied to
+    eigenvalues and projection entries before serialization;
+    ``eig_gap_scale`` scales the eigenvalue clustering threshold
+    tau = scale * max(1, max|M|).
     """
 
     digits: int = 6
     eig_gap_scale: float = 1e-8
+
+    def __post_init__(self):
+        if self.digits < 0:
+            raise ValueError(f"quantization digits must be >= 0, got {self.digits}")
 
 
 DEFAULT_QUANT = Quantization()
@@ -88,18 +95,7 @@ def quantize_fraction(x: Fraction, quant: Quantization = DEFAULT_QUANT) -> str:
     probability like 139/640 terminates with a 5 in the seventh decimal,
     where solver noise would otherwise decide the rounding direction.
     """
-    digits = quant.digits
-    scaled = x * 10**digits
-    floor = scaled.numerator // scaled.denominator
-    rem = scaled - floor
-    if rem > Fraction(1, 2) or (rem == Fraction(1, 2) and floor % 2):
-        floor += 1
-    sign = "-" if floor < 0 else ""
-    mag = abs(floor)
-    whole, frac = divmod(mag, 10**digits)
-    if mag == 0:
-        sign = ""
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    return exact.round_ratio(x.numerator, x.denominator, quant.digits)
 
 
 @dataclass(frozen=True)
@@ -339,65 +335,56 @@ class ExactPairToken:
         return hashlib.blake2b(self.serialize(), digest_size=16).hexdigest()
 
 
-def _exact_matrix(g: Graph, kind: MatrixKind) -> list[list[Fraction]]:
-    n = g.n
-    if kind is MatrixKind.ADJACENCY:
-        return [[Fraction(1 if g.has_edge(u, v) else 0) for v in range(n)] for u in range(n)]
-    if kind is MatrixKind.LAPLACIAN:
-        return [
-            [Fraction(g.degree(u)) if u == v else Fraction(-1 if g.has_edge(u, v) else 0) for v in range(n)]
-            for u in range(n)
-        ]
+def _exact_matrix(g: Graph, kind: MatrixKind) -> tuple[int, list[list[int]]]:
+    """(scale, integer matrix) whose ratio is the exact matrix of the kind."""
+    if kind in (MatrixKind.ADJACENCY, MatrixKind.LAPLACIAN):
+        return 1, exact.int_matrix(g, kind)
     if kind is MatrixKind.NORMALIZED_LAPLACIAN:
         if g.has_isolated:
             raise ValueError("normalized Laplacian undefined: graph has an isolated vertex")
-        # exact surrogate D^{-1} L, similar to L-hat
-        return [
-            [
-                Fraction(1) if u == v else Fraction(-1 if g.has_edge(u, v) else 0, g.degree(u))
-                for v in range(n)
-            ]
-            for u in range(n)
+        # exact surrogate D^{-1} L = I - D^{-1} A, similar to L-hat
+        scale, walk = exact.walk_matrix(g)
+        return scale, [
+            [scale * (u == v) - x for v, x in enumerate(row)] for u, row in enumerate(walk)
         ]
     raise ValueError(f"exact backend does not support kind {kind!r}")
-
-
-def _charpoly(mat: list[list[Fraction]]) -> tuple[Fraction, ...]:
-    """Faddeev-LeVerrier coefficients (c_0 = 1, ..., c_n), exact."""
-    n = len(mat)
-    coeffs = [Fraction(1)]
-    aux = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        aux = [
-            [sum(mat[i][t] * aux[t][j] for t in range(n)) for j in range(n)] for i in range(n)
-        ]
-        c = -sum(aux[i][i] for i in range(n)) / k
-        coeffs.append(c)
-        for i in range(n):
-            aux[i][i] += c
-    return tuple(coeffs)
 
 
 _EXACT_CACHE: dict[tuple, tuple] = {}
 
 
 def _exact_data(g: Graph, kind: MatrixKind):
-    """Cached (charpoly, [M^0, ..., M^{n-1}]) with exact arithmetic."""
+    """Cached (charpoly, [M^0, ..., M^{n-1}]), computed over the integers
+    and converted to Fractions once per graph."""
     key = (g, kind)
     cached = _EXACT_CACHE.get(key)
     if cached is None:
-        mat = _exact_matrix(g, kind)
+        scale, mat = _exact_matrix(g, kind)
         n = g.n
-        cp = _charpoly(mat)
-        powers = [[[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]]
-        for _ in range(n - 1):
-            prev = powers[-1]
-            powers.append(
-                [[sum(mat[i][t] * prev[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-            )
-        cached = (cp, powers)
+        powers = [exact.identity(n)]
+        exact.extend_powers(mat, powers, n - 1)
+        scales = [scale**k for k in range(n + 1)]
+        cp = tuple(Fraction(c, s) for c, s in zip(exact.charpoly(mat), scales))
+        cached = (cp, [[[Fraction(x, s) for x in row] for row in p] for p, s in zip(powers, scales)])
         _EXACT_CACHE[key] = cached
     return cached
+
+
+def _walk_powers(g: Graph, count: int) -> tuple[int, list]:
+    """(l, [M^0, ..., M^count]) with M = l * D^-1 A; (D^-1 A)^k = M^k / l^k.
+
+    One list per graph in ``_EXACT_CACHE``, extended to the largest
+    ``count`` asked for, serves every walk-based token kind.
+    """
+    key = (g, "walk")
+    cached = _EXACT_CACHE.get(key)
+    if cached is None:
+        scale, mat = exact.walk_matrix(g)
+        cached = (scale, mat, [exact.identity(g.n)])
+        _EXACT_CACHE[key] = cached
+    scale, mat, powers = cached
+    exact.extend_powers(mat, powers, count)
+    return scale, powers[: count + 1]
 
 
 def exact_pair_token(g: Graph, kind: MatrixKind, u: int, v: int) -> ExactPairToken:
