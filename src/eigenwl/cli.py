@@ -27,9 +27,9 @@ from .graphs import Graph, Graph6Error, parse_graph6, read_corpus, write_graph6
 from .highorder import token_graph
 from .refinement import (
     AlgorithmSpec,
+    ComparisonReport,
     InternalError,
     UsageError,
-    refinement_violations,
     signatures,
     stable_coloring,
 )
@@ -257,23 +257,16 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     relations = []
     for i, a in enumerate(specs):
         for b in specs[i + 1 :]:
-            va = refinement_violations(sigs[a.label()], sigs[b.label()])
-            vb = refinement_violations(sigs[b.label()], sigs[a.label()])
-            if not va and not vb:
-                relation = "equivalent"
-            elif not va:
-                relation = "a_strictly_finer"
-            elif not vb:
-                relation = "b_strictly_finer"
-            else:
-                relation = "incomparable"
+            rep = ComparisonReport.from_signatures(
+                a.label(), b.label(), sigs[a.label()], sigs[b.label()]
+            )
             relations.append(
                 {
-                    "a": a.label(),
-                    "b": b.label(),
-                    "relation": relation,
-                    "witnesses_a_not_finer": [list(p) for p in va],
-                    "witnesses_b_not_finer": [list(p) for p in vb],
+                    "a": rep.spec_a,
+                    "b": rep.spec_b,
+                    "relation": rep.relation,
+                    "witnesses_a_not_finer": [list(p) for p in rep.violations_ab],
+                    "witnesses_b_not_finer": [list(p) for p in rep.violations_ba],
                 }
             )
 
@@ -315,13 +308,14 @@ def cmd_hunt(cfg: RunConfig, args) -> int:
     result = search_counterexamples(
         spec_a,
         spec_b,
-        max_base_n=args.max_base_n if args.max_base_n is not None else cfg.max_base_n,
+        max_base_n=cfg.max_base_n,
         budget=cfg.budget,
         seed=cfg.seed,
         max_product_n=cfg.max_product_n,
+        quant=cfg.quant,
     )
     status = (
-        f"{spec_a.label()}|{spec_b.label()}|bases<={args.max_base_n or cfg.max_base_n}:mindeg>=2+random|"
+        f"{spec_a.label()}|{spec_b.label()}|bases<={cfg.max_base_n}:mindeg>=2+random|"
         f"budget={cfg.budget}|seed={cfg.seed}|max-product={cfg.max_product_n}|"
         f"examined={result.examined}|skipped={result.skipped}|unstable={result.unstable}|"
         f"found={'yes' if result.witnesses else 'no'}"

@@ -16,7 +16,7 @@ and reports every pair on which two refinement algorithms disagree.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 from .graphs import Graph, cycle_graph, disjoint_union, enumerate_graphs, is_isomorphic, random_connected_graph, write_graph6
@@ -224,6 +224,7 @@ def search_counterexamples(
     budget: int = 100,
     seed: int = 1729,
     max_product_n: Optional[int] = None,
+    quant: Quantization = DEFAULT_QUANT,
 ) -> SearchResult:
     """Hunt for pairs where exactly one of the two algorithms distinguishes.
 
@@ -234,11 +235,12 @@ def search_counterexamples(
     products too large for the given algorithms (skips count against the
     budget to keep the stream deterministic).
 
+    Every pair is evaluated at the token quantization ``quant``.
     Disagreements that involve a quantization-sensitive algorithm are
-    re-evaluated at coarser and finer token quantizations and dropped
-    unless every evaluation agrees: on large graphs a projection entry
-    can straddle a decimal rounding boundary and fabricate a distinction
-    that no exact computation would make.
+    re-evaluated with one digit more and one digit fewer (none fewer at 0
+    digits) and dropped unless every evaluation agrees: on large graphs a
+    projection entry can straddle a decimal rounding boundary and
+    fabricate a distinction that no exact computation would make.
     """
     witnesses: list[Witness] = []
     examined = 0
@@ -246,8 +248,9 @@ def search_counterexamples(
     unstable = 0
     remaining = budget
     sensitive = spec_a.quantization_sensitive or spec_b.quantization_sensitive
-    digits = DEFAULT_QUANT.digits
-    perturbed = (Quantization(digits=digits - 1), Quantization(digits=digits + 1))
+    perturbed = tuple(
+        replace(quant, digits=d) for d in (quant.digits - 1, quant.digits + 1) if d >= 0
+    )
 
     def stable_flag(spec: AlgorithmSpec, ga: Graph, gb: Graph, flag: bool) -> bool:
         if not spec.quantization_sensitive:
@@ -256,8 +259,8 @@ def search_counterexamples(
 
     def consider(ga: Graph, gb: Graph, note: str):
         nonlocal examined, unstable
-        a = distinguishes(spec_a, ga, gb)
-        b = distinguishes(spec_b, ga, gb)
+        a = distinguishes(spec_a, ga, gb, quant)
+        b = distinguishes(spec_b, ga, gb, quant)
         examined += 1
         if a != b:
             if sensitive and not (stable_flag(spec_a, ga, gb, a) and stable_flag(spec_b, ga, gb, b)):

@@ -26,13 +26,21 @@ Implemented algorithms (selected by :class:`AlgorithmSpec`):
   stabilized vertex refinement inside the pooling
 * ``peg`` / ``girt`` - distance-style refinements used by positional-encoding
   architectures
+
+Each algorithm is one row of the variant table ``_VARIANTS``, keyed by
+``(variant, init)`` (so ``ign2wl``, ``ign2wl:atp`` and ``ign2wl:proj`` are
+three rows).  A row holds the domain (``nodes``, ``pairs`` or
+``spectral_pairs``), whether the spec needs a matrix kind, whether the
+initial tokens are quantized, and the four functions of a run: per-graph
+static data, initial tokens, the update, and the pool that reduces the
+stable coloring to one signature per graph.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import exact
 from .distances import DistanceKind, distance_tokens
@@ -87,23 +95,19 @@ class AlgorithmSpec:
     init: str = "const"
 
     def __post_init__(self):
-        needs_kind = {"epwl", "spectralign", "siamese", "weakspectralign", "basisnet", "spe", "peg"}
-        bare = {"wl1", "swl", "pswl", "fwl2", "girt", "ign2wl", "gdwl"}
-        if self.variant not in needs_kind | bare:
-            raise UsageError(f"unknown algorithm variant {self.variant!r}")
-        if self.variant in needs_kind:
-            if self.kind not in _ALGO_KINDS:
-                raise UsageError(f"{self.variant} requires a matrix kind A, L, or Lhat")
+        row = _VARIANTS.get((self.variant, self.init))
+        if row is None:
+            raise UsageError(
+                f"unknown algorithm variant {self.variant!r} with initial coloring {self.init!r}"
+            )
+        if row.needs_kind and self.kind not in _ALGO_KINDS:
+            raise UsageError(f"{self.variant} requires a matrix kind A, L, or Lhat")
         if self.variant == "gdwl" and self.distance is None:
             raise UsageError("gdwl requires a distance kind")
         if self.variant == "basisnet" and self.layers < 0:
             raise UsageError("basisnet layer count must be nonnegative")
         if self.variant == "girt" and self.steps < 1:
             raise UsageError("girt walk length must be at least 1")
-        if self.variant == "ign2wl" and self.init not in {"const", "atp", "proj"}:
-            raise UsageError("ign2wl initial coloring must be const, atp, or proj")
-        if self.variant == "ign2wl" and self.init == "proj" and self.kind not in _ALGO_KINDS:
-            raise UsageError("ign2wl:proj requires a matrix kind")
 
     @classmethod
     def parse(cls, text: str) -> "AlgorithmSpec":
@@ -163,9 +167,7 @@ class AlgorithmSpec:
     @property
     def quantization_sensitive(self) -> bool:
         """Whether initial tokens depend on quantized floating-point data."""
-        return self.variant not in {"wl1", "swl", "pswl", "fwl2"} and not (
-            self.variant == "ign2wl" and self.init in {"const", "atp"}
-        )
+        return _VARIANTS[self.variant, self.init].quantized
 
     def label(self) -> str:
         if self.variant == "gdwl":
@@ -224,28 +226,11 @@ class _Interner:
 
 
 # ---------------------------------------------------------------------------
-# per-graph contexts
-
-
-class _Ctx:
-    """Static per-graph data for one run: canonical int matrices."""
-
-    __slots__ = ("g", "n", "atp", "proj", "dist", "lams", "slices", "mults", "girt_init", "size")
-
-    def __init__(self, g: Graph):
-        self.g = g
-        self.n = g.n
-        self.atp = None  # flat n*n list of 0/1/2
-        self.proj = None  # flat n*n list of static ids
-        self.dist = None  # flat n*n list of static ids
-        self.lams = None  # tuple of quantized eigenvalue strings
-        self.slices = None  # list (per eigenvalue) of flat n*n static entry ids
-        self.mults = None  # multiplicities per eigenvalue
-        self.girt_init = None
-        self.size = 0
+# per-graph static data: (spec, graph, quant, static interner) -> data
 
 
 def _atp_flat(g: Graph) -> list[int]:
+    """Flat n*n atomic types: 0 on the diagonal, 1 for edges, 2 otherwise."""
     n = g.n
     out = [2] * (n * n)
     for u in range(n):
@@ -258,7 +243,9 @@ def _atp_flat(g: Graph) -> list[int]:
     return out
 
 
-def _proj_flat(g: Graph, kind: MatrixKind, quant: Quantization, static: _Interner) -> list[int]:
+def _proj_static(spec, g, quant, static):
+    """Flat n*n static ids of the projection pair invariants."""
+    kind = spec.kind
     lams, entries = quantized_projections(g, kind, quant)
     n = g.n
     out = [0] * (n * n)
@@ -274,291 +261,178 @@ def _require_no_isolated(spec: AlgorithmSpec, g: Graph):
         raise UsageError(f"{spec.label()} is undefined on graphs with isolated vertices")
 
 
+def _no_static(spec, g, quant, static):
+    return None
+
+
+def _atp_static(spec, g, quant, static):
+    return _atp_flat(g)
+
+
+def _dist_static(spec, g, quant, static):
+    """Flat n*n static ids of the distance tokens."""
+    if spec.distance.name in {"prd", "diffusion"}:
+        _require_no_isolated(spec, g)
+    return [static.id(_Interner.STATIC, tok) for tok in distance_tokens(g, spec.distance, quant)]
+
+
+def _girt_static(spec, g, quant, static):
+    _require_no_isolated(spec, g)
+    return _girt_init(g, spec.steps, quant)
+
+
+def _eig_static(spec, g, quant, static):
+    """(quantized eigenvalues, multiplicities, per-eigenvalue flat n*n
+    static ids of the projection entries)."""
+    lams, entries = quantized_projections(g, spec.kind, quant)
+    mults = decomposition_for(g, spec.kind, quant).multiplicities
+    n = g.n
+    slices = [
+        [static.id(_Interner.STATIC, ent[u][v]) for u in range(n) for v in range(n)]
+        for ent in entries
+    ]
+    return lams, mults, slices
+
+
+def _girt_init(g: Graph, steps: int, quant: Quantization) -> list:
+    """Initial pair tokens: the multi-step landing-probability vector.
+
+    Walk powers are exact rationals; their decimal expansions routinely
+    end in a tie digit, so rounding must not be left to float noise.
+    """
+    scale, powers = _walk_powers(g, steps)
+    dens = [scale**k for k in range(steps + 1)]
+    n = g.n
+    return [
+        tuple(exact.round_ratio(p[u][v], d, quant.digits) for p, d in zip(powers, dens))
+        for u in range(n)
+        for v in range(n)
+    ]
+
+
 # ---------------------------------------------------------------------------
-# variant implementations
+# initial tokens: (n, per-graph data) -> one token per domain element
 
 
-class _VariantBase:
-    domain = "nodes"
-
-    def build(self, spec: AlgorithmSpec, g: Graph, quant: Quantization, static: _Interner) -> _Ctx:
-        raise NotImplementedError
-
-    def init_tokens(self, spec: AlgorithmSpec, ctx: _Ctx) -> list:
-        raise NotImplementedError
-
-    def update(self, spec: AlgorithmSpec, ctx: _Ctx, colors: list[int], it: _Interner) -> list:
-        raise NotImplementedError
-
-    def pool_all(self, spec, ctxs, colors_list, it: _Interner) -> list:
-        raise NotImplementedError
+def _node_init(n, data):
+    return [("node-init",)] * n
 
 
-class _NodeVariant(_VariantBase):
-    """Vertex-domain refinements: wl1, epwl, gdwl, peg."""
-
-    domain = "nodes"
-
-    def build(self, spec, g, quant, static):
-        ctx = _Ctx(g)
-        ctx.size = g.n
-        if spec.variant == "wl1":
-            ctx.atp = _atp_flat(g)
-        elif spec.variant == "epwl" or spec.variant == "peg":
-            if spec.kind is MatrixKind.NORMALIZED_LAPLACIAN:
-                _require_no_isolated(spec, g)
-            ctx.proj = _proj_flat(g, spec.kind, quant, static)
-        elif spec.variant == "gdwl":
-            if spec.distance.name in {"prd", "diffusion"}:
-                _require_no_isolated(spec, g)
-            ctx.dist = [
-                static.id(_Interner.STATIC, tok) for tok in distance_tokens(g, spec.distance, quant)
-            ]
-        return ctx
-
-    def init_tokens(self, spec, ctx):
-        return [("node-init",)] * ctx.n
-
-    def update(self, spec, ctx, colors, it):
-        n = ctx.n
-        ms = it.id
-        MS, TOK = _Interner.MS, _Interner.TOK
-        out = []
-        if spec.variant == "wl1":
-            data = ctx.atp
-        elif spec.variant == "gdwl":
-            data = ctx.dist
-        else:
-            data = ctx.proj
-        if spec.variant == "peg":
-            diag = [data[v * n + v] for v in range(n)]
-            for u in range(n):
-                base = u * n
-                duu = diag[u]
-                bag = tuple(sorted((colors[v], duu, diag[v], data[base + v]) for v in range(n)))
-                out.append(ms(TOK, (ms(MS, bag),)))
-        else:
-            for u in range(n):
-                base = u * n
-                bag = tuple(sorted((colors[v], data[base + v]) for v in range(n)))
-                out.append(ms(TOK, (colors[u], ms(MS, bag))))
-        return out
-
-    def pool_all(self, spec, ctxs, colors_list, it):
-        return [it.id(_Interner.POOL, tuple(sorted(cols))) for cols in colors_list]
+def _pair_init(n, data):
+    return [("pair-init",)] * (n * n)
 
 
-class _PairVariant(_VariantBase):
-    """Ordered-pair-domain refinements: swl, pswl, fwl2, girt, ign2wl, spe."""
-
-    domain = "pairs"
-
-    def build(self, spec, g, quant, static):
-        ctx = _Ctx(g)
-        ctx.size = g.n * g.n
-        if spec.variant in {"swl", "pswl", "fwl2", "spe"} or (
-            spec.variant == "ign2wl" and spec.init == "atp"
-        ):
-            ctx.atp = _atp_flat(g)
-        if spec.variant == "spe" or (spec.variant == "ign2wl" and spec.init == "proj"):
-            if spec.kind is MatrixKind.NORMALIZED_LAPLACIAN:
-                _require_no_isolated(spec, g)
-            ctx.proj = _proj_flat(g, spec.kind, quant, static)
-        if spec.variant == "girt":
-            _require_no_isolated(spec, g)
-            ctx.girt_init = _girt_init(g, spec.steps, quant)
-        return ctx
-
-    def init_tokens(self, spec, ctx):
-        n = ctx.n
-        if spec.variant in {"swl", "pswl"}:
-            return [1 if u == v else 0 for u in range(n) for v in range(n)]
-        if spec.variant == "fwl2" or (spec.variant == "ign2wl" and spec.init == "atp"):
-            return list(ctx.atp)
-        if spec.variant == "girt":
-            return ctx.girt_init
-        if spec.variant == "spe" or (spec.variant == "ign2wl" and spec.init == "proj"):
-            return list(ctx.proj)
-        return [("pair-init",)] * (n * n)
-
-    def update(self, spec, ctx, colors, it):
-        n = ctx.n
-        ms = it.id
-        MS, TOK = _Interner.MS, _Interner.TOK
-        out = []
-        if spec.variant == "swl":
-            atp = ctx.atp
-            for u in range(n):
-                base = u * n
-                row = colors[base : base + n]
-                for v in range(n):
-                    vbase = v * n
-                    bag = tuple(sorted(zip(row, atp[vbase : vbase + n])))
-                    out.append(ms(TOK, (colors[base + v], ms(MS, bag))))
-            return out
-        if spec.variant == "pswl":
-            atp = ctx.atp
-            diag = [colors[v * n + v] for v in range(n)]
-            for u in range(n):
-                base = u * n
-                row = colors[base : base + n]
-                for v in range(n):
-                    vbase = v * n
-                    bag = tuple(sorted(zip(row, atp[vbase : vbase + n])))
-                    out.append(ms(TOK, (colors[base + v], diag[v], ms(MS, bag))))
-            return out
-        if spec.variant == "fwl2":
-            for u in range(n):
-                base = u * n
-                row = colors[base : base + n]
-                for v in range(n):
-                    bag = tuple(sorted(zip(row, colors[v::n])))
-                    out.append(ms(TOK, (colors[base + v], ms(MS, bag))))
-            return out
-        if spec.variant == "girt":
-            diag = [colors[v * n + v] for v in range(n)]
-            for u in range(n):
-                base = u * n
-                for v in range(n):
-                    if u == v:
-                        bag = tuple(sorted(zip(colors[base : base + n], diag)))
-                        out.append(ms(TOK, (diag[u], ms(MS, bag))))
-                    else:
-                        out.append(ms(TOK, (colors[base + v], diag[u], diag[v])))
-            return out
-        # spe and ign2wl share the 15-slot update
-        toks = _ign_slice_tokens(n, colors, it)
-        return [ms(TOK, t) for t in toks]
-
-    def pool_all(self, spec, ctxs, colors_list, it):
-        ms = it.id
-        MS, POOL = _Interner.MS, _Interner.POOL
-        if spec.variant in {"swl", "pswl"}:
-            out = []
-            for ctx, cols in zip(ctxs, colors_list):
-                n = ctx.n
-                per_node = [ms(MS, tuple(sorted(cols[u * n : (u + 1) * n]))) for u in range(n)]
-                out.append(ms(POOL, tuple(sorted(per_node))))
-            return out
-        if spec.variant == "girt":
-            out = []
-            for ctx, cols in zip(ctxs, colors_list):
-                n = ctx.n
-                out.append(ms(POOL, tuple(sorted(cols[u * n + u] for u in range(n)))))
-            return out
-        if spec.variant == "spe":
-            node_colors = []
-            for ctx, cols in zip(ctxs, colors_list):
-                n = ctx.n
-                node_colors.append(
-                    [ms(MS, tuple(sorted(cols[u * n : (u + 1) * n]))) for u in range(n)]
-                )
-            node_colors = _wl_layers(ctxs, node_colors, it, steps=None)
-            return [ms(POOL, tuple(sorted(cols))) for cols in node_colors]
-        # fwl2 and ign2wl pool the joint pair multiset
-        return [ms(POOL, tuple(sorted(cols))) for cols in colors_list]
+def _marked_init(n, data):
+    """Node-marked pairs: the diagonal against everything else."""
+    return [1 if u == v else 0 for u in range(n) for v in range(n)]
 
 
-class _SpectralPairVariant(_VariantBase):
-    """(eigenvalue x pair)-domain refinements: spectralign, siamese,
-    weakspectralign, basisnet."""
+def _data_init(n, data):
+    return list(data)
 
-    domain = "spectral_pairs"
 
-    def build(self, spec, g, quant, static):
-        if spec.kind is MatrixKind.NORMALIZED_LAPLACIAN:
-            _require_no_isolated(spec, g)
-        ctx = _Ctx(g)
-        n = g.n
-        lams, entries = quantized_projections(g, spec.kind, quant)
-        dec = decomposition_for(g, spec.kind, quant)
-        ctx.lams = lams
-        ctx.mults = dec.multiplicities
-        ctx.slices = [
-            [static.id(_Interner.STATIC, ent[u][v]) for u in range(n) for v in range(n)]
-            for ent in entries
-        ]
-        ctx.size = len(lams) * n * n
-        if spec.variant == "basisnet":
-            ctx.atp = _atp_flat(g)
-        return ctx
+def _lam_init(n, data):
+    lams, _, slices = data
+    return [(lam, sid) for lam, ids in zip(lams, slices) for sid in ids]
 
-    def init_tokens(self, spec, ctx):
-        out = []
-        for i, lam in enumerate(ctx.lams):
-            first = ctx.mults[i] if spec.variant == "basisnet" else lam
-            slice_ids = ctx.slices[i]
-            out.extend((first, sid) for sid in slice_ids)
-        return out
 
-    def update(self, spec, ctx, colors, it):
-        n = ctx.n
-        nn = n * n
-        m = len(ctx.lams)
-        ms = it.id
-        MS, TOK = _Interner.MS, _Interner.TOK
-        slice_tok_ids = []
-        for i in range(m):
-            toks = _ign_slice_tokens(n, colors[i * nn : (i + 1) * nn], it)
-            slice_tok_ids.append([ms(TOK, t) for t in toks])
-        if spec.variant != "spectralign":
-            out = []
-            for ids in slice_tok_ids:
-                out.extend(ids)
-            return out
-        # cross-eigenspace aggregation: pair multisets over slices, then the
-        # 15-slot update of that pooled pair coloring
-        sp = [ms(MS, tuple(sorted(colors[p::nn]))) for p in range(nn)]
-        sp_tok_ids = [ms(TOK, t) for t in _ign_slice_tokens(n, sp, it)]
-        out = []
-        for ids in slice_tok_ids:
-            out.extend(
-                ms(TOK, (sid, pid)) for sid, pid in zip(ids, sp_tok_ids)
-            )
-        return out
+def _mult_init(n, data):
+    _, mults, slices = data
+    return [(mult, sid) for mult, ids in zip(mults, slices) for sid in ids]
 
-    def pool_all(self, spec, ctxs, colors_list, it):
-        ms = it.id
-        MS, POOL = _Interner.MS, _Interner.POOL
-        if spec.variant == "siamese":
-            return [ms(POOL, tuple(sorted(cols))) for cols in colors_list]
-        if spec.variant == "weakspectralign":
-            out = []
-            for ctx, cols in zip(ctxs, colors_list):
-                nn = ctx.n * ctx.n
-                per_pair = [ms(MS, tuple(sorted(cols[p::nn]))) for p in range(nn)]
-                out.append(ms(POOL, tuple(sorted(per_pair))))
-            return out
-        if spec.variant == "spectralign":
-            out = []
-            for ctx, cols in zip(ctxs, colors_list):
-                n = ctx.n
-                nn = n * n
-                per_pair = [ms(MS, tuple(sorted(cols[p::nn]))) for p in range(nn)]
-                per_node = [ms(MS, tuple(sorted(per_pair[u * n : (u + 1) * n]))) for u in range(n)]
-                out.append(ms(POOL, tuple(sorted(per_node))))
-            return out
-        # basisnet: 5-slot per-eigenspace pooling, eigenvalue multiset per
-        # node, then the configured number of vertex-refinement layers
-        node_colors = []
-        for ctx, cols in zip(ctxs, colors_list):
-            n = ctx.n
-            nn = n * n
-            m = len(ctx.lams)
-            per_node = []
-            for u in range(n):
-                lam_ids = []
-                for i in range(m):
-                    sl = cols[i * nn : (i + 1) * nn]
-                    row = ms(MS, tuple(sorted(sl[u * n : (u + 1) * n])))
-                    col = ms(MS, tuple(sorted(sl[u::n])))
-                    diag = ms(MS, tuple(sorted(sl[w * n + w] for w in range(n))))
-                    full = ms(MS, tuple(sorted(sl)))
-                    lam_ids.append(ms(MS, (sl[u * n + u], row, col, diag, full)))
-                per_node.append(ms(MS, tuple(sorted(lam_ids))))
-            node_colors.append(per_node)
-        node_colors = _wl_layers(ctxs, node_colors, it, steps=spec.layers)
-        return [ms(POOL, tuple(sorted(cols))) for cols in node_colors]
+
+# ---------------------------------------------------------------------------
+# updates: (n, per-graph data, colors, interner) -> new color ids
+
+
+def _vertex_update(n, data, colors, it):
+    """Own color plus the multiset of (neighbor color, pair data)."""
+    ms = it.id
+    MS, TOK = _Interner.MS, _Interner.TOK
+    out = []
+    for u in range(n):
+        base = u * n
+        bag = tuple(sorted((colors[v], data[base + v]) for v in range(n)))
+        out.append(ms(TOK, (colors[u], ms(MS, bag))))
+    return out
+
+
+def _peg_update(n, data, colors, it):
+    ms = it.id
+    MS, TOK = _Interner.MS, _Interner.TOK
+    out = []
+    diag = [data[v * n + v] for v in range(n)]
+    for u in range(n):
+        base = u * n
+        duu = diag[u]
+        bag = tuple(sorted((colors[v], duu, diag[v], data[base + v]) for v in range(n)))
+        out.append(ms(TOK, (ms(MS, bag),)))
+    return out
+
+
+def _swl_update(n, atp, colors, it):
+    ms = it.id
+    MS, TOK = _Interner.MS, _Interner.TOK
+    out = []
+    for u in range(n):
+        base = u * n
+        row = colors[base : base + n]
+        for v in range(n):
+            vbase = v * n
+            bag = tuple(sorted(zip(row, atp[vbase : vbase + n])))
+            out.append(ms(TOK, (colors[base + v], ms(MS, bag))))
+    return out
+
+
+def _pswl_update(n, atp, colors, it):
+    ms = it.id
+    MS, TOK = _Interner.MS, _Interner.TOK
+    out = []
+    diag = [colors[v * n + v] for v in range(n)]
+    for u in range(n):
+        base = u * n
+        row = colors[base : base + n]
+        for v in range(n):
+            vbase = v * n
+            bag = tuple(sorted(zip(row, atp[vbase : vbase + n])))
+            out.append(ms(TOK, (colors[base + v], diag[v], ms(MS, bag))))
+    return out
+
+
+def _fwl2_update(n, data, colors, it):
+    ms = it.id
+    MS, TOK = _Interner.MS, _Interner.TOK
+    out = []
+    for u in range(n):
+        base = u * n
+        row = colors[base : base + n]
+        for v in range(n):
+            bag = tuple(sorted(zip(row, colors[v::n])))
+            out.append(ms(TOK, (colors[base + v], ms(MS, bag))))
+    return out
+
+
+def _girt_update(n, data, colors, it):
+    ms = it.id
+    MS, TOK = _Interner.MS, _Interner.TOK
+    out = []
+    diag = [colors[v * n + v] for v in range(n)]
+    for u in range(n):
+        base = u * n
+        for v in range(n):
+            if u == v:
+                bag = tuple(sorted(zip(colors[base : base + n], diag)))
+                out.append(ms(TOK, (diag[u], ms(MS, bag))))
+            else:
+                out.append(ms(TOK, (colors[base + v], diag[u], diag[v])))
+    return out
+
+
+def _ign_update(n, data, colors, it):
+    """The 15-slot equivariant pair update."""
+    ms = it.id
+    TOK = _Interner.TOK
+    return [ms(TOK, t) for t in _ign_slice_tokens(n, colors, it)]
 
 
 def _ign_slice_tokens(n: int, colors: Sequence[int], it: _Interner) -> list[tuple]:
@@ -594,28 +468,135 @@ def _ign_slice_tokens(n: int, colors: Sequence[int], it: _Interner) -> list[tupl
     return out
 
 
-def _wl_layers(ctxs, node_colors, it: _Interner, steps: Optional[int]) -> list[list[int]]:
-    """Vertex-refinement layers over given node colors, joint across the run.
+def _slice_update(n, data, colors, it):
+    """The 15-slot update of every eigenvalue slice on its own."""
+    nn = n * n
+    out = []
+    for i in range(0, len(colors), nn):
+        out.extend(_ign_update(n, None, colors[i : i + nn], it))
+    return out
+
+
+def _cross_update(n, data, colors, it):
+    """Per-slice 15-slot update paired with the 15-slot update of the pair
+    multisets over slices (cross-eigenspace aggregation)."""
+    ms = it.id
+    MS, TOK = _Interner.MS, _Interner.TOK
+    nn = n * n
+    slice_ids = _slice_update(n, None, colors, it)
+    sp = [ms(MS, tuple(sorted(colors[p::nn]))) for p in range(nn)]
+    cross_ids = _ign_update(n, None, sp, it) * (len(colors) // nn)
+    return [ms(TOK, pair) for pair in zip(slice_ids, cross_ids)]
+
+
+# ---------------------------------------------------------------------------
+# pools: (spec, graphs, colors per graph, interner) -> one signature id per
+# graph.  A pool interns one graph's reductions and its POOL id before it
+# starts the next graph, unless it refines node colors jointly first.
+
+
+def _pool_joint(spec, graphs, colors_list, it):
+    """The multiset of all domain colors."""
+    return [it.id(_Interner.POOL, tuple(sorted(cols))) for cols in colors_list]
+
+
+def _pool_rows(spec, graphs, colors_list, it):
+    """Multiset over nodes of the multiset of each node's row."""
+    ms = it.id
+    MS, POOL = _Interner.MS, _Interner.POOL
+    out = []
+    for g, cols in zip(graphs, colors_list):
+        n = g.n
+        per_node = [ms(MS, tuple(sorted(cols[u * n : (u + 1) * n]))) for u in range(n)]
+        out.append(ms(POOL, tuple(sorted(per_node))))
+    return out
+
+
+def _pool_diag(spec, graphs, colors_list, it):
+    """The multiset of diagonal colors."""
+    out = []
+    for g, cols in zip(graphs, colors_list):
+        n = g.n
+        out.append(it.id(_Interner.POOL, tuple(sorted(cols[u * n + u] for u in range(n)))))
+    return out
+
+
+def _pool_spe(spec, graphs, colors_list, it):
+    """Row multisets as node colors, refined to joint stability."""
+    ms = it.id
+    MS, POOL = _Interner.MS, _Interner.POOL
+    node_colors = []
+    for g, cols in zip(graphs, colors_list):
+        n = g.n
+        node_colors.append([ms(MS, tuple(sorted(cols[u * n : (u + 1) * n]))) for u in range(n)])
+    node_colors = _wl_layers(graphs, node_colors, it, steps=None)
+    return [ms(POOL, tuple(sorted(cols))) for cols in node_colors]
+
+
+def _pool_pairs(spec, graphs, colors_list, it):
+    """Multiset over pairs of each pair's multiset over slices."""
+    ms = it.id
+    MS, POOL = _Interner.MS, _Interner.POOL
+    out = []
+    for g, cols in zip(graphs, colors_list):
+        nn = g.n * g.n
+        per_pair = [ms(MS, tuple(sorted(cols[p::nn]))) for p in range(nn)]
+        out.append(ms(POOL, tuple(sorted(per_pair))))
+    return out
+
+
+def _pool_pair_rows(spec, graphs, colors_list, it):
+    """Pair multisets over slices, then row multisets, then the node multiset."""
+    ms = it.id
+    MS, POOL = _Interner.MS, _Interner.POOL
+    out = []
+    for g, cols in zip(graphs, colors_list):
+        n = g.n
+        nn = n * n
+        per_pair = [ms(MS, tuple(sorted(cols[p::nn]))) for p in range(nn)]
+        per_node = [ms(MS, tuple(sorted(per_pair[u * n : (u + 1) * n]))) for u in range(n)]
+        out.append(ms(POOL, tuple(sorted(per_node))))
+    return out
+
+
+def _pool_basisnet(spec, graphs, colors_list, it):
+    """5-slot per-eigenspace pooling, eigenvalue multiset per node, then
+    the configured number of vertex-refinement layers."""
+    ms = it.id
+    MS, POOL = _Interner.MS, _Interner.POOL
+    node_colors = []
+    for g, cols in zip(graphs, colors_list):
+        n = g.n
+        nn = n * n
+        per_node = []
+        for u in range(n):
+            lam_ids = []
+            for i in range(0, len(cols), nn):
+                sl = cols[i : i + nn]
+                row = ms(MS, tuple(sorted(sl[u * n : (u + 1) * n])))
+                col = ms(MS, tuple(sorted(sl[u::n])))
+                diag = ms(MS, tuple(sorted(sl[w * n + w] for w in range(n))))
+                full = ms(MS, tuple(sorted(sl)))
+                lam_ids.append(ms(MS, (sl[u * n + u], row, col, diag, full)))
+            per_node.append(ms(MS, tuple(sorted(lam_ids))))
+        node_colors.append(per_node)
+    node_colors = _wl_layers(graphs, node_colors, it, steps=spec.layers)
+    return [ms(POOL, tuple(sorted(cols))) for cols in node_colors]
+
+
+def _wl_layers(graphs, node_colors, it: _Interner, steps: Optional[int]) -> list[list[int]]:
+    """Vertex-refinement layers over atomic types, joint across the run.
 
     ``steps=None`` iterates to joint stability; an int applies exactly
     that many layers.  Used inside pooling stages.
     """
-    ms = it.id
-    MS, TOK = _Interner.MS, _Interner.TOK
-    limit = steps if steps is not None else sum(ctx.n for ctx in ctxs) + 1
+    atps = [_atp_flat(g) for g in graphs]
+    limit = steps if steps is not None else sum(g.n for g in graphs) + 1
     prev_count = len({c for cols in node_colors for c in cols})
     for _ in range(limit):
-        new_colors = []
-        for ctx, cols in zip(ctxs, node_colors):
-            n = ctx.n
-            atp = ctx.atp
-            out = []
-            for u in range(n):
-                base = u * n
-                bag = tuple(sorted((cols[v], atp[base + v]) for v in range(n)))
-                out.append(ms(TOK, (cols[u], ms(MS, bag))))
-            new_colors.append(out)
-        node_colors = new_colors
+        node_colors = [
+            _vertex_update(g.n, atp, cols, it) for g, atp, cols in zip(graphs, atps, node_colors)
+        ]
         if steps is None:
             count = len({c for cols in node_colors for c in cols})
             if count == prev_count:
@@ -624,29 +605,45 @@ def _wl_layers(ctxs, node_colors, it: _Interner, steps: Optional[int]) -> list[l
     return node_colors
 
 
-def _girt_init(g: Graph, steps: int, quant: Quantization) -> list:
-    """Initial pair tokens: the multi-step landing-probability vector.
-
-    Walk powers are exact rationals; their decimal expansions routinely
-    end in a tie digit, so rounding must not be left to float noise.
-    """
-    scale, powers = _walk_powers(g, steps)
-    dens = [scale**k for k in range(steps + 1)]
-    n = g.n
-    return [
-        tuple(exact.round_ratio(p[u][v], d, quant.digits) for p, d in zip(powers, dens))
-        for u in range(n)
-        for v in range(n)
-    ]
+# ---------------------------------------------------------------------------
+# the variant table
 
 
-_VARIANTS: dict[str, _VariantBase] = {}
-for _v in ("wl1", "epwl", "gdwl", "peg"):
-    _VARIANTS[_v] = _NodeVariant()
-for _v in ("swl", "pswl", "fwl2", "girt", "ign2wl", "spe"):
-    _VARIANTS[_v] = _PairVariant()
-for _v in ("spectralign", "siamese", "weakspectralign", "basisnet"):
-    _VARIANTS[_v] = _SpectralPairVariant()
+@dataclass(frozen=True)
+class _Variant:
+    """Everything one refinement variant does, in one record."""
+
+    domain: str  # "nodes", "pairs" or "spectral_pairs"
+    needs_kind: bool  # the spec must carry a matrix kind A, L or Lhat
+    quantized: bool  # initial tokens depend on quantized floating-point data
+    static: Callable  # (spec, graph, quant, static interner) -> per-graph data
+    init: Callable  # (n, data) -> initial tokens
+    update: Callable  # (n, data, colors, interner) -> new color ids
+    pool: Callable  # (spec, graphs, colors per graph, interner) -> signature ids
+
+
+_N, _P, _S = "nodes", "pairs", "spectral_pairs"
+
+# keyed by (AlgorithmSpec.variant, AlgorithmSpec.init); the columns are the
+# _Variant fields in order
+_VARIANTS: dict[tuple[str, str], _Variant] = {
+    ("wl1", "const"):             _Variant(_N, False, False, _atp_static,  _node_init,   _vertex_update, _pool_joint),
+    ("epwl", "const"):            _Variant(_N, True,  True,  _proj_static, _node_init,   _vertex_update, _pool_joint),
+    ("gdwl", "const"):            _Variant(_N, False, True,  _dist_static, _node_init,   _vertex_update, _pool_joint),
+    ("peg", "const"):             _Variant(_N, True,  True,  _proj_static, _node_init,   _peg_update,    _pool_joint),
+    ("swl", "const"):             _Variant(_P, False, False, _atp_static,  _marked_init, _swl_update,    _pool_rows),
+    ("pswl", "const"):            _Variant(_P, False, False, _atp_static,  _marked_init, _pswl_update,   _pool_rows),
+    ("fwl2", "const"):            _Variant(_P, False, False, _atp_static,  _data_init,   _fwl2_update,   _pool_joint),
+    ("girt", "const"):            _Variant(_P, False, True,  _girt_static, _data_init,   _girt_update,   _pool_diag),
+    ("ign2wl", "const"):          _Variant(_P, False, False, _no_static,   _pair_init,   _ign_update,    _pool_joint),
+    ("ign2wl", "atp"):            _Variant(_P, False, False, _atp_static,  _data_init,   _ign_update,    _pool_joint),
+    ("ign2wl", "proj"):           _Variant(_P, True,  True,  _proj_static, _data_init,   _ign_update,    _pool_joint),
+    ("spe", "const"):             _Variant(_P, True,  True,  _proj_static, _data_init,   _ign_update,    _pool_spe),
+    ("spectralign", "const"):     _Variant(_S, True,  True,  _eig_static,  _lam_init,    _cross_update,  _pool_pair_rows),
+    ("siamese", "const"):         _Variant(_S, True,  True,  _eig_static,  _lam_init,    _slice_update,  _pool_joint),
+    ("weakspectralign", "const"): _Variant(_S, True,  True,  _eig_static,  _lam_init,    _slice_update,  _pool_pairs),
+    ("basisnet", "const"):        _Variant(_S, True,  True,  _eig_static,  _mult_init,   _slice_update,  _pool_basisnet),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -698,8 +695,7 @@ class ColorState:
     stable: bool
     domain: str
     quant: Quantization
-    _ctxs: tuple = field(repr=False, default=())
-    _static: _Interner = field(repr=False, default=None)
+    _data: tuple = field(repr=False, default=())  # per-graph static data of the variant
     _sigs: Optional[tuple[int, ...]] = field(repr=False, default=None)
 
     def graph_index(self, g: Graph) -> int:
@@ -712,7 +708,7 @@ class ColorState:
         raise UsageError("graph does not belong to this run")
 
     def domain_size(self, i: int) -> int:
-        return self._ctxs[i].size
+        return len(self.colors[i])
 
 
 def initial_coloring(
@@ -726,14 +722,17 @@ def joint_initial_coloring(
     spec: AlgorithmSpec, graphs: Sequence[Graph], quant: Quantization = DEFAULT_QUANT
 ) -> ColorState:
     """Iteration-0 coloring of a joint run over several graphs."""
-    variant = _VARIANTS[spec.variant]
+    variant = _VARIANTS[spec.variant, spec.init]
     static = _Interner()
-    ctxs = tuple(variant.build(spec, g, quant, static) for g in graphs)
+    data = []
+    for g in graphs:
+        if variant.needs_kind and spec.kind is MatrixKind.NORMALIZED_LAPLACIAN:
+            _require_no_isolated(spec, g)
+        data.append(variant.static(spec, g, quant, static))
     table = _Interner()
     colors = []
-    for ctx in ctxs:
-        toks = variant.init_tokens(spec, ctx)
-        colors.append(tuple(table.id(_Interner.INIT, t) for t in toks))
+    for g, d in zip(graphs, data):
+        colors.append(tuple(table.id(_Interner.INIT, t) for t in variant.init(g.n, d)))
     return ColorState(
         spec=spec,
         graphs=tuple(graphs),
@@ -743,8 +742,7 @@ def joint_initial_coloring(
         stable=False,
         domain=variant.domain,
         quant=quant,
-        _ctxs=ctxs,
-        _static=static,
+        _data=tuple(data),
     )
 
 
@@ -757,11 +755,11 @@ def refine_once(spec: AlgorithmSpec, state: ColorState) -> ColorState:
     """
     if spec != state.spec:
         raise UsageError("state was produced by a different algorithm spec")
-    variant = _VARIANTS[spec.variant]
+    update = _VARIANTS[spec.variant, spec.init].update
     it = _Interner()
     new_colors = []
-    for ctx, cols in zip(state._ctxs, state.colors):
-        new_colors.append(tuple(variant.update(spec, ctx, list(cols), it)))
+    for g, d, cols in zip(state.graphs, state._data, state.colors):
+        new_colors.append(tuple(update(g.n, d, list(cols), it)))
 
     new_to_old: dict[int, int] = {}
     old_to_new: dict[int, int] = {}
@@ -786,8 +784,7 @@ def refine_once(spec: AlgorithmSpec, state: ColorState) -> ColorState:
         stable=stable,
         domain=state.domain,
         quant=state.quant,
-        _ctxs=state._ctxs,
-        _static=state._static,
+        _data=state._data,
     )
 
 
@@ -796,7 +793,7 @@ def stable_coloring(
 ) -> ColorState:
     """Joint refinement iterated to the first stable joint partition."""
     state = joint_initial_coloring(spec, graphs, quant)
-    cap = sum(ctx.size for ctx in state._ctxs) + 1
+    cap = sum(len(cols) for cols in state.colors) + 1
     for _ in range(cap):
         state = refine_once(spec, state)
         if state.stable:
@@ -807,12 +804,9 @@ def stable_coloring(
 def signatures(state: ColorState) -> list[Signature]:
     """Pooled signatures of every graph in the run (cached on the state)."""
     if state._sigs is None:
-        variant = _VARIANTS[state.spec.variant]
-        it = _Interner()
-        vals = variant.pool_all(
-            state.spec, state._ctxs, [list(c) for c in state.colors], it
-        )
-        state._sigs = tuple(vals)
+        spec = state.spec
+        pool = _VARIANTS[spec.variant, spec.init].pool
+        state._sigs = tuple(pool(spec, state.graphs, [list(c) for c in state.colors], _Interner()))
     return [Signature(state.run_id, v) for v in state._sigs]
 
 
@@ -864,6 +858,24 @@ class ComparisonReport:
             return "b_strictly_finer"
         return "incomparable"
 
+    @classmethod
+    def from_signatures(
+        cls, spec_a: str, spec_b: str, sig_a: Sequence[int], sig_b: Sequence[int]
+    ) -> "ComparisonReport":
+        """Relation between two signature lists over the same corpus."""
+        viol_ab = tuple(refinement_violations(sig_a, sig_b))
+        viol_ba = tuple(refinement_violations(sig_b, sig_a))
+        return cls(
+            spec_a=spec_a,
+            spec_b=spec_b,
+            a_refines_b=not viol_ab,
+            b_refines_a=not viol_ba,
+            violations_ab=viol_ab,
+            violations_ba=viol_ba,
+            buckets_a=len(set(sig_a)),
+            buckets_b=len(set(sig_b)),
+        )
+
 
 def refinement_violations(
     sig_x: Sequence[int], sig_y: Sequence[int], limit: int = 5
@@ -892,15 +904,4 @@ def compare_partitions(
         raise UsageError("corpus must be nonempty")
     sig_a = [s.value for s in signatures(stable_coloring(spec_a, corpus, quant))]
     sig_b = [s.value for s in signatures(stable_coloring(spec_b, corpus, quant))]
-    viol_ab = tuple(refinement_violations(sig_a, sig_b))
-    viol_ba = tuple(refinement_violations(sig_b, sig_a))
-    return ComparisonReport(
-        spec_a=spec_a.label(),
-        spec_b=spec_b.label(),
-        a_refines_b=not viol_ab,
-        b_refines_a=not viol_ba,
-        violations_ab=viol_ab,
-        violations_ba=viol_ba,
-        buckets_a=len(set(sig_a)),
-        buckets_b=len(set(sig_b)),
-    )
+    return ComparisonReport.from_signatures(spec_a.label(), spec_b.label(), sig_a, sig_b)

@@ -157,21 +157,21 @@ def check_exact_float_agreement(cfg: VerifyConfig) -> CheckResult:
     corpus = connected_corpus(cfg.corpus_max_n)
     bad = []
     count = 0
-    cross: dict[tuple, bytes] = {}
+    # exact tokens are keyed by their bytes, which name the kind: hashing
+    # and comparing the Fraction tuples themselves costs far more
+    cross: dict[bytes, bytes] = {}
     for g in corpus:
         for kind in (MatrixKind.ADJACENCY, MatrixKind.LAPLACIAN):
-            f2e: dict[bytes, tuple] = {}
-            e2f: dict[tuple, bytes] = {}
+            f2e: dict[bytes, bytes] = {}
+            e2f: dict[bytes, bytes] = {}
             for u in range(g.n):
                 for v in range(g.n):
                     ft = pair_token(g, kind, u, v, cfg.quant).data
-                    et = exact_pair_token(g, kind, u, v)
-                    ekey = (et.charpoly, et.moments)
+                    ekey = exact_pair_token(g, kind, u, v).serialize()
                     count += 1
                     if f2e.setdefault(ft, ekey) != ekey or e2f.setdefault(ekey, ft) != ft:
                         bad.append((write_graph6(g), kind.value, u, v))
-                    full_key = (kind.value, et.charpoly, et.moments)
-                    if cross.setdefault(full_key, ft) != ft:
+                    if cross.setdefault(ekey, ft) != ft:
                         bad.append((write_graph6(g), kind.value, u, v, "cross-graph"))
     details = f"failures {bad[:3]}" if bad else ""
     return CheckResult("exact-float-agreement", not bad, details, time.time() - start, count)

@@ -187,6 +187,26 @@ def test_hunt_is_deterministic_and_appends(tmp_path, capsys):
     assert out.read_text() == first  # rerun appends nothing new
 
 
+@pytest.mark.parametrize("digits, expected", [("4", {3, 4, 5}), ("0", {0, 1})])
+def test_hunt_uses_configured_digits(tmp_path, capsys, monkeypatch, digits, expected):
+    """hunt evaluates at --digits and perturbs one digit either side of it
+    (never below 0), not at the default 6 digits."""
+    from eigenwl import furer
+
+    seen = set()
+    real = furer.distinguishes
+
+    def spy(spec, g, h, quant=furer.DEFAULT_QUANT):
+        seen.add(quant.digits)
+        return real(spec, g, h, quant)
+
+    monkeypatch.setattr(furer, "distinguishes", spy)
+    argv = ["hunt", "--a", "wl1", "--b", "epwl:A", "--max-base-n", "3", "--budget", "4"]
+    code, _, _ = run_cli(capsys, *argv, "--digits", digits, "--out", str(tmp_path / "w.txt"))
+    assert code == 0
+    assert seen == expected
+
+
 def test_verify_quick_smoke(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -1,4 +1,7 @@
+import hashlib
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +12,13 @@ from eigenwl.graphs import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    enumerate_graphs,
     random_connected_graph,
     star_graph,
 )
+from eigenwl import refinement
 from eigenwl.refinement import (
+    _VARIANTS,
     AlgorithmSpec,
     UsageError,
     compare_partitions,
@@ -302,3 +308,101 @@ def test_stability_is_a_fixpoint(c6, two_triangles):
         old_sigs = [s.value for s in signatures(state)]
         new_sigs = [s.value for s in signatures(nxt)]
         assert [old_sigs.index(v) for v in old_sigs] == [new_sigs.index(v) for v in new_sigs]
+
+
+# ---------------------------------------------------------------------------
+# golden refinement digest
+
+# sha256 over every iteration's coloring, the signatures, the quantization
+# flag and the label of each spec below, as computed before the variants
+# moved into one table; any change to a color id or a signature changes it.
+REFINEMENT_DIGEST = "018dd5bdf76fa37b1f57ede40a12cd4ac818eec6553844cd322e08ff4f0bbb57"
+
+DIGEST_SPEC_LABELS = ALL_SPEC_LABELS + [
+    "spectralign:L",
+    "spectralign:Lhat",
+    "siamese:A",
+    "weakspectralign:Lhat",
+    "basisnet:A:layers=0",
+    "basisnet:Lhat:layers=2",
+    "spe:L",
+    "spe:Lhat",
+    "peg:A",
+    "girt:K=1",
+    "girt:K=16",
+    "gdwl:prd:w=1/3,2/7,0,5",
+    "ign2wl:proj:Lhat",
+]
+
+
+def _digest_corpus():
+    """Every connected graph with 2 <= n <= 5, then 8 seeded random
+    connected graphs with 6 <= n <= 9."""
+    out = []
+    for n in range(2, 6):
+        out.extend(enumerate_graphs(n, connected_only=True))
+    rng = random.Random(2406)
+    for _ in range(8):
+        out.append(random_connected_graph(rng.randint(6, 9), rng.uniform(0.3, 0.6), rng.randrange(1 << 30)))
+    return out
+
+
+def _refinement_records(graphs):
+    for label in DIGEST_SPEC_LABELS:
+        spec = AlgorithmSpec.parse(label)
+        yield f"{spec.label()}|{spec.quantization_sensitive}".encode()
+        state = joint_initial_coloring(spec, graphs)
+        yield repr(state.colors).encode()
+        while not state.stable:
+            state = refine_once(spec, state)
+            yield repr(state.colors).encode()
+        yield repr([s.value for s in signatures(state)]).encode()
+
+
+def test_refinement_golden_digest():
+    h = hashlib.sha256()
+    for rec in _refinement_records(_digest_corpus()):
+        h.update(rec + b"\n")
+    assert h.hexdigest() == REFINEMENT_DIGEST
+
+
+def test_variant_table_covers_the_spec_grammar():
+    parsed = {(s.variant, s.init) for s in map(AlgorithmSpec.parse, ALL_SPEC_LABELS)}
+    assert parsed == set(_VARIANTS)
+
+
+@pytest.mark.parametrize(
+    "variant, init", [("wl1", "atp"), ("spe", "proj"), ("ign2wl", "bogus"), ("bogus", "const")]
+)
+def test_spec_without_table_row_is_rejected(variant, init):
+    with pytest.raises(UsageError):
+        AlgorithmSpec(variant, kind=MatrixKind.ADJACENCY, init=init)
+
+
+def test_benchmark_tracer_hooks(c6, two_triangles):
+    """perfbench's tracer reaches refinement functions and ColorState
+    fields by name; a rename would break the traced benchmark run."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    module_spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(tracing)
+    for name in tracing.MODULES:
+        importlib.import_module(f"eigenwl.{name}")
+    original = refinement.distinguishes
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for label in ("wl1", "pswl", "spectralign:A", "girt:K=4"):
+            refinement.distinguishes(AlgorithmSpec.parse(label), c6, two_triangles)
+    finally:
+        tracer.uninstall()
+    assert refinement.distinguishes is original
+    metrics = tracing.layer_metrics(tracer.spans, 0.0)
+    for name in (
+        "refinement.refine_s.nodes",
+        "refinement.refine_s.pairs",
+        "refinement.refine_s.spectral_pairs",
+        "refinement.init_s.girt",
+    ):
+        assert metrics[name] > 0, name
+    assert metrics["refinement.runs"] == 4
