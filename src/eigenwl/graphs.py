@@ -220,9 +220,8 @@ def _g6_header(n: int) -> str:
 
 
 def write_graph6(g: Graph) -> str:
-    """Canonical graph6 line: header N(n), upper triangle column-major, 6-bit groups."""
-    if g.n < 1:
-        raise ValueError("graph6 requires at least one vertex")
+    """Canonical graph6 line: header N(n), upper triangle column-major,
+    6-bit groups.  The empty graph is the bare header ``?``."""
     bits = []
     for v in range(1, g.n):
         col = g.rows[v]

@@ -40,7 +40,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from . import exact
 from .distances import DistanceKind, distance_tokens
@@ -80,8 +82,6 @@ _ALGO_KINDS = {
     MatrixKind.NORMALIZED_LAPLACIAN,
 }
 
-_ABSENT = -1  # off-diagonal marker in the 15-slot update; real ids are >= 0
-
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
@@ -104,6 +104,16 @@ class AlgorithmSpec:
             raise UsageError(f"{self.variant} requires a matrix kind A, L, or Lhat")
         if self.variant == "gdwl" and self.distance is None:
             raise UsageError("gdwl requires a distance kind")
+        # label() omits parameters a variant does not take, so a spec
+        # carrying one would not survive parse(label())
+        if not row.needs_kind and self.kind is not None:
+            raise UsageError(f"{self.variant} takes no matrix kind")
+        if self.variant != "gdwl" and self.distance is not None:
+            raise UsageError("only gdwl takes a distance kind")
+        if self.variant != "basisnet" and self.layers != 1:
+            raise UsageError("only basisnet takes a layer count")
+        if self.variant != "girt" and self.steps != 16:
+            raise UsageError("only girt takes a walk length")
         if self.variant == "basisnet" and self.layers < 0:
             raise UsageError("basisnet layer count must be nonnegative")
         if self.variant == "girt" and self.steps < 1:
@@ -203,14 +213,24 @@ class _Interner:
 
     Keys are tagged with a small role int so that equal payloads from
     different token universes can never share an id.
+
+    ``id`` numbers keys in call order.  The numpy updates intern whole
+    arrays of rows with ``ids`` instead, out of event order: each key gets
+    a label and keeps the earliest event position it was seen at, and
+    ``rank`` turns labels into the ids that ``id`` calls in event order
+    would have given, since such an id counts the distinct keys seen
+    first before it.  One table never mixes the two.
     """
 
-    __slots__ = ("table",)
+    __slots__ = ("table", "first", "ranked_ids", "ranked")
 
     INIT, MS, TOK, POOL, STATIC = range(5)
 
     def __init__(self):
         self.table: dict = {}
+        self.first = np.empty(0, np.int64)  # per label: earliest event position
+        self.ranked_ids = np.empty(0, np.int64)  # per label: its id, once ranked
+        self.ranked = 0  # labels below this are ranked
 
     def id(self, role: int, key) -> int:
         table = self.table
@@ -221,8 +241,81 @@ class _Interner:
             table[k] = val
         return val
 
+    def ids(self, role: int, rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """Labels of the rows of a 2-D int64 array, one row per event.
+
+        Rows come in event order and ``pos[i]`` is the event position of
+        row i.  The distinct rows are found first (``_unique_rows``); the
+        table is then asked once per distinct row, keyed by the row's bytes
+        behind the role, and only rows it has not seen get new labels.
+        """
+        count, width = rows.shape
+        if not count:
+            return np.empty(0, np.int64)
+        at, inverse = _unique_rows(rows)
+        tagged = np.empty((len(at), width + 1), np.int64)
+        tagged[:, 0] = role
+        tagged[:, 1:] = rows[at]
+        keys = tagged.view(np.dtype((np.void, tagged.itemsize * (width + 1)))).ravel().tolist()
+        table = self.table
+        size = len(table)
+        # unseen keys are stored with size + their index; renumber them densely
+        labels = np.fromiter(map(table.setdefault, keys, itertools.count(size)), np.int64, len(keys))
+        unseen = labels >= size
+        added = int(np.count_nonzero(unseen))
+        if added and added < len(keys):
+            labels[unseen] = np.arange(size, size + added)
+            table.update(zip(itertools.compress(keys, unseen.tolist()), range(size, size + added)))
+        if size + added > len(self.first):
+            grow = max(size + added, 2 * len(self.first)) - len(self.first)
+            self.first = np.concatenate([self.first, np.full(grow, np.iinfo(np.int64).max)])
+            self.ranked_ids = np.concatenate([self.ranked_ids, np.zeros(grow, np.int64)])
+        self.first[labels] = np.minimum(self.first[labels], pos[at])
+        return labels[inverse]
+
+    def rank(self, labels: np.ndarray) -> np.ndarray:
+        """Ids of labels from ``ids``.  The labels interned since the last
+        call get the next ids, in the order of their earliest events, so
+        every event interned after a call must come after every event
+        interned before it."""
+        fresh = np.arange(self.ranked, len(self.table))
+        order = np.argsort(self.first[fresh])
+        self.ranked_ids[fresh[order]] = fresh
+        self.ranked = len(self.table)
+        return self.ranked_ids[labels]
+
     def __len__(self):
         return len(self.table)
+
+
+# odd 64-bit base of the row hash in _unique_rows: the dot product of a row
+# with (B, B**2, B**3, ...), wrapping modulo 2**64
+_HASH_BASE = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first index of each distinct row, distinct-row index of each row).
+
+    Rows are hashed to one 64-bit word each and the words are sorted; if
+    two different rows share a word, ``np.unique`` runs on the whole rows
+    instead.
+    """
+    count, width = rows.shape
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    words = rows.view(np.uint64) @ (_HASH_BASE ** np.arange(1, width + 1, dtype=np.uint64))
+    order = np.argsort(words, kind="stable")
+    ordered = words[order]
+    starts = np.empty(count, bool)
+    starts[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    inverse = np.empty(count, np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    at = order[starts]  # the sort is stable: each group's first row
+    if not (rows[at[inverse]] == rows).all():
+        _, at, inverse = np.unique(
+            rows.view(np.dtype((np.void, 8 * width))).ravel(), return_index=True, return_inverse=True
+        )
+    return at, inverse
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +435,8 @@ def _mult_init(n, data):
 
 
 # ---------------------------------------------------------------------------
-# updates: (n, per-graph data, colors, interner) -> new color ids
+# per-graph Python updates: (n, per-graph data, colors, interner) -> new
+# color ids, called graph by graph in run order
 
 
 def _vertex_update(n, data, colors, it):
@@ -370,48 +464,6 @@ def _peg_update(n, data, colors, it):
     return out
 
 
-def _swl_update(n, atp, colors, it):
-    ms = it.id
-    MS, TOK = _Interner.MS, _Interner.TOK
-    out = []
-    for u in range(n):
-        base = u * n
-        row = colors[base : base + n]
-        for v in range(n):
-            vbase = v * n
-            bag = tuple(sorted(zip(row, atp[vbase : vbase + n])))
-            out.append(ms(TOK, (colors[base + v], ms(MS, bag))))
-    return out
-
-
-def _pswl_update(n, atp, colors, it):
-    ms = it.id
-    MS, TOK = _Interner.MS, _Interner.TOK
-    out = []
-    diag = [colors[v * n + v] for v in range(n)]
-    for u in range(n):
-        base = u * n
-        row = colors[base : base + n]
-        for v in range(n):
-            vbase = v * n
-            bag = tuple(sorted(zip(row, atp[vbase : vbase + n])))
-            out.append(ms(TOK, (colors[base + v], diag[v], ms(MS, bag))))
-    return out
-
-
-def _fwl2_update(n, data, colors, it):
-    ms = it.id
-    MS, TOK = _Interner.MS, _Interner.TOK
-    out = []
-    for u in range(n):
-        base = u * n
-        row = colors[base : base + n]
-        for v in range(n):
-            bag = tuple(sorted(zip(row, colors[v::n])))
-            out.append(ms(TOK, (colors[base + v], ms(MS, bag))))
-    return out
-
-
 def _girt_update(n, data, colors, it):
     ms = it.id
     MS, TOK = _Interner.MS, _Interner.TOK
@@ -428,65 +480,203 @@ def _girt_update(n, data, colors, it):
     return out
 
 
-def _ign_update(n, data, colors, it):
-    """The 15-slot equivariant pair update."""
-    ms = it.id
-    TOK = _Interner.TOK
-    return [ms(TOK, t) for t in _ign_slice_tokens(n, colors, it)]
+# ---------------------------------------------------------------------------
+# numpy pair updates: (size groups, interner) -> labels per group.
+#
+# An update sees all graphs of the run at once, grouped by vertex count.
+# Every key it interns is one event of the per-element order that the
+# run's ids follow (graph by graph, element by element, multiset before
+# token); an event's position is its graph's run index shifted left by
+# _POS_SHIFT plus its place in that graph's event list.
 
 
-def _ign_slice_tokens(n: int, colors: Sequence[int], it: _Interner) -> list[tuple]:
-    """The 15 aggregation slots of the equivariant pair update for one
-    n x n color slice (flat row-major).  Diagonal-gated slots carry the
-    absent marker off the diagonal."""
-    ms = it.id
+_POS_SHIFT = 40
+
+
+class _Group(NamedTuple):
+    """The graphs of a run that share one vertex count n."""
+
+    colors: np.ndarray  # (S, n, n) color slices of the graphs, in run order
+    owner: np.ndarray  # (S,) run index of each slice's graph
+    index: np.ndarray  # (S,) index of each slice within its graph
+    data: list  # per-graph static data of the graphs, in run order
+
+
+def _multiset_update(grp: _Group, left, right, extra, it: _Interner) -> np.ndarray:
+    """Per pair e: the multiset of ``left << 32 | right`` over the last
+    axis (event 2e), then the token (own color, *extra, multiset) (event
+    2e + 1).  Colors and atomic types stay below 2**31, so the packed
+    values sort like the pairs they encode."""
+    colors = grp.colors
+    s, n = colors.shape[:2]
+    bags = np.sort(left << 32 | right, axis=-1).reshape(s * n * n, n)
+    pos = (grp.owner[:, None] << _POS_SHIFT | np.arange(0, 2 * n * n, 2)).ravel()
+    ms = it.ids(_Interner.MS, bags, pos)
+    tok = np.stack([colors.ravel(), *(np.ravel(x) for x in extra), ms], axis=1)
+    return it.ids(_Interner.TOK, tok, pos + 1).reshape(colors.shape)
+
+
+def _swl_update(groups, it):
+    """Own color plus the multiset over w of (color of (u, w), atomic type of (v, w))."""
+    out = []
+    for grp in groups:
+        c = grp.colors
+        atp = np.array(grp.data, np.int64).reshape(c.shape)
+        out.append(_multiset_update(grp, c[:, :, None, :], atp[:, None, :, :], (), it))
+    return out
+
+
+def _pswl_update(groups, it):
+    """The ``swl`` token with the color of (v, v) added."""
+    out = []
+    for grp in groups:
+        c = grp.colors
+        atp = np.array(grp.data, np.int64).reshape(c.shape)
+        diag_v = np.broadcast_to(np.diagonal(c, axis1=1, axis2=2)[:, None, :], c.shape)
+        out.append(_multiset_update(grp, c[:, :, None, :], atp[:, None, :, :], (diag_v,), it))
+    return out
+
+
+def _fwl2_update(groups, it):
+    """Own color plus the multiset over w of (color of (u, w), color of (w, v))."""
+    out = []
+    for grp in groups:
+        c = grp.colors
+        out.append(_multiset_update(grp, c[:, :, None, :], c.transpose(0, 2, 1)[:, None, :, :], (), it))
+    return out
+
+
+def _ign_events(n: int) -> int:
+    """Events of the 15-slot update of one n x n slice."""
+    return n * n + 2 * n + 2
+
+
+def _ign_slices(colors: np.ndarray, base: np.ndarray, it: _Interner) -> np.ndarray:
+    """The 15-slot equivariant pair update of a stack of n x n color
+    slices.  Slice i's events start at position base[i]: its n row, n
+    column, diagonal and whole-slice multisets, then one token per pair,
+    row-major.
+
+    The token of pair (u, v) holds c(u,v), c(u,u), c(v,v), c(v,u), the
+    row and column multisets of u and of v, and the diagonal and
+    whole-slice multisets; on the diagonal it repeats c(u,u), u's row and
+    column and the two slice multisets in five gated slots, which are
+    absent elsewhere.  Two tokens are equal iff they agree on the ten
+    ungated slots and on being diagonal, so a token is interned as those,
+    packed two to a word (ids stay below 2**31), plus a diagonal flag.
+    """
+    s, n = colors.shape[:2]
     MS = _Interner.MS
-    rows_ms = [ms(MS, tuple(sorted(colors[u * n : (u + 1) * n]))) for u in range(n)]
-    cols_ms = [ms(MS, tuple(sorted(colors[v::n]))) for v in range(n)]
-    diag_ms = ms(MS, tuple(sorted(colors[u * n + u] for u in range(n))))
-    all_ms = ms(MS, tuple(sorted(colors)))
+    diag = np.diagonal(colors, axis1=1, axis2=2)
+    bags = np.concatenate(
+        [np.sort(colors, axis=2), np.sort(colors.transpose(0, 2, 1), axis=2), np.sort(diag, axis=1)[:, None, :]],
+        axis=1,
+    )
+    ms = it.ids(MS, bags.reshape(s * (2 * n + 1), n), (base[:, None] + np.arange(2 * n + 1)).ravel())
+    ms = ms.reshape(s, 2 * n + 1)
+    full = it.ids(MS, np.sort(colors.reshape(s, n * n), axis=1), base + 2 * n + 1)
+    lines = ms[:, :n] << 32 | ms[:, n : 2 * n]  # row and column multiset of each vertex
+    tok = np.empty((s, n, n, 6), np.int64)
+    tok[..., 0] = colors << 32 | colors.transpose(0, 2, 1)
+    tok[..., 1] = diag[:, :, None] << 32 | diag[:, None, :]
+    tok[..., 2] = lines[:, :, None]
+    tok[..., 3] = lines[:, None, :]
+    tok[..., 4] = (ms[:, 2 * n] << 32 | full)[:, None, None]
+    tok[..., 5] = np.eye(n, dtype=np.int64)
+    tok = tok.reshape(s * n * n, 6)
+    pos = (base[:, None] + (2 * n + 2) + np.arange(n * n)).ravel()
+    return it.ids(_Interner.TOK, tok, pos).reshape(colors.shape)
+
+
+def _ign_update(groups, it):
+    """The 15-slot update of every slice on its own: one slice per graph
+    on the pair domain, one per eigenvalue on the spectral one."""
     out = []
-    for u in range(n):
-        base = u * n
-        c_uu = colors[base + u]
-        row_u = rows_ms[u]
-        col_u = cols_ms[u]
-        for v in range(n):
-            c_uv = colors[base + v]
-            c_vv = colors[v * n + v]
-            c_vu = colors[v * n + u]
-            if u == v:
-                out.append(
-                    (c_uv, c_uu, c_vv, c_vu, c_uu, row_u, col_u, rows_ms[v], cols_ms[v],
-                     diag_ms, all_ms, row_u, col_u, diag_ms, all_ms)
-                )
-            else:
-                out.append(
-                    (c_uv, c_uu, c_vv, c_vu, _ABSENT, row_u, col_u, rows_ms[v], cols_ms[v],
-                     diag_ms, all_ms, _ABSENT, _ABSENT, _ABSENT, _ABSENT)
-                )
+    for grp in groups:
+        base = grp.owner << _POS_SHIFT | grp.index * _ign_events(grp.colors.shape[1])
+        out.append(_ign_slices(grp.colors, base, it))
     return out
 
 
-def _slice_update(n, data, colors, it):
-    """The 15-slot update of every eigenvalue slice on its own."""
-    nn = n * n
-    out = []
-    for i in range(0, len(colors), nn):
-        out.extend(_ign_update(n, None, colors[i : i + nn], it))
-    return out
-
-
-def _cross_update(n, data, colors, it):
+def _cross_update(groups, it):
     """Per-slice 15-slot update paired with the 15-slot update of the pair
-    multisets over slices (cross-eigenspace aggregation)."""
-    ms = it.id
+    multisets over slices (cross-eigenspace aggregation).
+
+    A graph with k slices has the events of its k slice updates, then its
+    n*n pair multisets, the 15-slot update over them and k*n*n pair
+    tokens.  The pair multiset ids act as colors in the second update,
+    where they meet slice colors in the same keys, so they must be final
+    ids: the graphs are updated one at a time in run order, and the pair
+    multisets are ranked before the second update.
+    """
     MS, TOK = _Interner.MS, _Interner.TOK
-    nn = n * n
-    slice_ids = _slice_update(n, None, colors, it)
-    sp = [ms(MS, tuple(sorted(colors[p::nn]))) for p in range(nn)]
-    cross_ids = _ign_update(n, None, sp, it) * (len(colors) // nn)
-    return [ms(TOK, pair) for pair in zip(slice_ids, cross_ids)]
+    out = [np.empty_like(grp.colors) for grp in groups]
+    runs = sorted((i, g) for g, grp in enumerate(groups) for i in np.unique(grp.owner).tolist())
+    for i, g in runs:
+        own = groups[g].owner == i
+        colors = groups[g].colors[own]
+        k, n = colors.shape[:2]
+        nn, events = n * n, _ign_events(n)
+        start = i << _POS_SHIFT
+        per_slice = _ign_slices(colors, start + events * np.arange(k), it)
+        start += k * events
+        sp = it.ids(MS, np.sort(colors.reshape(k, nn).T, axis=1), start + np.arange(nn))
+        cross = _ign_slices(it.rank(sp).reshape(1, n, n), np.array([start + nn]), it)
+        pairs = np.stack([per_slice.ravel(), np.tile(cross.ravel(), k)], axis=1)
+        pos = start + nn + events + np.arange(k * nn)
+        out[g][own] = it.ids(TOK, pairs, pos).reshape(k, n, n)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# update drivers: (state, interner) -> new color ids per graph, in run order
+
+
+def _per_graph(update):
+    def run(state, it):
+        return [
+            np.array(update(g.n, d, list(cols), it), np.int64)
+            for g, d, cols in zip(state.graphs, state._data, state.colors)
+        ]
+
+    return run
+
+
+def _batched(update):
+    def run(state, it):
+        groups = _size_groups(state)
+        out = [np.empty(0, np.int64)] * len(state.graphs)
+        for grp, labels in zip(groups, update(groups, it)):
+            ids = it.rank(labels)  # the update has interned everything by now
+            for i in np.unique(grp.owner).tolist():
+                out[i] = ids[grp.owner == i].ravel()
+        return out
+
+    return run
+
+
+def _size_groups(state: ColorState) -> list[_Group]:
+    """The run's graphs grouped by vertex count, groups in order of first
+    appearance.  A graph has one n x n slice on the pair domain and one
+    per eigenvalue on the spectral domain."""
+    by_n: dict[int, list[int]] = {}
+    for i, g in enumerate(state.graphs):
+        by_n.setdefault(g.n, []).append(i)
+    groups = []
+    for n, members in by_n.items():
+        data = [state._data[i] for i in members]
+        # spectral data is (eigenvalues, multiplicities, per-eigenvalue slices)
+        counts = [len(d[2]) if state.domain == _S else 1 for d in data]
+        colors = np.fromiter(itertools.chain.from_iterable(state.colors[i] for i in members), np.int64)
+        groups.append(
+            _Group(
+                colors.reshape(sum(counts), n, n),
+                np.repeat(np.array(members, np.int64), counts),
+                np.concatenate([np.arange(k, dtype=np.int64) for k in counts]),
+                data,
+            )
+        )
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +808,7 @@ class _Variant:
     quantized: bool  # initial tokens depend on quantized floating-point data
     static: Callable  # (spec, graph, quant, static interner) -> per-graph data
     init: Callable  # (n, data) -> initial tokens
-    update: Callable  # (n, data, colors, interner) -> new color ids
+    update: Callable  # (state, interner) -> new color ids per graph
     pool: Callable  # (spec, graphs, colors per graph, interner) -> signature ids
 
 
@@ -627,22 +817,22 @@ _N, _P, _S = "nodes", "pairs", "spectral_pairs"
 # keyed by (AlgorithmSpec.variant, AlgorithmSpec.init); the columns are the
 # _Variant fields in order
 _VARIANTS: dict[tuple[str, str], _Variant] = {
-    ("wl1", "const"):             _Variant(_N, False, False, _atp_static,  _node_init,   _vertex_update, _pool_joint),
-    ("epwl", "const"):            _Variant(_N, True,  True,  _proj_static, _node_init,   _vertex_update, _pool_joint),
-    ("gdwl", "const"):            _Variant(_N, False, True,  _dist_static, _node_init,   _vertex_update, _pool_joint),
-    ("peg", "const"):             _Variant(_N, True,  True,  _proj_static, _node_init,   _peg_update,    _pool_joint),
-    ("swl", "const"):             _Variant(_P, False, False, _atp_static,  _marked_init, _swl_update,    _pool_rows),
-    ("pswl", "const"):            _Variant(_P, False, False, _atp_static,  _marked_init, _pswl_update,   _pool_rows),
-    ("fwl2", "const"):            _Variant(_P, False, False, _atp_static,  _data_init,   _fwl2_update,   _pool_joint),
-    ("girt", "const"):            _Variant(_P, False, True,  _girt_static, _data_init,   _girt_update,   _pool_diag),
-    ("ign2wl", "const"):          _Variant(_P, False, False, _no_static,   _pair_init,   _ign_update,    _pool_joint),
-    ("ign2wl", "atp"):            _Variant(_P, False, False, _atp_static,  _data_init,   _ign_update,    _pool_joint),
-    ("ign2wl", "proj"):           _Variant(_P, True,  True,  _proj_static, _data_init,   _ign_update,    _pool_joint),
-    ("spe", "const"):             _Variant(_P, True,  True,  _proj_static, _data_init,   _ign_update,    _pool_spe),
-    ("spectralign", "const"):     _Variant(_S, True,  True,  _eig_static,  _lam_init,    _cross_update,  _pool_pair_rows),
-    ("siamese", "const"):         _Variant(_S, True,  True,  _eig_static,  _lam_init,    _slice_update,  _pool_joint),
-    ("weakspectralign", "const"): _Variant(_S, True,  True,  _eig_static,  _lam_init,    _slice_update,  _pool_pairs),
-    ("basisnet", "const"):        _Variant(_S, True,  True,  _eig_static,  _mult_init,   _slice_update,  _pool_basisnet),
+    ("wl1", "const"):             _Variant(_N, False, False, _atp_static,  _node_init,   _per_graph(_vertex_update),  _pool_joint),
+    ("epwl", "const"):            _Variant(_N, True,  True,  _proj_static, _node_init,   _per_graph(_vertex_update),  _pool_joint),
+    ("gdwl", "const"):            _Variant(_N, False, True,  _dist_static, _node_init,   _per_graph(_vertex_update),  _pool_joint),
+    ("peg", "const"):             _Variant(_N, True,  True,  _proj_static, _node_init,   _per_graph(_peg_update),     _pool_joint),
+    ("swl", "const"):             _Variant(_P, False, False, _atp_static,  _marked_init, _batched(_swl_update),       _pool_rows),
+    ("pswl", "const"):            _Variant(_P, False, False, _atp_static,  _marked_init, _batched(_pswl_update),      _pool_rows),
+    ("fwl2", "const"):            _Variant(_P, False, False, _atp_static,  _data_init,   _batched(_fwl2_update),      _pool_joint),
+    ("girt", "const"):            _Variant(_P, False, True,  _girt_static, _data_init,   _per_graph(_girt_update),    _pool_diag),
+    ("ign2wl", "const"):          _Variant(_P, False, False, _no_static,   _pair_init,   _batched(_ign_update),       _pool_joint),
+    ("ign2wl", "atp"):            _Variant(_P, False, False, _atp_static,  _data_init,   _batched(_ign_update),       _pool_joint),
+    ("ign2wl", "proj"):           _Variant(_P, True,  True,  _proj_static, _data_init,   _batched(_ign_update),       _pool_joint),
+    ("spe", "const"):             _Variant(_P, True,  True,  _proj_static, _data_init,   _batched(_ign_update),       _pool_spe),
+    ("spectralign", "const"):     _Variant(_S, True,  True,  _eig_static,  _lam_init,    _batched(_cross_update),     _pool_pair_rows),
+    ("siamese", "const"):         _Variant(_S, True,  True,  _eig_static,  _lam_init,    _batched(_ign_update),       _pool_joint),
+    ("weakspectralign", "const"): _Variant(_S, True,  True,  _eig_static,  _lam_init,    _batched(_ign_update),       _pool_pairs),
+    ("basisnet", "const"):        _Variant(_S, True,  True,  _eig_static,  _mult_init,   _batched(_ign_update),       _pool_basisnet),
 }
 
 
@@ -755,30 +945,23 @@ def refine_once(spec: AlgorithmSpec, state: ColorState) -> ColorState:
     """
     if spec != state.spec:
         raise UsageError("state was produced by a different algorithm spec")
-    update = _VARIANTS[spec.variant, spec.init].update
-    it = _Interner()
-    new_colors = []
-    for g, d, cols in zip(state.graphs, state._data, state.colors):
-        new_colors.append(tuple(update(g.n, d, list(cols), it)))
+    new_ids = _VARIANTS[spec.variant, spec.init].update(state, _Interner())
 
-    new_to_old: dict[int, int] = {}
-    old_to_new: dict[int, int] = {}
-    refined = True
-    stable = True
-    for old_cols, new_cols in zip(state.colors, new_colors):
-        for o, nw in zip(old_cols, new_cols):
-            if new_to_old.setdefault(nw, o) != o:
-                refined = False
-            if old_to_new.setdefault(o, nw) != nw:
-                stable = False
-    if not refined:
+    # the distinct (old, new) pairs: the new partition refines the old one
+    # iff there are no more of them than new colors, and nothing changed
+    # iff there are no more of them than old colors
+    old = np.fromiter(itertools.chain.from_iterable(state.colors), np.int64)
+    new = np.concatenate([np.empty(0, np.int64), *new_ids])
+    pairs = _distinct(old << 32 | new)
+    if pairs != _distinct(new):
         raise InternalError(
             f"{spec.label()}: update did not refine the partition at iteration {state.iteration + 1}"
         )
+    stable = pairs == _distinct(old)
     return ColorState(
         spec=spec,
         graphs=state.graphs,
-        colors=tuple(new_colors),
+        colors=tuple(tuple(ids.tolist()) for ids in new_ids),
         iteration=state.iteration + 1,
         run_id=state.run_id,
         stable=stable,
@@ -786,6 +969,11 @@ def refine_once(spec: AlgorithmSpec, state: ColorState) -> ColorState:
         quant=state.quant,
         _data=state._data,
     )
+
+
+def _distinct(values: np.ndarray) -> int:
+    ordered = np.sort(values)
+    return int(ordered.size and 1 + np.count_nonzero(ordered[1:] != ordered[:-1]))
 
 
 def stable_coloring(

@@ -32,6 +32,12 @@ def test_compare_indistinguishable_exit_code(capsys):
     assert json.loads(out)["distinguished"] is False
 
 
+def test_compare_empty_graph(capsys):
+    code, out, _ = run_cli(capsys, "compare", "--alg", "spectralign:A", "--g", "?", "--h", "A_")
+    assert code == 1
+    assert json.loads(out)["graphs"] == ["?", "A_"]
+
+
 def test_compare_bad_spec_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "compare", "--alg", "zzz", "--g", C6, "--h", C6)
     assert code == 2

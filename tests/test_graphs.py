@@ -79,6 +79,13 @@ def test_graph6_empty_five():
     assert g.n == 5 and g.num_edges == 0 and g.has_isolated
 
 
+def test_graph6_zero_vertices_round_trip():
+    g = parse_graph6("?")
+    assert g.n == 0
+    assert write_graph6(g) == "?"
+    assert parse_graph6(write_graph6(empty_graph(0))) == empty_graph(0)
+
+
 @settings(max_examples=80)
 @given(graphs_strategy)
 def test_graph6_round_trip(g):

@@ -1,25 +1,34 @@
+import dataclasses
 import hashlib
 import importlib.util
+import itertools
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eigenwl.distances import DistanceKind
 from eigenwl.graphs import (
+    Graph,
     MatrixKind,
     complete_graph,
     cycle_graph,
     disjoint_union,
+    empty_graph,
     enumerate_graphs,
+    path_graph,
     random_connected_graph,
+    random_graph,
     star_graph,
 )
-from eigenwl import refinement
+from eigenwl import furer, refinement
 from eigenwl.refinement import (
     _VARIANTS,
     AlgorithmSpec,
+    InternalError,
     UsageError,
     compare_partitions,
     distinguishes,
@@ -64,9 +73,9 @@ ALL_SPEC_LABELS = [
 
 
 def test_spec_labels_round_trip():
-    for label in ALL_SPEC_LABELS:
+    for label in DIGEST_SPEC_LABELS:
         spec = AlgorithmSpec.parse(label)
-        assert AlgorithmSpec.parse(spec.label()) == spec
+        assert AlgorithmSpec.parse(spec.label()) == spec, label
 
 
 def test_spec_grammar_variants():
@@ -86,6 +95,25 @@ def test_spec_grammar_variants():
 def test_spec_grammar_rejects(bad):
     with pytest.raises(UsageError):
         AlgorithmSpec.parse(bad)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"variant": "wl1", "kind": MatrixKind.ADJACENCY},
+        {"variant": "girt", "steps": 4, "kind": MatrixKind.LAPLACIAN},
+        {"variant": "ign2wl", "init": "atp", "kind": MatrixKind.ADJACENCY},
+        {"variant": "gdwl", "distance": DistanceKind.parse("rd"), "kind": MatrixKind.ADJACENCY},
+        {"variant": "epwl", "kind": MatrixKind.ADJACENCY, "distance": DistanceKind.parse("spd")},
+        {"variant": "fwl2", "steps": 4},
+        {"variant": "epwl", "kind": MatrixKind.ADJACENCY, "layers": 2},
+        {"variant": "basisnet", "kind": MatrixKind.ADJACENCY, "steps": 8},
+    ],
+)
+def test_spec_rejects_parameters_its_variant_does_not_take(kwargs):
+    # label() drops such a parameter, so parse(label()) would give another spec
+    with pytest.raises(UsageError):
+        AlgorithmSpec(**kwargs)
 
 
 def test_lhat_specs_reject_isolated_vertices():
@@ -406,3 +434,220 @@ def test_benchmark_tracer_hooks(c6, two_triangles):
     ):
         assert metrics[name] > 0, name
     assert metrics["refinement.runs"] == 4
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: the per-element Python pair updates the numpy passes
+# replaced, (n, per-graph data, flat colors, interner) -> new color ids,
+# called graph by graph in run order against one shared intern table
+
+
+def _ref_swl(n, atp, colors, it):
+    MS, TOK = refinement._Interner.MS, refinement._Interner.TOK
+    out = []
+    for u in range(n):
+        row = colors[u * n : (u + 1) * n]
+        for v in range(n):
+            bag = tuple(sorted(zip(row, atp[v * n : (v + 1) * n])))
+            out.append(it.id(TOK, (colors[u * n + v], it.id(MS, bag))))
+    return out
+
+
+def _ref_pswl(n, atp, colors, it):
+    MS, TOK = refinement._Interner.MS, refinement._Interner.TOK
+    diag = [colors[v * n + v] for v in range(n)]
+    out = []
+    for u in range(n):
+        row = colors[u * n : (u + 1) * n]
+        for v in range(n):
+            bag = tuple(sorted(zip(row, atp[v * n : (v + 1) * n])))
+            out.append(it.id(TOK, (colors[u * n + v], diag[v], it.id(MS, bag))))
+    return out
+
+
+def _ref_fwl2(n, data, colors, it):
+    MS, TOK = refinement._Interner.MS, refinement._Interner.TOK
+    out = []
+    for u in range(n):
+        row = colors[u * n : (u + 1) * n]
+        for v in range(n):
+            bag = tuple(sorted(zip(row, colors[v::n])))
+            out.append(it.id(TOK, (colors[u * n + v], it.id(MS, bag))))
+    return out
+
+
+def _ref_ign_slice_tokens(n, colors, it):
+    MS, ABSENT = refinement._Interner.MS, -1
+    rows_ms = [it.id(MS, tuple(sorted(colors[u * n : (u + 1) * n]))) for u in range(n)]
+    cols_ms = [it.id(MS, tuple(sorted(colors[v::n]))) for v in range(n)]
+    diag_ms = it.id(MS, tuple(sorted(colors[u * n + u] for u in range(n))))
+    all_ms = it.id(MS, tuple(sorted(colors)))
+    out = []
+    for u in range(n):
+        c_uu = colors[u * n + u]
+        for v in range(n):
+            head = (colors[u * n + v], c_uu, colors[v * n + v], colors[v * n + u])
+            mid = (rows_ms[u], cols_ms[u], rows_ms[v], cols_ms[v], diag_ms, all_ms)
+            if u == v:
+                out.append(head + (c_uu,) + mid + (rows_ms[u], cols_ms[u], diag_ms, all_ms))
+            else:
+                out.append(head + (ABSENT,) + mid + (ABSENT,) * 4)
+    return out
+
+
+def _ref_ign(n, data, colors, it):
+    return [it.id(refinement._Interner.TOK, t) for t in _ref_ign_slice_tokens(n, colors, it)]
+
+
+def _ref_slice(n, data, colors, it):
+    nn = n * n
+    out = []
+    for i in range(0, len(colors), nn):
+        out.extend(_ref_ign(n, None, colors[i : i + nn], it))
+    return out
+
+
+def _ref_cross(n, data, colors, it):
+    MS, TOK = refinement._Interner.MS, refinement._Interner.TOK
+    nn = n * n
+    slice_ids = _ref_slice(n, None, colors, it)
+    sp = [it.id(MS, tuple(sorted(colors[p::nn]))) for p in range(nn)]
+    cross_ids = _ref_ign(n, None, sp, it) * (len(colors) // nn)
+    return [it.id(TOK, pair) for pair in zip(slice_ids, cross_ids)]
+
+
+_REFERENCE_UPDATES = {
+    "swl": _ref_swl,
+    "pswl": _ref_pswl,
+    "fwl2": _ref_fwl2,
+    "ign2wl": _ref_ign,
+    "spe": _ref_ign,
+    "spectralign": _ref_cross,
+    "siamese": _ref_slice,
+    "weakspectralign": _ref_slice,
+    "basisnet": _ref_slice,
+}
+
+
+def _assert_matches_reference(label, graphs):
+    """refine_once gives the reference ids at every iteration to stability."""
+    spec = AlgorithmSpec.parse(label)
+    ref = _REFERENCE_UPDATES[spec.variant]
+    state = joint_initial_coloring(spec, graphs)
+    while not state.stable:
+        it = refinement._Interner()
+        expected = tuple(
+            tuple(ref(g.n, d, list(cols), it))
+            for g, d, cols in zip(state.graphs, state._data, state.colors)
+        )
+        state = refine_once(spec, state)
+        assert state.colors == expected, (label, state.iteration)
+    return state
+
+
+def _hunt_pair(n):
+    """The first (product, one-edge twist) pair on n vertices in the
+    candidate stream of the bundled fwl2|pswl hunt."""
+    for base, _ in furer._candidate_bases(6, 140, 1729):
+        fg = furer.furer(base)
+        if fg.product.n == n:
+            return fg.product, furer.twist(fg, [next(fg.base.edges())])
+    raise AssertionError(f"no product on {n} vertices")
+
+
+def _hypercube(d):
+    n = 1 << d
+    return Graph.from_edges(n, [(u, u | 1 << i) for u in range(n) for i in range(d) if not u >> i & 1])
+
+
+def _shuffled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return g.relabel(perm)
+
+
+@pytest.mark.parametrize("label", ["fwl2", "pswl", "swl"])
+def test_pair_updates_match_reference_on_hunt_products(label):
+    for n in (24, 48):
+        _assert_matches_reference(label, list(_hunt_pair(n)))
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["swl", "pswl", "fwl2", "ign2wl", "ign2wl:atp", "spe:L", "spectralign:A",
+     "siamese:A", "weakspectralign:L", "basisnet:A:layers=1"],
+)
+def test_pair_updates_match_reference_beyond_the_corpus(label):
+    q5 = _hypercube(5)
+    disconnected = disjoint_union(cycle_graph(5), path_graph(4))
+    # sizes out of order, so the size groups of one update interleave in the
+    # run; a 3-vertex graph's whole-slice multisets are as wide as the
+    # 9-vertex graphs' rows
+    mixed = [random_graph(n, 0.4, seed) for n, seed in ((9, 1), (5, 2), (9, 3), (6, 4), (3, 5))]
+    for graphs in ([q5, _shuffled(q5, 1)], [disconnected, cycle_graph(9)], mixed):
+        _assert_matches_reference(label, graphs)
+
+
+@pytest.mark.parametrize("label", ["swl", "pswl", "fwl2", "ign2wl", "ign2wl:atp", "siamese:A"])
+def test_pair_updates_match_reference_on_zero_and_one_vertex(label):
+    graphs = [complete_graph(2), complete_graph(1), path_graph(4), complete_graph(1)]
+    if AlgorithmSpec.parse(label).variant != "siamese":  # the reference fails on n = 0 there
+        graphs += [empty_graph(0), cycle_graph(3), empty_graph(0)]
+    _assert_matches_reference(label, graphs)
+
+
+def test_pair_updates_exact_when_every_row_hash_collides(monkeypatch):
+    monkeypatch.setattr(refinement, "_HASH_BASE", np.uint64(0))
+    mixed = [random_graph(n, 0.4, seed) for n, seed in ((6, 1), (4, 2), (6, 3))]
+    for label in ("fwl2", "pswl", "ign2wl", "spectralign:A"):
+        _assert_matches_reference(label, mixed)
+
+
+@pytest.mark.parametrize("label", ["swl", "pswl", "fwl2", "ign2wl", "spectralign:A"])
+def test_relabeling_invariance_beyond_verified_sizes(label):
+    spec = AlgorithmSpec.parse(label)
+    for g in (_hunt_pair(48)[0], random_connected_graph(32, 0.2, 7)):
+        assert not distinguishes(spec, g, _shuffled(g, g.n)), (label, g.n)
+
+
+@pytest.mark.parametrize("label", DIGEST_SPEC_LABELS)
+def test_empty_graph_refines_in_every_variant(label):
+    spec = AlgorithmSpec.parse(label)
+    empty = empty_graph(0)
+    state = stable_coloring(spec, [empty, complete_graph(2), empty])
+    assert state.colors[0] == state.colors[2] == ()
+    sigs = signatures(state)
+    assert sigs[0] == sigs[2] != sigs[1]
+
+
+def test_refine_once_rejects_an_update_that_merges_classes():
+    spec = AlgorithmSpec.parse("peg:A")
+    state = initial_coloring(spec, cycle_graph(6))
+    # With constant pair data the peg token of a node no longer sees the
+    # node's own color, so six distinct colors collapse into one.  (On the
+    # graph's real projection data the v = u term keeps it.)
+    forged = dataclasses.replace(state, colors=(tuple(range(6)),), _data=([0] * 36,))
+    with pytest.raises(InternalError, match="did not refine"):
+        refine_once(spec, forged)
+
+
+def _same_partition(a, b):
+    forward, backward = {}, {}
+    return all(
+        forward.setdefault(x, y) == y and backward.setdefault(y, x) == x
+        for x, y in zip(itertools.chain(*a), itertools.chain(*b))
+    )
+
+
+@pytest.mark.parametrize("label", ["wl1", "fwl2", "ign2wl", "spectralign:A"])
+def test_stable_flag_one_step_from_stable(label):
+    """The last unstable step and the stable step after it, against a
+    direct comparison of the two partitions."""
+    spec = AlgorithmSpec.parse(label)
+    states = [joint_initial_coloring(spec, [path_graph(5), star_graph(3), path_graph(5)])]
+    while not states[-1].stable:
+        states.append(refine_once(spec, states[-1]))
+    assert len(states) >= 3
+    for old, new in zip(states, states[1:]):
+        assert new.stable == _same_partition(old.colors, new.colors)
+    assert not states[-2].stable and states[-1].stable
