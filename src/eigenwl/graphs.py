@@ -200,7 +200,7 @@ class Graph:
         return self.n <= 1 or len(self.components()) == 1
 
     def __repr__(self):
-        return f"Graph({write_graph6(self)!r})" if self.n else "Graph(n=0)"
+        return f"Graph({write_graph6(self)!r})"
 
 
 # ---------------------------------------------------------------------------

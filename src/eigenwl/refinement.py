@@ -213,24 +213,14 @@ class _Interner:
 
     Keys are tagged with a small role int so that equal payloads from
     different token universes can never share an id.
-
-    ``id`` numbers keys in call order.  The numpy updates intern whole
-    arrays of rows with ``ids`` instead, out of event order: each key gets
-    a label and keeps the earliest event position it was seen at, and
-    ``rank`` turns labels into the ids that ``id`` calls in event order
-    would have given, since such an id counts the distinct keys seen
-    first before it.  One table never mixes the two.
     """
 
-    __slots__ = ("table", "first", "ranked_ids", "ranked")
+    __slots__ = ("table",)
 
     INIT, MS, TOK, POOL, STATIC = range(5)
 
     def __init__(self):
         self.table: dict = {}
-        self.first = np.empty(0, np.int64)  # per label: earliest event position
-        self.ranked_ids = np.empty(0, np.int64)  # per label: its id, once ranked
-        self.ranked = 0  # labels below this are ranked
 
     def id(self, role: int, key) -> int:
         table = self.table
@@ -240,6 +230,29 @@ class _Interner:
             val = len(table)
             table[k] = val
         return val
+
+    def __len__(self):
+        return len(self.table)
+
+
+class _BatchInterner:
+    """The ids an ``_Interner`` would give, for whole arrays of rows
+    interned out of event order.
+
+    ``ids`` gives each distinct key a label and keeps the earliest event
+    position it was seen at; ``rank`` turns labels into the ids that
+    ``_Interner.id`` calls in event order would have given, since such an
+    id counts the distinct keys seen first before it.  Roles are the
+    ``_Interner`` ones.
+    """
+
+    __slots__ = ("table", "first", "ranked_ids", "ranked")
+
+    def __init__(self):
+        self.table: dict = {}
+        self.first = np.empty(0, np.int64)  # per label: earliest event position
+        self.ranked_ids = np.empty(0, np.int64)  # per label: its id, once ranked
+        self.ranked = 0  # labels below this are ranked
 
     def ids(self, role: int, rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
         """Labels of the rows of a 2-D int64 array, one row per event.
@@ -283,9 +296,6 @@ class _Interner:
         self.ranked_ids[fresh[order]] = fresh
         self.ranked = len(self.table)
         return self.ranked_ids[labels]
-
-    def __len__(self):
-        return len(self.table)
 
 
 # odd 64-bit base of the row hash in _unique_rows: the dot product of a row
@@ -481,7 +491,7 @@ def _girt_update(n, data, colors, it):
 
 
 # ---------------------------------------------------------------------------
-# numpy pair updates: (size groups, interner) -> labels per group.
+# numpy pair updates: (size groups, batch interner) -> labels per group.
 #
 # An update sees all graphs of the run at once, grouped by vertex count.
 # Every key it interns is one event of the per-element order that the
@@ -502,7 +512,7 @@ class _Group(NamedTuple):
     data: list  # per-graph static data of the graphs, in run order
 
 
-def _multiset_update(grp: _Group, left, right, extra, it: _Interner) -> np.ndarray:
+def _multiset_update(grp: _Group, left, right, extra, it: _BatchInterner) -> np.ndarray:
     """Per pair e: the multiset of ``left << 32 | right`` over the last
     axis (event 2e), then the token (own color, *extra, multiset) (event
     2e + 1).  Colors and atomic types stay below 2**31, so the packed
@@ -551,7 +561,7 @@ def _ign_events(n: int) -> int:
     return n * n + 2 * n + 2
 
 
-def _ign_slices(colors: np.ndarray, base: np.ndarray, it: _Interner) -> np.ndarray:
+def _ign_slices(colors: np.ndarray, base: np.ndarray, it: _BatchInterner) -> np.ndarray:
     """The 15-slot equivariant pair update of a stack of n x n color
     slices.  Slice i's events start at position base[i]: its n row, n
     column, diagonal and whole-slice multisets, then one token per pair,
@@ -629,11 +639,13 @@ def _cross_update(groups, it):
 
 
 # ---------------------------------------------------------------------------
-# update drivers: (state, interner) -> new color ids per graph, in run order
+# update drivers: state -> new color ids per graph, in run order; each
+# driver interns into a fresh table of its own
 
 
 def _per_graph(update):
-    def run(state, it):
+    def run(state):
+        it = _Interner()
         return [
             np.array(update(g.n, d, list(cols), it), np.int64)
             for g, d, cols in zip(state.graphs, state._data, state.colors)
@@ -643,7 +655,8 @@ def _per_graph(update):
 
 
 def _batched(update):
-    def run(state, it):
+    def run(state):
+        it = _BatchInterner()
         groups = _size_groups(state)
         out = [np.empty(0, np.int64)] * len(state.graphs)
         for grp, labels in zip(groups, update(groups, it)):
@@ -808,7 +821,7 @@ class _Variant:
     quantized: bool  # initial tokens depend on quantized floating-point data
     static: Callable  # (spec, graph, quant, static interner) -> per-graph data
     init: Callable  # (n, data) -> initial tokens
-    update: Callable  # (state, interner) -> new color ids per graph
+    update: Callable  # state -> new color ids per graph
     pool: Callable  # (spec, graphs, colors per graph, interner) -> signature ids
 
 
@@ -945,7 +958,7 @@ def refine_once(spec: AlgorithmSpec, state: ColorState) -> ColorState:
     """
     if spec != state.spec:
         raise UsageError("state was produced by a different algorithm spec")
-    new_ids = _VARIANTS[spec.variant, spec.init].update(state, _Interner())
+    new_ids = _VARIANTS[spec.variant, spec.init].update(state)
 
     # the distinct (old, new) pairs: the new partition refines the old one
     # iff there are no more of them than new colors, and nothing changed

@@ -84,6 +84,7 @@ def test_graph6_zero_vertices_round_trip():
     assert g.n == 0
     assert write_graph6(g) == "?"
     assert parse_graph6(write_graph6(empty_graph(0))) == empty_graph(0)
+    assert repr(g) == "Graph('?')"
 
 
 @settings(max_examples=80)
