@@ -4,7 +4,9 @@ Every distance has a direct definition (BFS, pseudo-inverse formula,
 truncated walk sum, linear-system recursion) and, where a closed form in
 terms of the normalized-Laplacian eigenprojections exists, a spectral
 route used as a cross-check.  ``cross_validate`` reports the worst
-disagreement between the two routes.
+disagreement between the two routes.  What a kind is (its parameter,
+its precondition, its routes) is one row of the ``_KINDS`` table at the
+end of the module.
 
 Cross-component entries carry a dedicated Infinity token (never a large
 float) so that distance values remain exact discrete symbols inside
@@ -43,8 +45,47 @@ __all__ = [
 
 CROSS_TOL = 1e-8
 
-_DEFAULT_PRD_WEIGHTS = tuple(Fraction(1, 2**k) for k in range(17))
-_DEFAULT_TAU = 1.0
+
+@dataclass(frozen=True)
+class _Param:
+    """The one parameter of a distance kind, as labels spell it."""
+
+    key: str  # 'w' in 'prd:w=0,1,1/2'
+    field: str  # the DistanceKind field holding it
+    default: object
+    read: Callable  # label text -> raw value
+    coerce: Callable  # raw value -> canonical value; ValueError if invalid
+    show: Callable  # canonical value -> label text that reads back equal
+
+
+def _coerce_weights(weights) -> tuple[Fraction, ...]:
+    try:
+        out = tuple(Fraction(w) for w in weights)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"bad walk weights: {exc}") from None
+    if not out:
+        raise ValueError("walk weights must be a nonempty list")
+    return out
+
+
+def _coerce_tau(tau) -> float:
+    tau = float(tau)
+    if not 0.0 <= tau < math.inf:
+        raise ValueError(f"diffusion time must be finite and >= 0, got {tau}")
+    return tau
+
+
+def _show_tau(tau: float) -> str:
+    text = format(tau, "g")
+    return text if float(text) == tau else repr(tau)
+
+
+_WEIGHTS = _Param(
+    "w", "weights", tuple(Fraction(1, 2**k) for k in range(17)),
+    lambda text: text.split(","), _coerce_weights, lambda ws: ",".join(map(str, ws)),
+)
+_TAU = _Param("tau", "tau", 1.0, float, _coerce_tau, _show_tau)
+_ALIASES = {"diff": "diffusion"}
 
 
 @dataclass(frozen=True)
@@ -53,6 +94,7 @@ class DistanceKind:
 
     Walk weights are exact rationals so that per-pair tokens are exact;
     accepted spellings include decimals and fractions ('0.5' or '1/2').
+    A parameter left out takes its default.
     """
 
     name: str
@@ -60,59 +102,61 @@ class DistanceKind:
     tau: Optional[float] = None
 
     def __post_init__(self):
-        if self.name not in {"spd", "rd", "htd", "ctd", "prd", "diffusion", "biharmonic"}:
+        row = _KINDS.get(self.name)
+        if row is None:
             raise ValueError(f"unknown distance kind {self.name!r}")
-        if self.name == "prd" and not self.weights:
-            raise ValueError("prd requires a finite weight list")
-        if self.name == "diffusion":
-            if self.tau is None or self.tau < 0:
-                raise ValueError("diffusion requires tau >= 0")
+        # label() prints only the kind's own parameter, so a spec carrying
+        # another would not survive parse(label())
+        for param in (_WEIGHTS, _TAU):
+            value = getattr(self, param.field)
+            if param is row.param:
+                value = param.default if value is None else value
+                object.__setattr__(self, param.field, param.coerce(value))
+            elif value is not None:
+                raise ValueError(f"distance {self.name!r} takes no {param.key} parameter")
 
     @classmethod
     def parse(cls, text: str) -> "DistanceKind":
         """Parse e.g. 'spd', 'rd', 'prd:w=0,1,0.5', 'diffusion:tau=2'."""
         head, _, rest = text.strip().lower().partition(":")
-        if head in {"spd", "rd", "htd", "ctd", "biharmonic"}:
-            if rest:
-                raise ValueError(f"distance {head!r} takes no parameters")
-            return cls(head)
-        if head == "prd":
-            if not rest:
-                return cls("prd", weights=_DEFAULT_PRD_WEIGHTS)
-            if not rest.startswith("w="):
-                raise ValueError("prd parameter must be w=g0,g1,...")
-            try:
-                weights = tuple(Fraction(x) for x in rest[2:].split(","))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"bad prd weights: {exc}") from None
-            return cls("prd", weights=weights)
-        if head in {"diffusion", "diff"}:
-            if not rest:
-                return cls("diffusion", tau=_DEFAULT_TAU)
-            if not rest.startswith("tau="):
-                raise ValueError("diffusion parameter must be tau=<float>")
-            return cls("diffusion", tau=float(rest[4:]))
-        raise ValueError(f"unknown distance kind {text!r}")
+        name = _ALIASES.get(head, head)
+        if name not in _KINDS:
+            raise ValueError(f"unknown distance kind {text!r}")
+        if not rest:
+            return cls(name)
+        param = _KINDS[name].param
+        if param is None:
+            raise ValueError(f"distance {head!r} takes no parameters")
+        if not rest.startswith(f"{param.key}="):
+            raise ValueError(f"{name} parameter must be {param.key}=<value>")
+        return cls(name, **{param.field: param.read(rest[len(param.key) + 1 :])})
 
     def label(self) -> str:
-        if self.name == "prd":
-            return "prd:w=" + ",".join(str(w) for w in self.weights)
-        if self.name == "diffusion":
-            return f"diffusion:tau={format(self.tau, 'g')}"
-        return self.name
+        param = _KINDS[self.name].param
+        if param is None:
+            return self.name
+        return f"{self.name}:{param.key}={param.show(getattr(self, param.field))}"
+
+    @property
+    def params(self) -> tuple:
+        """The route arguments after the graph: () or (weights,) or (tau,)."""
+        param = _KINDS[self.name].param
+        return () if param is None else (getattr(self, param.field),)
+
+    @property
+    def rejects_isolated(self) -> bool:
+        """Whether the distance is undefined on a graph with an isolated vertex."""
+        return _KINDS[self.name].undefined_isolated is not None
+
+    @property
+    def compares_exactly(self) -> bool:
+        """Whether values are integers that must agree exactly, not within a tolerance."""
+        return _KINDS[self.name].exact
 
     @staticmethod
     def all_default() -> list["DistanceKind"]:
         """The seven distances with default parameters."""
-        return [
-            DistanceKind("spd"),
-            DistanceKind("rd"),
-            DistanceKind("htd"),
-            DistanceKind("ctd"),
-            DistanceKind("prd", weights=_DEFAULT_PRD_WEIGHTS),
-            DistanceKind("diffusion", tau=_DEFAULT_TAU),
-            DistanceKind("biharmonic"),
-        ]
+        return [DistanceKind(name) for name in _KINDS]
 
 
 @dataclass(frozen=True)
@@ -140,18 +184,38 @@ class DistanceMatrix:
 # component helpers
 
 
-def _component_ids(g: Graph) -> list[int]:
-    ids = [0] * g.n
-    for ci, comp in enumerate(g.components()):
-        for v in comp:
-            ids[v] = ci
-    return ids
-
-
 def _subgraph(g: Graph, verts: list[int]) -> Graph:
     pos = {v: i for i, v in enumerate(verts)}
     edges = [(pos[u], pos[v]) for u in verts for v in g.neighbors(u) if u < v and v in pos]
     return Graph.from_edges(len(verts), edges)
+
+
+def _pinv_distance(g: Graph, pinv: np.ndarray) -> np.ndarray:
+    """P(u, u) + P(v, v) - 2 P(u, v) inside components, inf across, 0 on the diagonal."""
+    diag = np.diag(pinv)
+    vals = diag[:, None] + diag[None, :] - 2.0 * pinv
+    ids = np.zeros(g.n, dtype=int)
+    for ci, comp in enumerate(g.components()):
+        ids[comp] = ci
+    vals[ids[:, None] != ids[None, :]] = np.inf
+    np.fill_diagonal(vals, 0.0)
+    return vals
+
+
+_PRD_SUBJECT = "PageRank distance"
+_DIFFUSION_SUBJECT = "diffusion distance"
+
+
+def _require_no_isolated(g: Graph, subject: Optional[str]):
+    """Raise for a distance (``subject``) undefined with an isolated vertex."""
+    if subject is not None and g.has_isolated:
+        raise ValueError(f"{subject} undefined: graph has an isolated vertex")
+
+
+def _walk_matrix(g: Graph) -> np.ndarray:
+    """Float random-walk matrix D^-1 A (no isolated vertex)."""
+    deg = np.array([float(d) for d in g.degrees])
+    return build_matrix(g, MatrixKind.ADJACENCY) / deg[:, None]
 
 
 def _per_component(g: Graph, fn: Callable[[Graph], np.ndarray]) -> np.ndarray:
@@ -161,10 +225,7 @@ def _per_component(g: Graph, fn: Callable[[Graph], np.ndarray]) -> np.ndarray:
         if len(comp) == 1:
             out[comp[0], comp[0]] = 0.0
             continue
-        block = fn(_subgraph(g, comp))
-        for i, u in enumerate(comp):
-            for j, v in enumerate(comp):
-                out[u, v] = block[i, j]
+        out[np.ix_(comp, comp)] = fn(_subgraph(g, comp))
     return out
 
 
@@ -226,17 +287,7 @@ def _laplacian_pinv(g: Graph) -> np.ndarray:
 
 def resistance(g: Graph) -> DistanceMatrix:
     """Effective resistance via the Laplacian pseudo-inverse; inf across components."""
-    n = g.n
-    ldag = _laplacian_pinv(g)
-    diag = np.diag(ldag)
-    vals = diag[:, None] + diag[None, :] - 2.0 * ldag
-    ids = _component_ids(g)
-    for u in range(n):
-        for v in range(n):
-            if ids[u] != ids[v]:
-                vals[u, v] = np.inf
-    np.fill_diagonal(vals, 0.0)
-    return DistanceMatrix(vals, symmetric=True)
+    return DistanceMatrix(_pinv_distance(g, _laplacian_pinv(g)), symmetric=True)
 
 
 def _resistance_normalized_route(g: Graph) -> np.ndarray:
@@ -280,17 +331,12 @@ def _hitting_time_recursion(g: Graph) -> np.ndarray:
 
     def block(sub: Graph) -> np.ndarray:
         n = sub.n
-        walk = np.zeros((n, n))
-        for u in range(n):
-            for w in sub.neighbors(u):
-                walk[u, w] = 1.0 / sub.degree(u)
+        walk = _walk_matrix(sub)
         vals = np.zeros((n, n))
         for v in range(n):
             others = [u for u in range(n) if u != v]
             system = np.eye(n - 1) - walk[np.ix_(others, others)]
-            sol = np.linalg.solve(system, np.ones(n - 1))
-            for i, u in enumerate(others):
-                vals[u, v] = sol[i]
+            vals[others, v] = np.linalg.solve(system, np.ones(n - 1))
         return vals
 
     return _per_component(g, block)
@@ -307,10 +353,9 @@ def _commute_time_via_resistance(g: Graph) -> np.ndarray:
     rd = resistance(g).values
     out = np.full((g.n, g.n), np.inf)
     for comp in g.components():
-        edges2 = float(sum(g.degree(u) for u in comp))
-        for u in comp:
-            for v in comp:
-                out[u, v] = edges2 * rd[u, v] if u != v else 0.0
+        block = np.ix_(comp, comp)
+        out[block] = float(sum(g.degree(u) for u in comp)) * rd[block]
+    np.fill_diagonal(out, 0.0)
     return out
 
 
@@ -318,18 +363,9 @@ def _commute_time_via_resistance(g: Graph) -> np.ndarray:
 # PageRank distance
 
 
-def _walk_matrix(g: Graph) -> np.ndarray:
-    if g.has_isolated:
-        raise ValueError("PageRank distance undefined: graph has an isolated vertex")
-    walk = np.zeros((g.n, g.n))
-    for u in range(g.n):
-        for w in g.neighbors(u):
-            walk[u, w] = 1.0 / g.degree(u)
-    return walk
-
-
 def pagerank_distance(g: Graph, weights: tuple[Fraction, ...]) -> DistanceMatrix:
     """Truncated weighted walk sum  sum_k gamma_k (D^-1 A)^k;  asymmetric."""
+    _require_no_isolated(g, _PRD_SUBJECT)
     walk = _walk_matrix(g)
     power = np.eye(g.n)
     vals = float(weights[0]) * power if weights else np.zeros((g.n, g.n))
@@ -341,8 +377,6 @@ def pagerank_distance(g: Graph, weights: tuple[Fraction, ...]) -> DistanceMatrix
 
 def _pagerank_spectral_route(g: Graph, weights: tuple[Fraction, ...]) -> np.ndarray:
     """Eigenprojection form with degree factors on either side."""
-    if g.has_isolated:
-        raise ValueError("PageRank distance undefined: graph has an isolated vertex")
     dec = decomposition_for(g, MatrixKind.NORMALIZED_LAPLACIAN)
     deg = np.array([float(d) for d in g.degrees])
     left = 1.0 / np.sqrt(deg)
@@ -360,8 +394,7 @@ def _pagerank_spectral_route(g: Graph, weights: tuple[Fraction, ...]) -> np.ndar
 
 def diffusion_distance(g: Graph, tau: float) -> DistanceMatrix:
     """L2 mass-difference of heat diffusion started at u vs v (time tau)."""
-    if g.has_isolated:
-        raise ValueError("diffusion distance undefined: graph has an isolated vertex")
+    _require_no_isolated(g, _DIFFUSION_SUBJECT)
     dec = decomposition_for(g, MatrixKind.NORMALIZED_LAPLACIAN)
     sq = np.zeros((g.n, g.n))
     for lam, proj in zip(dec.eigenvalues, dec.projections):
@@ -396,63 +429,13 @@ def _diffusion_series_route(g: Graph, tau: float) -> np.ndarray:
 
 def biharmonic(g: Graph) -> DistanceMatrix:
     """Squared-Laplacian pseudo-inverse form; inf across components."""
-    dec = decomposition_for(g, MatrixKind.LAPLACIAN)
-    l2dag = dec.pseudo_inverse(power=2)
-    diag = np.diag(l2dag)
-    vals = diag[:, None] + diag[None, :] - 2.0 * l2dag
-    ids = _component_ids(g)
-    for u in range(g.n):
-        for v in range(g.n):
-            if ids[u] != ids[v]:
-                vals[u, v] = np.inf
-    np.fill_diagonal(vals, 0.0)
-    return DistanceMatrix(vals, symmetric=True)
+    l2dag = decomposition_for(g, MatrixKind.LAPLACIAN).pseudo_inverse(power=2)
+    return DistanceMatrix(_pinv_distance(g, l2dag), symmetric=True)
 
 
 def _biharmonic_pinv_route(g: Graph) -> np.ndarray:
     lap = build_matrix(g, MatrixKind.LAPLACIAN)
-    l2dag = np.linalg.pinv(lap @ lap, hermitian=True)
-    diag = np.diag(l2dag)
-    vals = diag[:, None] + diag[None, :] - 2.0 * l2dag
-    ids = _component_ids(g)
-    for u in range(g.n):
-        for v in range(g.n):
-            if ids[u] != ids[v]:
-                vals[u, v] = np.inf
-    np.fill_diagonal(vals, 0.0)
-    return vals
-
-
-# ---------------------------------------------------------------------------
-# dispatch, cache, cross-validation
-
-_DIST_CACHE: dict[tuple, DistanceMatrix] = {}
-
-
-def distance_matrix(g: Graph, kind: DistanceKind) -> DistanceMatrix:
-    """Cached distance matrix of the requested kind."""
-    key = (g, kind)
-    cached = _DIST_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if kind.name == "spd":
-        out = spd(g)
-    elif kind.name == "rd":
-        out = resistance(g)
-    elif kind.name == "htd":
-        out = hitting_time(g)
-    elif kind.name == "ctd":
-        out = commute_time(g)
-    elif kind.name == "prd":
-        out = pagerank_distance(g, kind.weights)
-    elif kind.name == "diffusion":
-        out = diffusion_distance(g, kind.tau)
-    elif kind.name == "biharmonic":
-        out = biharmonic(g)
-    else:  # pragma: no cover - DistanceKind validates names
-        raise ValueError(f"unknown distance kind {kind.name!r}")
-    _DIST_CACHE[key] = out
-    return out
+    return _pinv_distance(g, np.linalg.pinv(lap @ lap, hermitian=True))
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +453,13 @@ _INF_TOKEN = b"inf"
 _TOKEN_CACHE: dict[tuple, list[bytes]] = {}
 
 
-def _exact_ratio_tokens(g: Graph, kind: DistanceKind, digits: int) -> list[bytes]:
+def _float_tokens(g: Graph, kind: DistanceKind, quant: Quantization) -> list[bytes]:
+    """spd and diffusion tokens: the float matrix quantized, Infinity its own token."""
+    rows = distance_matrix(g, kind).values.tolist()
+    return [_INF_TOKEN if math.isinf(x) else quantize(x, quant).encode() for row in rows for x in row]
+
+
+def _exact_ratio_tokens(g: Graph, kind: DistanceKind, quant: Quantization) -> list[bytes]:
     """rd, htd, ctd and biharmonic tokens from the exact per-component L^+."""
     n = g.n
     out = [_INF_TOKEN] * (n * n)
@@ -493,48 +482,82 @@ def _exact_ratio_tokens(g: Graph, kind: DistanceKind, digits: int) -> list[bytes
             block = [[f * (diag[i] + diag[j] - 2 * num[i][j]) for j in range(k)] for i in range(k)]
         for i, u in enumerate(comp):
             for j, v in enumerate(comp):
-                out[u * n + v] = exact.round_ratio(block[i][j], den, digits).encode()
+                out[u * n + v] = exact.round_ratio(block[i][j], den, quant.digits).encode()
     return out
 
 
-def _prd_tokens(g: Graph, weights: tuple[Fraction, ...], digits: int) -> list[bytes]:
+def _prd_tokens(g: Graph, kind: DistanceKind, quant: Quantization) -> list[bytes]:
     """Exact PageRank tokens sum_k gamma_k M^k(u, v) / l^k over one denominator."""
-    if g.has_isolated:
-        raise ValueError("PageRank distance undefined: graph has an isolated vertex")
+    weights = kind.weights
     steps = len(weights) - 1
     scale, powers = _walk_powers(g, steps)
     den = math.lcm(*(w.denominator for w in weights)) * scale**steps
     coeffs = [w.numerator * den // (w.denominator * scale**k) for k, w in enumerate(weights)]
     n = g.n
     return [
-        exact.round_ratio(sum(c * p[u][v] for c, p in zip(coeffs, powers)), den, digits).encode()
+        exact.round_ratio(sum(c * p[u][v] for c, p in zip(coeffs, powers)), den, quant.digits).encode()
         for u in range(n)
         for v in range(n)
     ]
 
 
+# ---------------------------------------------------------------------------
+# the distance kind table
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """Everything one distance kind is, in one record."""
+
+    param: Optional[_Param]  # its one parameter, if any
+    undefined_isolated: Optional[str]  # error subject if undefined with an isolated vertex
+    exact: bool  # integer values: the two routes must agree exactly
+    matrix: Callable  # (graph, *params) -> DistanceMatrix
+    alternate: Callable  # (graph, *params) -> the cross-check route's np.ndarray
+    tokens: Callable  # (graph, kind, quant) -> flat row-major per-pair tokens
+
+
+# keyed by DistanceKind.name, in all_default() order; the columns are the
+# _Kind fields in order
+_KINDS: dict[str, _Kind] = {
+    "spd":        _Kind(None,     None,               True,  spd,                _spd_min_power,               _float_tokens),
+    "rd":         _Kind(None,     None,               False, resistance,         _resistance_normalized_route, _exact_ratio_tokens),
+    "htd":        _Kind(None,     None,               False, hitting_time,       _hitting_time_recursion,      _exact_ratio_tokens),
+    "ctd":        _Kind(None,     None,               False, commute_time,       _commute_time_via_resistance, _exact_ratio_tokens),
+    "prd":        _Kind(_WEIGHTS, _PRD_SUBJECT,       False, pagerank_distance,  _pagerank_spectral_route,     _prd_tokens),
+    "diffusion":  _Kind(_TAU,     _DIFFUSION_SUBJECT, False, diffusion_distance, _diffusion_series_route,      _float_tokens),
+    "biharmonic": _Kind(None,     None,               False, biharmonic,         _biharmonic_pinv_route,       _exact_ratio_tokens),
+}
+
+
+# ---------------------------------------------------------------------------
+# cached entry points and cross-validation
+
+_DIST_CACHE: dict[tuple, DistanceMatrix] = {}
+
+
+def _row(g: Graph, kind: DistanceKind) -> _Kind:
+    """The table row of ``kind``, once its precondition holds on ``g``."""
+    row = _KINDS[kind.name]
+    _require_no_isolated(g, row.undefined_isolated)
+    return row
+
+
+def distance_matrix(g: Graph, kind: DistanceKind) -> DistanceMatrix:
+    """Cached distance matrix of the requested kind."""
+    key = (g, kind)
+    out = _DIST_CACHE.get(key)
+    if out is None:
+        out = _DIST_CACHE[key] = _row(g, kind).matrix(g, *kind.params)
+    return out
+
+
 def distance_tokens(g: Graph, kind: DistanceKind, quant: Quantization = DEFAULT_QUANT) -> list[bytes]:
     """Canonical per-pair tokens, flat row-major; exact for rational kinds."""
     key = (g, kind, quant)
-    cached = _TOKEN_CACHE.get(key)
-    if cached is not None:
-        return cached
-    n = g.n
-    if kind.name == "spd":
-        vals = distance_matrix(g, kind).values
-        out = [
-            _INF_TOKEN if np.isinf(vals[u, v]) else quantize(vals[u, v], quant).encode()
-            for u in range(n)
-            for v in range(n)
-        ]
-    elif kind.name == "diffusion":
-        vals = distance_matrix(g, kind).values
-        out = [quantize(vals[u, v], quant).encode() for u in range(n) for v in range(n)]
-    elif kind.name == "prd":
-        out = _prd_tokens(g, kind.weights, quant.digits)
-    else:
-        out = _exact_ratio_tokens(g, kind, quant.digits)
-    _TOKEN_CACHE[key] = out
+    out = _TOKEN_CACHE.get(key)
+    if out is None:
+        out = _TOKEN_CACHE[key] = _row(g, kind).tokens(g, kind, quant)
     return out
 
 
@@ -543,46 +566,22 @@ class CrossCheckReport:
     kind: str
     max_residual: float
     infinity_mismatches: int
-    exact_mismatches: int
+    exact_mismatches: int  # counted only for kinds whose values compare exactly
 
     def passed(self, tol: float = CROSS_TOL) -> bool:
-        if self.infinity_mismatches:
+        if self.infinity_mismatches or self.exact_mismatches:
             return False
-        if self.kind == "spd":
-            return self.exact_mismatches == 0
-        return self.max_residual <= tol
-
-
-def _compare(kind: str, a: np.ndarray, b: np.ndarray) -> CrossCheckReport:
-    inf_a = np.isinf(a)
-    inf_b = np.isinf(b)
-    inf_mismatch = int(np.sum(inf_a != inf_b))
-    finite = ~inf_a & ~inf_b
-    if kind == "spd":
-        exact = int(np.sum(a[finite] != b[finite]))
-        residual = float(np.max(np.abs(a[finite] - b[finite]))) if finite.any() else 0.0
-        return CrossCheckReport(kind, residual, inf_mismatch, exact)
-    residual = float(np.max(np.abs(a[finite] - b[finite]))) if finite.any() else 0.0
-    return CrossCheckReport(kind, residual, inf_mismatch, 0)
+        return _KINDS[self.kind].exact or self.max_residual <= tol
 
 
 def cross_validate(g: Graph, kind: DistanceKind) -> CrossCheckReport:
     """Compare the direct and alternate routes for one distance kind."""
-    direct = distance_matrix(g, kind).values
-    if kind.name == "spd":
-        other = _spd_min_power(g)
-    elif kind.name == "rd":
-        other = _resistance_normalized_route(g)
-    elif kind.name == "htd":
-        other = _hitting_time_recursion(g)
-    elif kind.name == "ctd":
-        other = _commute_time_via_resistance(g)
-    elif kind.name == "prd":
-        other = _pagerank_spectral_route(g, kind.weights).copy()
-    elif kind.name == "diffusion":
-        other = _diffusion_series_route(g, kind.tau)
-    elif kind.name == "biharmonic":
-        other = _biharmonic_pinv_route(g)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown distance kind {kind.name!r}")
-    return _compare(kind.name, direct, other)
+    row = _row(g, kind)
+    a = distance_matrix(g, kind).values
+    b = row.alternate(g, *kind.params)
+    inf_a = np.isinf(a)
+    inf_b = np.isinf(b)
+    finite = ~inf_a & ~inf_b
+    residual = float(np.max(np.abs(a[finite] - b[finite]))) if finite.any() else 0.0
+    exact_mismatches = int(np.sum(a[finite] != b[finite])) if row.exact else 0
+    return CrossCheckReport(kind.name, residual, int(np.sum(inf_a != inf_b)), exact_mismatches)

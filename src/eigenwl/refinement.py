@@ -374,7 +374,7 @@ def _atp_static(spec, g, quant, static):
 
 def _dist_static(spec, g, quant, static):
     """Flat n*n static ids of the distance tokens."""
-    if spec.distance.name in {"prd", "diffusion"}:
+    if spec.distance.rejects_isolated:
         _require_no_isolated(spec, g)
     return [static.id(_Interner.STATIC, tok) for tok in distance_tokens(g, spec.distance, quant)]
 

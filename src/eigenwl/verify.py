@@ -225,9 +225,9 @@ def check_distances_determined(cfg: VerifyConfig) -> CheckResult:
                         bad.append((write_graph6(g), u, v, kinds[ki].label(), "inf-mismatch"))
                     elif np.isinf(a):
                         continue
-                    elif kinds[ki].name == "spd":
+                    elif kinds[ki].compares_exactly:
                         if a != b:
-                            bad.append((write_graph6(g), u, v, "spd"))
+                            bad.append((write_graph6(g), u, v, kinds[ki].label()))
                     elif abs(a - b) > DISTANCE_GROUP_TOL:
                         bad.append((write_graph6(g), u, v, kinds[ki].label(), abs(a - b)))
     details = f"{len(groups)} groups" + (f"; violations {bad[:3]}" if bad else "")
@@ -243,8 +243,8 @@ def hierarchy_directions() -> list[tuple[str, str, str]]:
     for m in kinds:
         dirs.append(("pswl", f"epwl:{m}", "refines"))
     dirs.append(("fwl2", "pswl", "refines"))
-    for d in ("spd", "rd", "htd", "ctd", "prd", "diffusion", "biharmonic"):
-        dirs.append(("epwl:Lhat", f"gdwl:{d}", "refines"))
+    for d in DistanceKind.all_default():
+        dirs.append(("epwl:Lhat", f"gdwl:{d.name}", "refines"))
     for m in kinds:
         dirs.append((f"spectralign:{m}", f"epwl:{m}", "equivalent"))
     for m in kinds:

@@ -120,6 +120,19 @@ def test_scan_single_graph_all_equivalent(tmp_path, capsys):
     assert all(len(buckets) == 1 for buckets in report["buckets"].values())
 
 
+def test_scan_keeps_close_diffusion_times_apart(tmp_path, capsys):
+    # both taus used to label as gdwl:diffusion:tau=1.23457, one bucket key
+    corpus = tmp_path / "one.g6"
+    corpus.write_text(C6 + "\n")
+    out = tmp_path / "r.json"
+    algs = "gdwl:diffusion:tau=1.2345678,gdwl:diffusion:tau=1.2345679"
+    code, _, _ = run_cli(capsys, "scan", "--algs", algs, "--corpus", str(corpus), "--out", str(out))
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["algorithms"] == algs.split(",")
+    assert sorted(report["buckets"]) == sorted(algs.split(","))
+
+
 def test_scan_timings_only_on_request(tmp_path, capsys):
     corpus = tmp_path / "one.g6"
     corpus.write_text(C6 + "\n")

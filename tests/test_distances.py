@@ -1,9 +1,12 @@
+import hashlib
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from eigenwl.cli import main
 from eigenwl.distances import (
     DistanceKind,
     biharmonic,
@@ -11,6 +14,7 @@ from eigenwl.distances import (
     cross_validate,
     diffusion_distance,
     distance_matrix,
+    distance_tokens,
     hitting_time,
     pagerank_distance,
     resistance,
@@ -21,12 +25,14 @@ from eigenwl.graphs import (
     cycle_graph,
     disjoint_union,
     empty_graph,
+    enumerate_graphs,
     path_graph,
     random_connected_graph,
     random_graph,
     star_graph,
     write_graph6,
 )
+from eigenwl.spectral import DEFAULT_QUANT, Quantization
 
 INF = float("inf")
 
@@ -41,15 +47,45 @@ def test_distance_kind_parsing():
     assert DistanceKind.parse("diffusion:tau=2.5").tau == 2.5
     assert DistanceKind.parse("diff").tau == 1.0
     assert len(DistanceKind.parse("prd").weights) == 17  # default truncation
-    for text in ("prd:w=0,1,0.5", "prd", "diffusion:tau=2", "rd"):
+    for text in ("prd:w=0,1,0.5", "prd", "diffusion:tau=2", "rd", "diffusion:tau=1.2345678"):
         kind = DistanceKind.parse(text)
         assert DistanceKind.parse(kind.label()) == kind
+    assert DistanceKind.parse("diffusion:tau=1").label() == "diffusion:tau=1"
 
 
-@pytest.mark.parametrize("bad", ["spd:x=1", "prd:gamma=1", "diffusion:tau=-1", "hop"])
+@pytest.mark.parametrize(
+    "bad",
+    ["spd:x=1", "prd:gamma=1", "diffusion:tau=-1", "hop", "diffusion:tau=nan", "diffusion:tau=inf"],
+)
 def test_distance_kind_rejects(bad):
     with pytest.raises(ValueError):
         DistanceKind.parse(bad)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"name": "diffusion", "tau": float("nan")},
+        {"name": "diffusion", "tau": float("inf")},
+        {"name": "spd", "tau": 2.0},
+        {"name": "rd", "weights": (Fraction(1),)},
+        {"name": "prd", "weights": (Fraction(1),), "tau": 1.0},
+        {"name": "diffusion", "tau": 1.0, "weights": (Fraction(1),)},
+    ],
+    ids=["nan-tau", "inf-tau", "spd-tau", "rd-weights", "prd-tau", "diffusion-weights"],
+)
+def test_distance_kind_constructor_rejects(kwargs):
+    # label() prints only the kind's own parameter, so a kind carrying
+    # another would label as a different kind
+    with pytest.raises(ValueError):
+        DistanceKind(**kwargs)
+
+
+def test_float_walk_weights_are_exact_fractions():
+    kind = DistanceKind("prd", weights=(0, 1, 0.5))
+    assert kind == DistanceKind.parse("prd:w=0,1,1/2")
+    g = random_connected_graph(7, 0.4, 3)
+    assert distance_tokens(g, kind) == distance_tokens(g, DistanceKind.parse("prd:w=0,1,1/2"))
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +188,6 @@ def test_cross_validation_on_random_connected(random_connected):
 def test_cross_validation_on_disconnected():
     g = disjoint_union(cycle_graph(3), path_graph(4))
     for kind in DistanceKind.all_default():
-        if kind.name in {"prd", "diffusion"}:
-            continue  # defined only without isolated vertices; this graph has none
         rep = cross_validate(g, kind)
         assert rep.passed(), kind.label()
 
@@ -204,3 +238,75 @@ def test_spd_min_power_matches_bfs_on_sweep():
         rep = cross_validate(g, DistanceKind("spd"))
         mismatches += rep.exact_mismatches + rep.infinity_mismatches
     assert mismatches == 0
+
+
+# ---------------------------------------------------------------------------
+# byte-identity of every distance output
+
+
+# sha256 over the records of _output_records as the per-kind if-chains
+# produced them before the distance table replaced them.
+OUTPUT_DIGEST = "f2691bb49bd847bd1f0e29af9e91a29687777bfc2660ae3210101edb061409f7"
+
+OUTPUT_KINDS = DistanceKind.all_default() + [
+    DistanceKind.parse(text)
+    for text in ("prd:w=0,1,0.5", "prd:w=1/3,2/7,0,5", "diffusion:tau=0", "diffusion:tau=2.5")
+]
+
+
+def _output_corpus():
+    """Every graph with n <= 4, C3 + P4, then 16 seeded random graphs with
+    n <= 10, half of them sparse enough to be disconnected."""
+    out = []
+    for n in range(1, 5):
+        out.extend(enumerate_graphs(n))
+    out.append(disjoint_union(cycle_graph(3), path_graph(4)))
+    rng = random.Random(5)
+    for i in range(16):
+        n = rng.randint(5, 10)
+        p = rng.uniform(0.1, 0.3) if i % 2 else rng.uniform(0.35, 0.7)
+        out.append(random_graph(n, p, rng.randrange(1 << 30)))
+    return out
+
+
+def _attempt(fn):
+    """The call's records, or its exception type and message."""
+    try:
+        return fn()
+    except ValueError as exc:
+        return [f"{type(exc).__name__}: {exc}".encode()]
+
+
+def _output_records(graphs, capsys):
+    for g in graphs:
+        yield write_graph6(g).encode()
+        for kind in OUTPUT_KINDS:
+            yield kind.label().encode()
+            yield from _attempt(
+                lambda: [
+                    ",".join(format(float(x), ".17g") for x in row).encode()
+                    for row in distance_matrix(g, kind).values
+                ]
+            )
+            for quant in (DEFAULT_QUANT, Quantization(digits=2)):
+                yield from _attempt(lambda: distance_tokens(g, kind, quant))
+            rep = _attempt(lambda: cross_validate(g, kind))
+            if isinstance(rep, list):
+                yield from rep
+            else:
+                yield (
+                    f"{rep.kind},{rep.max_residual!r},{rep.infinity_mismatches},"
+                    f"{rep.exact_mismatches},{rep.passed()}"
+                ).encode()
+            code = main(["distances", "--kind", kind.label(), "--g", write_graph6(g)])
+            captured = capsys.readouterr()
+            yield f"{code}\n{captured.out}{captured.err}".encode()
+
+
+def test_distance_outputs_digest(capsys):
+    graphs = _output_corpus()
+    assert sum(not g.is_connected() for g in graphs) >= 12
+    h = hashlib.sha256()
+    for rec in _output_records(graphs, capsys):
+        h.update(rec + b"\n")
+    assert h.hexdigest() == OUTPUT_DIGEST

@@ -118,8 +118,9 @@ def test_spec_rejects_parameters_its_variant_does_not_take(kwargs):
 
 def test_lhat_specs_reject_isolated_vertices():
     g = disjoint_union(complete_graph(2), complete_graph(1))
-    with pytest.raises(UsageError, match="isolated"):
-        stable_coloring(AlgorithmSpec.parse("epwl:Lhat"), [g])
+    for label in ("epwl:Lhat", "gdwl:prd", "gdwl:diffusion"):
+        with pytest.raises(UsageError, match="isolated"):
+            stable_coloring(AlgorithmSpec.parse(label), [g])
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +421,7 @@ def test_benchmark_tracer_hooks(c6, two_triangles):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        for label in ("wl1", "pswl", "spectralign:A", "girt:K=4"):
+        for label in ("wl1", "pswl", "spectralign:A", "girt:K=4", "gdwl:rd"):
             refinement.distinguishes(AlgorithmSpec.parse(label), c6, two_triangles)
     finally:
         tracer.uninstall()
@@ -431,9 +432,10 @@ def test_benchmark_tracer_hooks(c6, two_triangles):
         "refinement.refine_s.pairs",
         "refinement.refine_s.spectral_pairs",
         "refinement.init_s.girt",
+        "distances.tokens_s.rd",
     ):
         assert metrics[name] > 0, name
-    assert metrics["refinement.runs"] == 4
+    assert metrics["refinement.runs"] == 5
 
 
 # ---------------------------------------------------------------------------
