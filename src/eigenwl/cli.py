@@ -234,8 +234,10 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     timing: dict[str, float] = {}
     sigs: dict[str, list[int]] = {}
     if cfg.jobs > 1:
-        # independent joint runs; results merged in algorithm order
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        # independent joint runs; results merged in algorithm order.  The
+        # pool starts every worker at the first submit, so it gets no more
+        # workers than there are runs.
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(specs))) as pool:
             futures = [pool.submit(_scan_one, spec, corpus, cfg.quant) for spec in specs]
             for spec, fut in zip(specs, futures):
                 vals, elapsed = fut.result()

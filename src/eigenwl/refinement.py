@@ -34,6 +34,11 @@ three rows).  A row holds the domain (``nodes``, ``pairs`` or
 initial tokens are quantized, and the four functions of a run: per-graph
 static data, initial tokens, the update, and the pool that reduces the
 stable coloring to one signature per graph.
+
+Every update runs through one driver as numpy passes over all graphs of
+one vertex count at once, numbering ids as an intern table fed one key at
+a time would.  ``spectralign``'s cross update and the pools' reductions
+still go graph by graph: their keys hold final ids.
 """
 
 from __future__ import annotations
@@ -329,10 +334,11 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# per-graph static data: (spec, graph, quant, static interner) -> data
+# per-graph static data: (spec, graph, quant, static interner) -> data.
+# Pair data is a flat n*n int64 array of ids, made once per run.
 
 
-def _atp_flat(g: Graph) -> list[int]:
+def _atp_flat(g: Graph) -> np.ndarray:
     """Flat n*n atomic types: 0 on the diagonal, 1 for edges, 2 otherwise."""
     n = g.n
     out = [2] * (n * n)
@@ -343,7 +349,7 @@ def _atp_flat(g: Graph) -> list[int]:
             low = row & -row
             out[u * n + (low.bit_length() - 1)] = 1
             row ^= low
-    return out
+    return np.array(out, np.int64)
 
 
 def _proj_static(spec, g, quant, static):
@@ -356,7 +362,7 @@ def _proj_static(spec, g, quant, static):
         for v in range(n):
             rec = ";".join(sorted(f"{lam}:{ent[u][v]}" for lam, ent in zip(lams, entries)))
             out[u * n + v] = static.id(_Interner.STATIC, (kind.value, rec))
-    return out
+    return np.array(out, np.int64)
 
 
 def _require_no_isolated(spec: AlgorithmSpec, g: Graph):
@@ -376,12 +382,15 @@ def _dist_static(spec, g, quant, static):
     """Flat n*n static ids of the distance tokens."""
     if spec.distance.rejects_isolated:
         _require_no_isolated(spec, g)
-    return [static.id(_Interner.STATIC, tok) for tok in distance_tokens(g, spec.distance, quant)]
+    tokens = distance_tokens(g, spec.distance, quant)
+    return np.array([static.id(_Interner.STATIC, tok) for tok in tokens], np.int64)
 
 
 def _girt_static(spec, g, quant, static):
+    """Flat n*n static ids of the landing-probability tokens."""
     _require_no_isolated(spec, g)
-    return _girt_init(g, spec.steps, quant)
+    tokens = _girt_init(g, spec.steps, quant)
+    return np.array([static.id(_Interner.STATIC, tok) for tok in tokens], np.int64)
 
 
 def _eig_static(spec, g, quant, static):
@@ -431,7 +440,7 @@ def _marked_init(n, data):
 
 
 def _data_init(n, data):
-    return list(data)
+    return data.tolist()
 
 
 def _lam_init(n, data):
@@ -445,53 +454,7 @@ def _mult_init(n, data):
 
 
 # ---------------------------------------------------------------------------
-# per-graph Python updates: (n, per-graph data, colors, interner) -> new
-# color ids, called graph by graph in run order
-
-
-def _vertex_update(n, data, colors, it):
-    """Own color plus the multiset of (neighbor color, pair data)."""
-    ms = it.id
-    MS, TOK = _Interner.MS, _Interner.TOK
-    out = []
-    for u in range(n):
-        base = u * n
-        bag = tuple(sorted((colors[v], data[base + v]) for v in range(n)))
-        out.append(ms(TOK, (colors[u], ms(MS, bag))))
-    return out
-
-
-def _peg_update(n, data, colors, it):
-    ms = it.id
-    MS, TOK = _Interner.MS, _Interner.TOK
-    out = []
-    diag = [data[v * n + v] for v in range(n)]
-    for u in range(n):
-        base = u * n
-        duu = diag[u]
-        bag = tuple(sorted((colors[v], duu, diag[v], data[base + v]) for v in range(n)))
-        out.append(ms(TOK, (ms(MS, bag),)))
-    return out
-
-
-def _girt_update(n, data, colors, it):
-    ms = it.id
-    MS, TOK = _Interner.MS, _Interner.TOK
-    out = []
-    diag = [colors[v * n + v] for v in range(n)]
-    for u in range(n):
-        base = u * n
-        for v in range(n):
-            if u == v:
-                bag = tuple(sorted(zip(colors[base : base + n], diag)))
-                out.append(ms(TOK, (diag[u], ms(MS, bag))))
-            else:
-                out.append(ms(TOK, (colors[base + v], diag[u], diag[v])))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numpy pair updates: (size groups, batch interner) -> labels per group.
+# updates: (size groups, batch interner) -> labels per group.
 #
 # An update sees all graphs of the run at once, grouped by vertex count.
 # Every key it interns is one event of the per-element order that the
@@ -506,34 +469,55 @@ _POS_SHIFT = 40
 class _Group(NamedTuple):
     """The graphs of a run that share one vertex count n."""
 
-    colors: np.ndarray  # (S, n, n) color slices of the graphs, in run order
+    colors: np.ndarray  # (S, n) or (S, n, n) color slices of the graphs, in run order
     owner: np.ndarray  # (S,) run index of each slice's graph
     index: np.ndarray  # (S,) index of each slice within its graph
     data: list  # per-graph static data of the graphs, in run order
 
 
-def _multiset_update(grp: _Group, left, right, extra, it: _BatchInterner) -> np.ndarray:
-    """Per pair e: the multiset of ``left << 32 | right`` over the last
-    axis (event 2e), then the token (own color, *extra, multiset) (event
-    2e + 1).  Colors and atomic types stay below 2**31, so the packed
-    values sort like the pairs they encode."""
+def _pair_data(grp: _Group) -> np.ndarray:
+    """The group's flat n*n static ids, one (n, n) slice per graph."""
+    n = grp.colors.shape[1]
+    return np.stack(grp.data).reshape(len(grp.data), n, n)
+
+
+def _multiset_update(grp: _Group, left, right, head, it: _BatchInterner) -> np.ndarray:
+    """Per element e: the multiset of ``left << 32 | right`` over the last
+    axis (event 2e), then the token (*head, multiset) (event 2e + 1).
+    Colors and static ids stay below 2**31, so the packed values sort like
+    the pairs they encode."""
     colors = grp.colors
-    s, n = colors.shape[:2]
-    bags = np.sort(left << 32 | right, axis=-1).reshape(s * n * n, n)
-    pos = (grp.owner[:, None] << _POS_SHIFT | np.arange(0, 2 * n * n, 2)).ravel()
+    bags = np.sort(left << 32 | right, axis=-1).reshape(colors.size, colors.shape[-1])
+    pos = (grp.owner[:, None] << _POS_SHIFT | np.arange(0, 2 * colors[0].size, 2)).ravel()
     ms = it.ids(_Interner.MS, bags, pos)
-    tok = np.stack([colors.ravel(), *(np.ravel(x) for x in extra), ms], axis=1)
+    tok = np.stack([*(np.ravel(x) for x in head), ms], axis=1)
     return it.ids(_Interner.TOK, tok, pos + 1).reshape(colors.shape)
+
+
+def _vertex_update(groups, it):
+    """Own color plus the multiset over v of (color of v, pair data of (u, v))."""
+    return [_multiset_update(grp, grp.colors[:, None, :], _pair_data(grp), (grp.colors,), it) for grp in groups]
+
+
+def _peg_update(groups, it):
+    """The multiset over v of (color of v, d(u,u), d(v,v), d(u,v)), without
+    the own color; the three data ids enter as one dense code."""
+    out = []
+    for grp in groups:
+        d = _pair_data(grp)
+        diag = np.diagonal(d, axis1=1, axis2=2)
+        code = np.unique(diag[:, None, :] << 32 | d, return_inverse=True)[1]
+        code = np.unique(diag[:, :, None] << 32 | code, return_inverse=True)[1]
+        out.append(_multiset_update(grp, grp.colors[:, None, :], code, (), it))
+    return out
 
 
 def _swl_update(groups, it):
     """Own color plus the multiset over w of (color of (u, w), atomic type of (v, w))."""
-    out = []
-    for grp in groups:
-        c = grp.colors
-        atp = np.array(grp.data, np.int64).reshape(c.shape)
-        out.append(_multiset_update(grp, c[:, :, None, :], atp[:, None, :, :], (), it))
-    return out
+    return [
+        _multiset_update(grp, grp.colors[:, :, None, :], _pair_data(grp)[:, None], (grp.colors,), it)
+        for grp in groups
+    ]
 
 
 def _pswl_update(groups, it):
@@ -541,18 +525,36 @@ def _pswl_update(groups, it):
     out = []
     for grp in groups:
         c = grp.colors
-        atp = np.array(grp.data, np.int64).reshape(c.shape)
         diag_v = np.broadcast_to(np.diagonal(c, axis1=1, axis2=2)[:, None, :], c.shape)
-        out.append(_multiset_update(grp, c[:, :, None, :], atp[:, None, :, :], (diag_v,), it))
+        out.append(_multiset_update(grp, c[:, :, None, :], _pair_data(grp)[:, None, :, :], (c, diag_v), it))
     return out
 
 
 def _fwl2_update(groups, it):
     """Own color plus the multiset over w of (color of (u, w), color of (w, v))."""
+    return [
+        _multiset_update(grp, grp.colors[:, :, None, :], grp.colors.mT[:, None], (grp.colors,), it)
+        for grp in groups
+    ]
+
+
+def _girt_update(groups, it):
+    """On the diagonal, own color plus the multiset over v of (color of
+    (u, v), color of (v, v)) (events 2e and 2e + 1); off it, (color of
+    (u, v), color of (u, u), color of (v, v)) (event 2e + 1).  A diagonal
+    token keeps its multiset in the second slot and a flag in the fourth."""
     out = []
     for grp in groups:
         c = grp.colors
-        out.append(_multiset_update(grp, c[:, :, None, :], c.transpose(0, 2, 1)[:, None, :, :], (), it))
+        s, n = c.shape[:2]
+        diag = np.diagonal(c, axis1=1, axis2=2)
+        pos = grp.owner[:, None, None] << _POS_SHIFT | np.arange(0, 2 * n * n, 2).reshape(n, n)
+        bags = np.sort(c << 32 | diag[:, None, :], axis=2).reshape(s * n, n)
+        ms = it.ids(_Interner.MS, bags, np.diagonal(pos, axis1=1, axis2=2).ravel())
+        eye = np.eye(n, dtype=np.int64)
+        second = np.where(eye, ms.reshape(s, n, 1), diag[:, :, None])
+        tok = np.stack(np.broadcast_arrays(c, second, diag[:, None, :], eye), axis=-1).reshape(-1, 4)
+        out.append(it.ids(_Interner.TOK, tok, pos.ravel() + 1).reshape(c.shape))
     return out
 
 
@@ -639,57 +641,42 @@ def _cross_update(groups, it):
 
 
 # ---------------------------------------------------------------------------
-# update drivers: state -> new color ids per graph, in run order; each
-# driver interns into a fresh table of its own
+# the update driver
 
 
-def _per_graph(update):
-    def run(state):
-        it = _Interner()
-        return [
-            np.array(update(g.n, d, list(cols), it), np.int64)
-            for g, d, cols in zip(state.graphs, state._data, state.colors)
-        ]
-
-    return run
-
-
-def _batched(update):
-    def run(state):
-        it = _BatchInterner()
-        groups = _size_groups(state)
-        out = [np.empty(0, np.int64)] * len(state.graphs)
-        for grp, labels in zip(groups, update(groups, it)):
-            ids = it.rank(labels)  # the update has interned everything by now
-            for i in np.unique(grp.owner).tolist():
-                out[i] = ids[grp.owner == i].ravel()
-        return out
-
-    return run
-
-
-def _size_groups(state: ColorState) -> list[_Group]:
-    """The run's graphs grouped by vertex count, groups in order of first
-    appearance.  A graph has one n x n slice on the pair domain and one
-    per eigenvalue on the spectral domain."""
+def _size_groups(graphs, colors, data, domain: str) -> list[_Group]:
+    """The graphs grouped by vertex count, groups in order of first
+    appearance.  A graph has one length-n slice on the node domain, one
+    n x n slice on the pair domain and one per eigenvalue on the spectral
+    domain."""
     by_n: dict[int, list[int]] = {}
-    for i, g in enumerate(state.graphs):
+    for i, g in enumerate(graphs):
         by_n.setdefault(g.n, []).append(i)
     groups = []
     for n, members in by_n.items():
-        data = [state._data[i] for i in members]
+        group_data = [data[i] for i in members]
         # spectral data is (eigenvalues, multiplicities, per-eigenvalue slices)
-        counts = [len(d[2]) if state.domain == _S else 1 for d in data]
-        colors = np.fromiter(itertools.chain.from_iterable(state.colors[i] for i in members), np.int64)
-        groups.append(
-            _Group(
-                colors.reshape(sum(counts), n, n),
-                np.repeat(np.array(members, np.int64), counts),
-                np.concatenate([np.arange(k, dtype=np.int64) for k in counts]),
-                data,
-            )
-        )
+        counts = [len(d[2]) for d in group_data] if domain == _S else [1] * len(members)
+        flat = np.fromiter(itertools.chain.from_iterable(colors[i] for i in members), np.int64)
+        owner = np.repeat(np.array(members, np.int64), counts)
+        index = np.fromiter(itertools.chain.from_iterable(map(range, counts)), np.int64, len(owner))
+        shape = (n,) if domain == _N else (n, n)
+        groups.append(_Group(flat.reshape(len(owner), *shape), owner, index, group_data))
     return groups
+
+
+def _run_update(update, graphs, colors, data, domain: str, it: _BatchInterner) -> list[np.ndarray]:
+    """New color ids per graph, in run order.  Every refinement update
+    runs here: ``update`` interns every key of the run into ``it`` first,
+    then the labels are ranked into ids."""
+    out = [np.empty(0, np.int64)] * len(graphs)
+    groups = _size_groups(graphs, colors, data, domain)
+    for grp, labels in zip(groups, update(groups, it)):
+        ids = it.rank(labels)
+        starts = np.flatnonzero(grp.index == 0).tolist()
+        for i, a, b in zip(grp.owner[starts].tolist(), starts, starts[1:] + [len(ids)]):
+            out[i] = ids[a:b].ravel()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -727,13 +714,12 @@ def _pool_diag(spec, graphs, colors_list, it):
 def _pool_spe(spec, graphs, colors_list, it):
     """Row multisets as node colors, refined to joint stability."""
     ms = it.id
-    MS, POOL = _Interner.MS, _Interner.POOL
+    MS = _Interner.MS
     node_colors = []
     for g, cols in zip(graphs, colors_list):
         n = g.n
         node_colors.append([ms(MS, tuple(sorted(cols[u * n : (u + 1) * n]))) for u in range(n)])
-    node_colors = _wl_layers(graphs, node_colors, it, steps=None)
-    return [ms(POOL, tuple(sorted(cols))) for cols in node_colors]
+    return _wl_layers(graphs, node_colors, len(it), steps=None)
 
 
 def _pool_pairs(spec, graphs, colors_list, it):
@@ -766,7 +752,7 @@ def _pool_basisnet(spec, graphs, colors_list, it):
     """5-slot per-eigenspace pooling, eigenvalue multiset per node, then
     the configured number of vertex-refinement layers."""
     ms = it.id
-    MS, POOL = _Interner.MS, _Interner.POOL
+    MS = _Interner.MS
     node_colors = []
     for g, cols in zip(graphs, colors_list):
         n = g.n
@@ -783,29 +769,36 @@ def _pool_basisnet(spec, graphs, colors_list, it):
                 lam_ids.append(ms(MS, (sl[u * n + u], row, col, diag, full)))
             per_node.append(ms(MS, tuple(sorted(lam_ids))))
         node_colors.append(per_node)
-    node_colors = _wl_layers(graphs, node_colors, it, steps=spec.layers)
-    return [ms(POOL, tuple(sorted(cols))) for cols in node_colors]
+    return _wl_layers(graphs, node_colors, len(it), steps=spec.layers)
 
 
-def _wl_layers(graphs, node_colors, it: _Interner, steps: Optional[int]) -> list[list[int]]:
-    """Vertex-refinement layers over atomic types, joint across the run.
+def _wl_layers(graphs, node_colors, first_id: int, steps: Optional[int]) -> list[int]:
+    """Vertex-refinement layers over atomic types, joint across the run,
+    then the POOL id of each graph's multiset of node colors.
 
     ``steps=None`` iterates to joint stability; an int applies exactly
-    that many layers.  Used inside pooling stages.
+    that many layers.  Ids continue the numbering of the pool's table,
+    whose size is ``first_id``: its keys are multisets of pool colors, so
+    it holds none of the bags, tokens and POOL keys interned here.
     """
+    it = _BatchInterner()
     atps = [_atp_flat(g) for g in graphs]
     limit = steps if steps is not None else sum(g.n for g in graphs) + 1
-    prev_count = len({c for cols in node_colors for c in cols})
+    prev_count = _distinct(np.fromiter(itertools.chain.from_iterable(node_colors), np.int64))
     for _ in range(limit):
-        node_colors = [
-            _vertex_update(g.n, atp, cols, it) for g, atp, cols in zip(graphs, atps, node_colors)
-        ]
+        node_colors = [first_id + ids for ids in _run_update(_vertex_update, graphs, node_colors, atps, _N, it)]
         if steps is None:
-            count = len({c for cols in node_colors for c in cols})
+            count = _distinct(np.concatenate([np.empty(0, np.int64), *node_colors]))
             if count == prev_count:
                 break
             prev_count = count
-    return node_colors
+    pools = _run_update(_node_pool, graphs, node_colors, atps, _N, it)
+    return [first_id + int(ids[0]) for ids in pools]
+
+
+def _node_pool(groups, it):
+    """The multiset of each graph's node colors."""
+    return [it.ids(_Interner.POOL, np.sort(grp.colors, axis=1), grp.owner << _POS_SHIFT) for grp in groups]
 
 
 # ---------------------------------------------------------------------------
@@ -821,7 +814,7 @@ class _Variant:
     quantized: bool  # initial tokens depend on quantized floating-point data
     static: Callable  # (spec, graph, quant, static interner) -> per-graph data
     init: Callable  # (n, data) -> initial tokens
-    update: Callable  # state -> new color ids per graph
+    update: Callable  # (size groups, batch interner) -> labels per group
     pool: Callable  # (spec, graphs, colors per graph, interner) -> signature ids
 
 
@@ -830,22 +823,22 @@ _N, _P, _S = "nodes", "pairs", "spectral_pairs"
 # keyed by (AlgorithmSpec.variant, AlgorithmSpec.init); the columns are the
 # _Variant fields in order
 _VARIANTS: dict[tuple[str, str], _Variant] = {
-    ("wl1", "const"):             _Variant(_N, False, False, _atp_static,  _node_init,   _per_graph(_vertex_update),  _pool_joint),
-    ("epwl", "const"):            _Variant(_N, True,  True,  _proj_static, _node_init,   _per_graph(_vertex_update),  _pool_joint),
-    ("gdwl", "const"):            _Variant(_N, False, True,  _dist_static, _node_init,   _per_graph(_vertex_update),  _pool_joint),
-    ("peg", "const"):             _Variant(_N, True,  True,  _proj_static, _node_init,   _per_graph(_peg_update),     _pool_joint),
-    ("swl", "const"):             _Variant(_P, False, False, _atp_static,  _marked_init, _batched(_swl_update),       _pool_rows),
-    ("pswl", "const"):            _Variant(_P, False, False, _atp_static,  _marked_init, _batched(_pswl_update),      _pool_rows),
-    ("fwl2", "const"):            _Variant(_P, False, False, _atp_static,  _data_init,   _batched(_fwl2_update),      _pool_joint),
-    ("girt", "const"):            _Variant(_P, False, True,  _girt_static, _data_init,   _per_graph(_girt_update),    _pool_diag),
-    ("ign2wl", "const"):          _Variant(_P, False, False, _no_static,   _pair_init,   _batched(_ign_update),       _pool_joint),
-    ("ign2wl", "atp"):            _Variant(_P, False, False, _atp_static,  _data_init,   _batched(_ign_update),       _pool_joint),
-    ("ign2wl", "proj"):           _Variant(_P, True,  True,  _proj_static, _data_init,   _batched(_ign_update),       _pool_joint),
-    ("spe", "const"):             _Variant(_P, True,  True,  _proj_static, _data_init,   _batched(_ign_update),       _pool_spe),
-    ("spectralign", "const"):     _Variant(_S, True,  True,  _eig_static,  _lam_init,    _batched(_cross_update),     _pool_pair_rows),
-    ("siamese", "const"):         _Variant(_S, True,  True,  _eig_static,  _lam_init,    _batched(_ign_update),       _pool_joint),
-    ("weakspectralign", "const"): _Variant(_S, True,  True,  _eig_static,  _lam_init,    _batched(_ign_update),       _pool_pairs),
-    ("basisnet", "const"):        _Variant(_S, True,  True,  _eig_static,  _mult_init,   _batched(_ign_update),       _pool_basisnet),
+    ("wl1", "const"):             _Variant(_N, False, False, _atp_static,  _node_init,   _vertex_update,  _pool_joint),
+    ("epwl", "const"):            _Variant(_N, True,  True,  _proj_static, _node_init,   _vertex_update,  _pool_joint),
+    ("gdwl", "const"):            _Variant(_N, False, True,  _dist_static, _node_init,   _vertex_update,  _pool_joint),
+    ("peg", "const"):             _Variant(_N, True,  True,  _proj_static, _node_init,   _peg_update,     _pool_joint),
+    ("swl", "const"):             _Variant(_P, False, False, _atp_static,  _marked_init, _swl_update,     _pool_rows),
+    ("pswl", "const"):            _Variant(_P, False, False, _atp_static,  _marked_init, _pswl_update,    _pool_rows),
+    ("fwl2", "const"):            _Variant(_P, False, False, _atp_static,  _data_init,   _fwl2_update,    _pool_joint),
+    ("girt", "const"):            _Variant(_P, False, True,  _girt_static, _data_init,   _girt_update,    _pool_diag),
+    ("ign2wl", "const"):          _Variant(_P, False, False, _no_static,   _pair_init,   _ign_update,     _pool_joint),
+    ("ign2wl", "atp"):            _Variant(_P, False, False, _atp_static,  _data_init,   _ign_update,     _pool_joint),
+    ("ign2wl", "proj"):           _Variant(_P, True,  True,  _proj_static, _data_init,   _ign_update,     _pool_joint),
+    ("spe", "const"):             _Variant(_P, True,  True,  _proj_static, _data_init,   _ign_update,     _pool_spe),
+    ("spectralign", "const"):     _Variant(_S, True,  True,  _eig_static,  _lam_init,    _cross_update,   _pool_pair_rows),
+    ("siamese", "const"):         _Variant(_S, True,  True,  _eig_static,  _lam_init,    _ign_update,     _pool_joint),
+    ("weakspectralign", "const"): _Variant(_S, True,  True,  _eig_static,  _lam_init,    _ign_update,     _pool_pairs),
+    ("basisnet", "const"):        _Variant(_S, True,  True,  _eig_static,  _mult_init,   _ign_update,     _pool_basisnet),
 }
 
 
@@ -958,7 +951,8 @@ def refine_once(spec: AlgorithmSpec, state: ColorState) -> ColorState:
     """
     if spec != state.spec:
         raise UsageError("state was produced by a different algorithm spec")
-    new_ids = _VARIANTS[spec.variant, spec.init].update(state)
+    update = _VARIANTS[spec.variant, spec.init].update
+    new_ids = _run_update(update, state.graphs, state.colors, state._data, state.domain, _BatchInterner())
 
     # the distinct (old, new) pairs: the new partition refines the old one
     # iff there are no more of them than new colors, and nothing changed

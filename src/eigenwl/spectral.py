@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -65,8 +66,8 @@ class Quantization:
 
     ``digits`` (at least 0) is the decimal rounding (half-even) applied to
     eigenvalues and projection entries before serialization;
-    ``eig_gap_scale`` scales the eigenvalue clustering threshold
-    tau = scale * max(1, max|M|).
+    ``eig_gap_scale`` (positive and finite) scales the eigenvalue
+    clustering threshold tau = scale * max(1, max|M|).
     """
 
     digits: int = 6
@@ -75,6 +76,10 @@ class Quantization:
     def __post_init__(self):
         if self.digits < 0:
             raise ValueError(f"quantization digits must be >= 0, got {self.digits}")
+        # at tau <= 0 a repeated eigenvalue splits into basis-dependent
+        # projectors; at NaN or inf the whole spectrum is one cluster
+        if not 0 < self.eig_gap_scale < math.inf:
+            raise ValueError(f"eig_gap_scale must be positive and finite, got {self.eig_gap_scale}")
 
 
 DEFAULT_QUANT = Quantization()

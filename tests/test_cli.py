@@ -144,6 +144,62 @@ def test_scan_timings_only_on_request(tmp_path, capsys):
     assert "wl1" in json.loads(out.read_text())["timing"]
 
 
+def test_scan_pool_has_no_more_workers_than_algorithms(tmp_path, capsys, monkeypatch):
+    from concurrent.futures import Future
+
+    from eigenwl import cli
+
+    made = []
+
+    class SerialPool:
+        """Records its worker count and runs every task in this process."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text(f"{C6}\n{TWO_TRIANGLES}\n")
+    argv = ["scan", "--algs", "wl1,epwl:A", "--corpus", str(corpus), "--out", str(tmp_path / "r.json")]
+    code, _, _ = run_cli(capsys, *argv, "--jobs", "500")
+    assert code == 0
+    assert made == [2]
+
+
+def test_scan_report_independent_of_jobs(tmp_path, capsys):
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text(f"{C6}\n{TWO_TRIANGLES}\nBw\n")
+    reports = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.json"
+        argv = ["scan", "--algs", "wl1,epwl:A", "--corpus", str(corpus), "--out", str(out), "--jobs", jobs]
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+def test_gap_scale_that_is_not_positive_and_finite_is_usage_error(capsys, scale):
+    code, out, err = run_cli(
+        capsys, "compare", "--alg", "epwl:A", "--g", C6, "--h", TWO_TRIANGLES, "--eig-gap-scale", scale
+    )
+    assert code == 2
+    assert out == ""  # no JSON with a NaN in it
+    assert "eig_gap_scale" in err
+
+
 def test_scan_missing_corpus_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "scan", "--algs", "wl1", "--corpus", "/nonexistent.g6")
     assert code == 2

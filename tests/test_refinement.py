@@ -14,6 +14,7 @@ from eigenwl.distances import DistanceKind
 from eigenwl.graphs import (
     Graph,
     MatrixKind,
+    atomic_type,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -439,9 +440,46 @@ def test_benchmark_tracer_hooks(c6, two_triangles):
 
 
 # ---------------------------------------------------------------------------
-# reference oracle: the per-element Python pair updates the numpy passes
+# reference oracle: the per-element Python updates the numpy passes
 # replaced, (n, per-graph data, flat colors, interner) -> new color ids,
 # called graph by graph in run order against one shared intern table
+
+
+def _ref_vertex(n, data, colors, it):
+    MS, TOK = refinement._Interner.MS, refinement._Interner.TOK
+    out = []
+    for u in range(n):
+        base = u * n
+        bag = tuple(sorted((colors[v], data[base + v]) for v in range(n)))
+        out.append(it.id(TOK, (colors[u], it.id(MS, bag))))
+    return out
+
+
+def _ref_peg(n, data, colors, it):
+    MS, TOK = refinement._Interner.MS, refinement._Interner.TOK
+    out = []
+    diag = [data[v * n + v] for v in range(n)]
+    for u in range(n):
+        base = u * n
+        duu = diag[u]
+        bag = tuple(sorted((colors[v], duu, diag[v], data[base + v]) for v in range(n)))
+        out.append(it.id(TOK, (it.id(MS, bag),)))
+    return out
+
+
+def _ref_girt(n, data, colors, it):
+    MS, TOK = refinement._Interner.MS, refinement._Interner.TOK
+    out = []
+    diag = [colors[v * n + v] for v in range(n)]
+    for u in range(n):
+        base = u * n
+        for v in range(n):
+            if u == v:
+                bag = tuple(sorted(zip(colors[base : base + n], diag)))
+                out.append(it.id(TOK, (diag[u], it.id(MS, bag))))
+            else:
+                out.append(it.id(TOK, (colors[base + v], diag[u], diag[v])))
+    return out
 
 
 def _ref_swl(n, atp, colors, it):
@@ -519,6 +557,11 @@ def _ref_cross(n, data, colors, it):
 
 
 _REFERENCE_UPDATES = {
+    "wl1": _ref_vertex,
+    "epwl": _ref_vertex,
+    "gdwl": _ref_vertex,
+    "peg": _ref_peg,
+    "girt": _ref_girt,
     "swl": _ref_swl,
     "pswl": _ref_pswl,
     "fwl2": _ref_fwl2,
@@ -539,12 +582,61 @@ def _assert_matches_reference(label, graphs):
     while not state.stable:
         it = refinement._Interner()
         expected = tuple(
-            tuple(ref(g.n, d, list(cols), it))
+            tuple(ref(g.n, d.tolist() if isinstance(d, np.ndarray) else d, list(cols), it))
             for g, d, cols in zip(state.graphs, state._data, state.colors)
         )
         state = refine_once(spec, state)
         assert state.colors == expected, (label, state.iteration)
     return state
+
+
+# the per-key pools with vertex-refinement layers, as they were before the
+# layers ran as numpy passes: (spec, graphs, colors per graph, interner)
+# -> signature ids
+
+
+def _ref_wl_layers(graphs, node_colors, it, steps):
+    atps = [[int(atomic_type(g, u, v)) for u in range(g.n) for v in range(g.n)] for g in graphs]
+    limit = steps if steps is not None else sum(g.n for g in graphs) + 1
+    prev_count = len({c for cols in node_colors for c in cols})
+    for _ in range(limit):
+        node_colors = [_ref_vertex(g.n, atp, cols, it) for g, atp, cols in zip(graphs, atps, node_colors)]
+        if steps is None:
+            count = len({c for cols in node_colors for c in cols})
+            if count == prev_count:
+                break
+            prev_count = count
+    return [it.id(refinement._Interner.POOL, tuple(sorted(cols))) for cols in node_colors]
+
+
+def _ref_pool_spe(spec, graphs, colors_list, it):
+    MS = refinement._Interner.MS
+    node_colors = []
+    for g, cols in zip(graphs, colors_list):
+        n = g.n
+        node_colors.append([it.id(MS, tuple(sorted(cols[u * n : (u + 1) * n]))) for u in range(n)])
+    return _ref_wl_layers(graphs, node_colors, it, None)
+
+
+def _ref_pool_basisnet(spec, graphs, colors_list, it):
+    MS = refinement._Interner.MS
+    node_colors = []
+    for g, cols in zip(graphs, colors_list):
+        n = g.n
+        nn = n * n
+        per_node = []
+        for u in range(n):
+            lam_ids = []
+            for i in range(0, len(cols), nn):
+                sl = cols[i : i + nn]
+                row = it.id(MS, tuple(sorted(sl[u * n : (u + 1) * n])))
+                col = it.id(MS, tuple(sorted(sl[u::n])))
+                diag = it.id(MS, tuple(sorted(sl[w * n + w] for w in range(n))))
+                full = it.id(MS, tuple(sorted(sl)))
+                lam_ids.append(it.id(MS, (sl[u * n + u], row, col, diag, full)))
+            per_node.append(it.id(MS, tuple(sorted(lam_ids))))
+        node_colors.append(per_node)
+    return _ref_wl_layers(graphs, node_colors, it, spec.layers)
 
 
 def _hunt_pair(n):
@@ -574,38 +666,65 @@ def test_pair_updates_match_reference_on_hunt_products(label):
         _assert_matches_reference(label, list(_hunt_pair(n)))
 
 
+def _mixed_sizes():
+    """Sizes out of order, so the size groups of one update interleave in
+    the run; a 3-vertex graph's whole-slice multisets are as wide as the
+    9-vertex graphs' rows."""
+    return [random_graph(n, 0.4, seed) for n, seed in ((9, 1), (5, 2), (9, 3), (6, 4), (3, 5))]
+
+
+def _defined_for(label, graphs):
+    """The graphs ``label`` is defined on: girt rejects isolated vertices."""
+    if AlgorithmSpec.parse(label).variant == "girt":
+        return [g for g in graphs if not g.has_isolated]
+    return graphs
+
+
 @pytest.mark.parametrize(
     "label",
-    ["swl", "pswl", "fwl2", "ign2wl", "ign2wl:atp", "spe:L", "spectralign:A",
-     "siamese:A", "weakspectralign:L", "basisnet:A:layers=1"],
+    ["wl1", "epwl:A", "gdwl:spd", "peg:A", "girt:K=4", "swl", "pswl", "fwl2", "ign2wl", "ign2wl:atp",
+     "spe:L", "spectralign:A", "siamese:A", "weakspectralign:L", "basisnet:A:layers=1"],
 )
 def test_pair_updates_match_reference_beyond_the_corpus(label):
     q5 = _hypercube(5)
     disconnected = disjoint_union(cycle_graph(5), path_graph(4))
-    # sizes out of order, so the size groups of one update interleave in the
-    # run; a 3-vertex graph's whole-slice multisets are as wide as the
-    # 9-vertex graphs' rows
-    mixed = [random_graph(n, 0.4, seed) for n, seed in ((9, 1), (5, 2), (9, 3), (6, 4), (3, 5))]
-    for graphs in ([q5, _shuffled(q5, 1)], [disconnected, cycle_graph(9)], mixed):
-        _assert_matches_reference(label, graphs)
+    for graphs in ([q5, _shuffled(q5, 1)], [disconnected, cycle_graph(9)], _mixed_sizes()):
+        _assert_matches_reference(label, _defined_for(label, graphs))
 
 
-@pytest.mark.parametrize("label", ["swl", "pswl", "fwl2", "ign2wl", "ign2wl:atp", "siamese:A"])
+@pytest.mark.parametrize(
+    "label",
+    ["wl1", "epwl:A", "gdwl:spd", "peg:A", "girt:K=4", "swl", "pswl", "fwl2", "ign2wl", "ign2wl:atp",
+     "siamese:A"],
+)
 def test_pair_updates_match_reference_on_zero_and_one_vertex(label):
     graphs = [complete_graph(2), complete_graph(1), path_graph(4), complete_graph(1)]
     if AlgorithmSpec.parse(label).variant != "siamese":  # the reference fails on n = 0 there
         graphs += [empty_graph(0), cycle_graph(3), empty_graph(0)]
-    _assert_matches_reference(label, graphs)
+    _assert_matches_reference(label, _defined_for(label, graphs))
 
 
 def test_pair_updates_exact_when_every_row_hash_collides(monkeypatch):
     monkeypatch.setattr(refinement, "_HASH_BASE", np.uint64(0))
     mixed = [random_graph(n, 0.4, seed) for n, seed in ((6, 1), (4, 2), (6, 3))]
-    for label in ("fwl2", "pswl", "ign2wl", "spectralign:A"):
-        _assert_matches_reference(label, mixed)
+    for label in ("wl1", "epwl:A", "gdwl:spd", "peg:A", "girt:K=4", "fwl2", "pswl", "ign2wl", "spectralign:A"):
+        _assert_matches_reference(label, _defined_for(label, mixed))
 
 
-@pytest.mark.parametrize("label", ["swl", "pswl", "fwl2", "ign2wl", "spectralign:A"])
+@pytest.mark.parametrize(
+    "label, reference", [("spe:L", _ref_pool_spe), ("basisnet:A:layers=2", _ref_pool_basisnet)]
+)
+def test_layer_pools_match_reference_on_mixed_sizes(label, reference):
+    state = stable_coloring(AlgorithmSpec.parse(label), _mixed_sizes())
+    expected = reference(state.spec, state.graphs, [list(c) for c in state.colors], refinement._Interner())
+    assert [s.value for s in signatures(state)] == expected
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["wl1", "epwl:A", "gdwl:spd", "peg:A", "girt:K=4", "swl", "pswl", "fwl2", "ign2wl", "spectralign:A",
+     "spe:A", "basisnet:A:layers=1"],
+)
 def test_relabeling_invariance_beyond_verified_sizes(label):
     spec = AlgorithmSpec.parse(label)
     for g in (_hunt_pair(48)[0], random_connected_graph(32, 0.2, 7)):

@@ -42,6 +42,14 @@ def test_quantize_rounding_and_negative_zero():
     assert quantize(0.4, Quantization(digits=1)) == "0.4"
 
 
+@pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
+def test_quantization_rejects_a_gap_scale_that_is_not_positive_and_finite(scale):
+    # at 0 or below, every eigenvalue of Q4 is its own cluster and the
+    # projectors of its repeated eigenvalues depend on the eigenbasis
+    with pytest.raises(ValueError, match="eig_gap_scale"):
+        Quantization(eig_gap_scale=scale)
+
+
 def test_decompose_k2_adjacency():
     dec = decompose(build_matrix(complete_graph(2), MatrixKind.ADJACENCY))
     assert dec.eigenvalues == (-1.0, 1.0)
