@@ -352,17 +352,37 @@ def _atp_flat(g: Graph) -> np.ndarray:
     return np.array(out, np.int64)
 
 
+def _first_seen_ids(static: _Interner, keys: list, inverse: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Static ids of the elements whose distinct keys are ``keys``, with
+    ``at`` the first element of each key and ``inverse`` each element's
+    key: the table is asked in the order the keys are first seen, which
+    gives the ids of one ``static.id`` call per element."""
+    order = np.argsort(at)
+    ids = np.empty(len(keys), np.int64)
+    ids[order] = [static.id(_Interner.STATIC, keys[k]) for k in order.tolist()]
+    return ids[inverse]
+
+
 def _proj_static(spec, g, quant, static):
-    """Flat n*n static ids of the projection pair invariants."""
-    kind = spec.kind
-    lams, entries = quantized_projections(g, kind, quant)
-    n = g.n
-    out = [0] * (n * n)
-    for u in range(n):
-        for v in range(n):
-            rec = ";".join(sorted(f"{lam}:{ent[u][v]}" for lam, ent in zip(lams, entries)))
-            out[u * n + v] = static.id(_Interner.STATIC, (kind.value, rec))
-    return np.array(out, np.int64)
+    """Flat n*n static ids of the projection pair invariants.  A pair's
+    invariant is the row of its (eigenvalue code, entry code) records in
+    sorted order, keyed by the row's bytes: equal rows are equal multisets."""
+    lams, codes = quantized_projections(g, spec.kind, quant)
+    m, nn = codes.shape[0], g.n * g.n
+    if not nn:
+        return np.empty(0, np.int64)
+    rows = np.empty((nn, m, 2), np.int64)
+    rows[:, :, 0] = lams
+    rows[:, :, 1] = codes.reshape(m, nn).T
+    # eigenvalue codes ascend, so only the entries under an equal code need sorting
+    bounds = [0, *(np.flatnonzero(np.diff(lams)) + 1).tolist(), m]
+    for a, b in zip(bounds, bounds[1:]):
+        if b - a > 1:
+            rows[:, a:b, 1].sort(axis=1)
+    rows = rows.reshape(nn, 2 * m)
+    at, inverse = _unique_rows(rows)
+    keys = rows[at].view(np.dtype((np.void, 16 * m))).ravel().tolist()
+    return _first_seen_ids(static, keys, inverse, at)
 
 
 def _require_no_isolated(spec: AlgorithmSpec, g: Graph):
@@ -394,16 +414,14 @@ def _girt_static(spec, g, quant, static):
 
 
 def _eig_static(spec, g, quant, static):
-    """(quantized eigenvalues, multiplicities, per-eigenvalue flat n*n
-    static ids of the projection entries)."""
-    lams, entries = quantized_projections(g, spec.kind, quant)
+    """(eigenvalue codes, multiplicities, per-eigenvalue flat n*n static
+    ids of the projection entry codes)."""
+    lams, codes = quantized_projections(g, spec.kind, quant)
     mults = decomposition_for(g, spec.kind, quant).multiplicities
-    n = g.n
-    slices = [
-        [static.id(_Interner.STATIC, ent[u][v]) for u in range(n) for v in range(n)]
-        for ent in entries
-    ]
-    return lams, mults, slices
+    flat = codes.ravel()
+    keys, at, inverse = np.unique(flat, return_index=True, return_inverse=True)
+    slices = _first_seen_ids(static, keys.tolist(), inverse, at).reshape(len(lams), g.n * g.n)
+    return lams.tolist(), mults, slices.tolist()
 
 
 def _girt_init(g: Graph, steps: int, quant: Quantization) -> list:

@@ -42,6 +42,7 @@ __all__ = [
     "decomposition_for",
     "dump_decomposition",
     "exact_pair_token",
+    "near_ties",
     "pair_token",
     "quantize",
     "quantize_fraction",
@@ -234,23 +235,112 @@ def decomposition_for(
 
 def quantized_projections(
     g: Graph, kind: MatrixKind, quant: Quantization = DEFAULT_QUANT
-) -> tuple[tuple[str, ...], list[list[list[str]]]]:
-    """Quantized eigenvalue strings and per-slice entry strings.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decimal codes of the eigenvalues and projector entries.
 
-    Returns (lams, entries) with entries[i][u][v] the quantized P_i(u, v).
+    Returns (lams, codes): int64 arrays of shapes (m,) and (m, n, n), with
+    codes[i, u, v] the code of P_i(u, v).  A code k stands for the decimal
+    k / 10**digits, so ``_render_code(k, digits)`` is the ``quantize`` string
+    and equal codes are equal strings.  Raises ``ValueError`` when a code
+    does not fit in 64 bits.
     """
     key = (g, kind, quant)
     cached = _QPROJ_CACHE.get(key)
     if cached is None:
         dec = decomposition_for(g, kind, quant)
-        lams = tuple(quantize(lam, quant) for lam in dec.eigenvalues)
-        entries = [
-            [[quantize(p[u, v], quant) for v in range(g.n)] for u in range(g.n)]
-            for p in dec.projections
-        ]
-        cached = (lams, entries)
+        n = g.n
+        values = np.concatenate([np.asarray(dec.eigenvalues, float), *(p.ravel() for p in dec.projections)])
+        codes, near_ties = _decimal_codes(values, quant.digits)
+        codes.flags.writeable = False
+        m = dec.m
+        lams = codes[:m]
+        # "lam:" record prefixes of the pair tokens
+        prefixes = tuple(f"{_render_code(lam, quant.digits)}:" for lam in lams.tolist())
+        cached = (lams, codes[m:].reshape(m, n, n), near_ties, prefixes)
         _QPROJ_CACHE[key] = cached
-    return cached
+    return cached[:2]
+
+
+def near_ties(g: Graph, kind: MatrixKind, quant: Quantization = DEFAULT_QUANT) -> int:
+    """How many of the m(1 + n^2) quantized eigenvalues and projector
+    entries lie within ``NEAR_TIE`` of a rounding boundary, where float
+    noise may pick the rounding direction."""
+    quantized_projections(g, kind, quant)
+    return _QPROJ_CACHE[g, kind, quant][2]
+
+
+# ---------------------------------------------------------------------------
+# decimal codes
+
+# A value counts as a near tie when x * 10**digits lies within NEAR_TIE of
+# a half-integer, i.e. within NEAR_TIE units of the last kept digit of a
+# rounding boundary.
+NEAR_TIE = 1e-6
+
+# below 2**52 a float64 holds every half-integer; up to 10**22 the power
+# of ten is a float64 too
+_ROUNDS_EXACTLY = 2.0**52
+_EXACT_POWERS = 22
+_INT64 = 1 << 63
+_SPLIT = 134217729.0  # 2**27 + 1
+
+
+def _split(a):
+    """Veltkamp split of a into two halves of at most 26 significant bits."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _decimal_codes(values: np.ndarray, digits: int) -> tuple[np.ndarray, int]:
+    """(int64 codes k with ``_render_code(k, digits) == quantize(x)``, number
+    of near ties).
+
+    k is the half-even rounding of the exact x * 10**digits.  The float
+    product p has an exact error e = x * 10**digits - p (Dekker's product),
+    and below 2**52 rint(p) is that rounding unless p is itself a
+    half-integer and e is not zero, which decides the side.  Past 2**52 or
+    22 digits the code is read off ``format``.
+    """
+    x = np.asarray(values, dtype=float)
+    scale = 10.0 ** min(digits, _EXACT_POWERS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = x * scale
+        codes = np.rint(p)
+        off = 0.5 - np.abs(p - codes)  # distance to the nearest half-integer
+        # on a half-integer p, the sign of the product's exact error picks the side
+        tie = np.flatnonzero(off == 0)
+        (xh, xl), (sh, sl) = _split(x[tie]), _split(scale)
+        err = ((xh * sh - p[tie]) + xh * sl + xl * sh) + xl * sl
+        codes[tie] = np.where(err == 0, codes[tie], p[tie] + np.copysign(0.5, err))
+        slow = np.flatnonzero(~(np.abs(p) < _ROUNDS_EXACTLY) if digits <= _EXACT_POWERS else x)
+        codes[slow] = 0
+        codes = codes.astype(np.int64)
+    for i in slow.tolist():
+        codes[i] = _format_code(float(x[i]), digits)
+    return codes, int(np.count_nonzero(off <= NEAR_TIE))
+
+
+def _format_code(x: float, digits: int) -> int:
+    """The code of a nonzero x read off its ``format`` string;
+    ``ValueError`` when it does not fit in 64 bits."""
+    # past 1000 digits even the smallest float has a code of hundreds of digits
+    text = format(x, f".{digits}f").replace(".", "") if digits <= 1000 else "9" * 20
+    if len(text.lstrip("-").lstrip("0")) > 19 or not -_INT64 <= int(text) < _INT64:
+        raise ValueError(f"{x!r} at {digits} digits does not fit in a 64-bit decimal code; use fewer digits")
+    return int(text)
+
+
+def _render_code(code: int, digits: int) -> str:
+    """The decimal string of a code: ``quantize(x) == _render_code(k, digits)``
+    for the code k of x."""
+    if not digits:
+        return str(code)
+    if code < 0:
+        text = str(-code).zfill(digits + 1)
+        return f"-{text[:-digits]}.{text[-digits:]}"
+    text = str(code).zfill(digits + 1)
+    return f"{text[:-digits]}.{text[-digits:]}"
 
 
 # ---------------------------------------------------------------------------
@@ -291,16 +381,18 @@ def pair_token(
     """Projection pair invariant of (u, v) as a canonical token."""
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise IndexError(f"vertex pair ({u}, {v}) out of range")
-    lams, entries = quantized_projections(g, kind, quant)
-    records = sorted(f"{lam}:{ent[u][v]}" for lam, ent in zip(lams, entries))
+    _, codes = quantized_projections(g, kind, quant)
+    prefixes, d = _QPROJ_CACHE[g, kind, quant][3], quant.digits
+    records = sorted([lam + _render_code(ent, d) for lam, ent in zip(prefixes, codes[:, u, v].tolist())])
     return PairToken(f"P[{kind.value}]" .encode() + ";".join(records).encode())
 
 
 def spectrum_token(g: Graph, kind: MatrixKind, quant: Quantization = DEFAULT_QUANT) -> SpectrumToken:
     """Eigenvalue multiset of the graph's matrix as a canonical token."""
     dec = decomposition_for(g, kind, quant)
+    lams, _ = _decimal_codes(np.asarray(dec.eigenvalues, float), quant.digits)
     records = sorted(
-        f"{quantize(lam, quant)}x{mult}" for lam, mult in zip(dec.eigenvalues, dec.multiplicities)
+        f"{_render_code(lam, quant.digits)}x{mult}" for lam, mult in zip(lams.tolist(), dec.multiplicities)
     )
     return SpectrumToken(f"S[{kind.value}]".encode() + ";".join(records).encode())
 

@@ -44,6 +44,15 @@ def test_compare_bad_spec_is_usage_error(capsys):
     assert "error" in err
 
 
+def test_compare_digits_past_64_bit_codes_is_usage_error(capsys):
+    # C6's adjacency eigenvalue 2 is 2 * 10**19 at 19 digits, past 2**63
+    code, _, err = run_cli(capsys, "compare", "--alg", "epwl:A", "--g", C6, "--h", TWO_TRIANGLES, "--digits", "19")
+    assert code == 2
+    assert "64-bit" in err
+    code, _, _ = run_cli(capsys, "compare", "--alg", "epwl:A", "--g", C6, "--h", TWO_TRIANGLES, "--digits", "18")
+    assert code == 1
+
+
 def test_compare_bad_graph6_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "compare", "--alg", "wl1", "--g", "A", "--h", C6)
     assert code == 2

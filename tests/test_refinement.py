@@ -25,7 +25,7 @@ from eigenwl.graphs import (
     random_graph,
     star_graph,
 )
-from eigenwl import furer, refinement
+from eigenwl import furer, refinement, spectral
 from eigenwl.refinement import (
     _VARIANTS,
     AlgorithmSpec,
@@ -409,15 +409,18 @@ def test_spec_without_table_row_is_rejected(variant, init):
         AlgorithmSpec(variant, kind=MatrixKind.ADJACENCY, init=init)
 
 
-def test_benchmark_tracer_hooks(c6, two_triangles):
-    """perfbench's tracer reaches refinement functions and ColorState
-    fields by name; a rename would break the traced benchmark run."""
+def test_benchmark_tracer_hooks(c6, two_triangles, monkeypatch):
+    """perfbench's tracer reaches refinement functions, ColorState fields
+    and the projection cache by name; a rename would break the traced
+    benchmark run."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     module_spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(module_spec)
     module_spec.loader.exec_module(tracing)
     for name in tracing.MODULES:
         importlib.import_module(f"eigenwl.{name}")
+    # a cold projection cache, so that every quantization below is counted
+    monkeypatch.setattr(spectral, "_QPROJ_CACHE", {})
     original = refinement.distinguishes
     tracer = tracing.Tracer()
     tracer.install()
@@ -437,6 +440,11 @@ def test_benchmark_tracer_hooks(c6, two_triangles):
     ):
         assert metrics[name] > 0, name
     assert metrics["refinement.runs"] == 5
+    # spectralign:A quantizes each graph's m eigenvalues and m n x n projectors once
+    entries = sum(
+        spectral.decomposition_for(g, MatrixKind.ADJACENCY).m * (1 + g.n * g.n) for g in (c6, two_triangles)
+    )
+    assert metrics["spectral.quantized_entries"] == entries == 4 * 37 + 2 * 37
 
 
 # ---------------------------------------------------------------------------
@@ -729,6 +737,17 @@ def test_relabeling_invariance_beyond_verified_sizes(label):
     spec = AlgorithmSpec.parse(label)
     for g in (_hunt_pair(48)[0], random_connected_graph(32, 0.2, 7)):
         assert not distinguishes(spec, g, _shuffled(g, g.n)), (label, g.n)
+
+
+# Every Q7 projector entry and the Laplacian kernel projector J/128 of a
+# connected 128-vertex graph sit on a 7th-digit rounding tie, which float
+# noise breaks differently in a relabelled copy.  Remove the marks once
+# tie-safe projector tokens (ROADMAP item 1) land.
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("graph", [lambda: _hypercube(7), lambda: random_connected_graph(128, 0.05, 3)], ids=["Q7", "random128"])
+def test_projection_tokens_survive_relabelling_on_rounding_ties(graph):
+    g = graph()
+    assert not distinguishes(AlgorithmSpec.parse("epwl:L"), g, _shuffled(g, g.n))
 
 
 @pytest.mark.parametrize("label", DIGEST_SPEC_LABELS)
