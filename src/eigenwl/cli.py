@@ -103,6 +103,13 @@ class RunConfig:
     parity_max_base_n: int = 5
     jobs: int = 1
 
+    def __post_init__(self):
+        # checked here, so flags, config files and EIGENWL_* variables all pass through it
+        if self.budget < 0:
+            raise UsageError(f"budget must be nonnegative, got {self.budget}")
+        if self.jobs < 1:
+            raise UsageError(f"jobs must be at least 1, got {self.jobs}")
+
     @property
     def quant(self) -> Quantization:
         return Quantization(digits=self.digits, eig_gap_scale=self.eig_gap_scale)

@@ -36,9 +36,14 @@ static data, initial tokens, the update, and the pool that reduces the
 stable coloring to one signature per graph.
 
 Every update runs through one driver as numpy passes over all graphs of
-one vertex count at once, numbering ids as an intern table fed one key at
-a time would.  ``spectralign``'s cross update and the pools' reductions
-still go graph by graph: their keys hold final ids.
+a run, grouped by vertex count.  Keys are int64 rows numbered by sorting
+(``_unique_rows``), one pass per phase: the static data, the initial
+tokens, then per iteration all multisets and then all tokens.  The ids
+come out as an intern table fed one key at a time would give them.
+``spectralign``'s cross update and the pools' reductions still go graph
+by graph, because their keys hold final ids; the cross update and the
+pools' vertex-refinement layers look their keys up among the earlier
+calls' in a ``_KeyStore``.
 """
 
 from __future__ import annotations
@@ -240,149 +245,284 @@ class _Interner:
         return len(self.table)
 
 
+_NEVER = np.iinfo(np.int64).max  # the first event of a key not seen yet
+
+
 class _BatchInterner:
-    """The ids an ``_Interner`` would give, for whole arrays of rows
-    interned out of event order.
+    """The ids an ``_Interner`` would give, for whole arrays of int64 row
+    keys interned out of event order.
 
     ``ids`` gives each distinct key a label and keeps the earliest event
     position it was seen at; ``rank`` turns labels into the ids that
     ``_Interner.id`` calls in event order would have given, since such an
     id counts the distinct keys seen first before it.  Roles are the
-    ``_Interner`` ones.
+    ``_Interner`` ones; keys of different roles or widths never match.
+
+    One ``ids`` call finds its distinct keys by sorting
+    (``_unique_rows``), and its keys are kept in a ``_KeyStore`` per
+    (role, width) so that a later call can look its own keys up among
+    them.  An update numbers all multisets of an iteration in one call and
+    then all tokens in another, so only the calls that ``_cross_update``
+    makes graph by graph and those of ``_wl_layers``' layers ever look
+    keys up.
     """
 
-    __slots__ = ("table", "first", "ranked_ids", "ranked")
+    __slots__ = ("stores", "size", "first", "ranked_ids", "ranked")
 
     def __init__(self):
-        self.table: dict = {}
+        self.stores: dict[tuple[int, int], _KeyStore] = {}
+        self.size = 0  # labels given so far
         self.first = np.empty(0, np.int64)  # per label: earliest event position
         self.ranked_ids = np.empty(0, np.int64)  # per label: its id, once ranked
         self.ranked = 0  # labels below this are ranked
 
-    def ids(self, role: int, rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
-        """Labels of the rows of a 2-D int64 array, one row per event.
+    def ids(self, role: int, parts: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
+        """Labels of the rows of each ``(rows, pos)`` part: ``rows`` is a
+        2-D int64 array with one row per event and ``pos[i]`` the event
+        position of row i.  Parts of one width are numbered together."""
+        out = [np.empty(0, np.int64)] * len(parts)
+        by_width: dict[int, list[int]] = {}
+        for i, (rows, _) in enumerate(parts):
+            if len(rows):
+                by_width.setdefault(rows.shape[1], []).append(i)
+        for members in by_width.values():
+            if len(members) == 1:
+                rows, pos = parts[members[0]]
+            else:
+                rows = np.concatenate([parts[i][0] for i in members])
+                pos = np.concatenate([parts[i][1] for i in members])
+            at, inverse = _unique_rows(rows)
+            first = np.full(len(at), _NEVER)
+            np.minimum.at(first, inverse, pos)
+            labels = self._label(role, rows[at], first)[inverse]
+            end = 0
+            for i in members:
+                start, end = end, end + len(parts[i][0])
+                out[i] = labels[start:end]
+        return out
 
-        Rows come in event order and ``pos[i]`` is the event position of
-        row i.  The distinct rows are found first (``_unique_rows``); the
-        table is then asked once per distinct row, keyed by the row's bytes
-        behind the role, and only rows it has not seen get new labels.
-        """
-        count, width = rows.shape
-        if not count:
-            return np.empty(0, np.int64)
-        at, inverse = _unique_rows(rows)
-        tagged = np.empty((len(at), width + 1), np.int64)
-        tagged[:, 0] = role
-        tagged[:, 1:] = rows[at]
-        keys = tagged.view(np.dtype((np.void, tagged.itemsize * (width + 1)))).ravel().tolist()
-        table = self.table
-        size = len(table)
-        # unseen keys are stored with size + their index; renumber them densely
-        labels = np.fromiter(map(table.setdefault, keys, itertools.count(size)), np.int64, len(keys))
-        unseen = labels >= size
-        added = int(np.count_nonzero(unseen))
-        if added and added < len(keys):
-            labels[unseen] = np.arange(size, size + added)
-            table.update(zip(itertools.compress(keys, unseen.tolist()), range(size, size + added)))
-        if size + added > len(self.first):
-            grow = max(size + added, 2 * len(self.first)) - len(self.first)
-            self.first = np.concatenate([self.first, np.full(grow, np.iinfo(np.int64).max)])
+    def _label(self, role: int, keys: np.ndarray, first: np.ndarray) -> np.ndarray:
+        """Labels of distinct keys first seen at event positions ``first``:
+        the store's label where it holds the key, a new label otherwise."""
+        size = self.size
+        store = self.stores.get((role, keys.shape[1]))
+        if store is None:
+            added = len(keys)
+            labels = np.arange(size, size + added)
+            self.stores[role, keys.shape[1]] = _KeyStore(keys, labels)
+        else:
+            labels, added = store.label(keys, size)
+        self.size = size = size + added
+        if size > len(self.first):
+            grow = max(size, 2 * len(self.first)) - len(self.first)
+            self.first = np.concatenate([self.first, np.full(grow, _NEVER)])
             self.ranked_ids = np.concatenate([self.ranked_ids, np.zeros(grow, np.int64)])
-        self.first[labels] = np.minimum(self.first[labels], pos[at])
-        return labels[inverse]
+        self.first[labels] = np.minimum(self.first[labels], first)
+        return labels
 
     def rank(self, labels: np.ndarray) -> np.ndarray:
-        """Ids of labels from ``ids``.  The labels interned since the last
+        """Ids of labels from ``ids``.  The labels given since the last
         call get the next ids, in the order of their earliest events, so
         every event interned after a call must come after every event
         interned before it."""
-        fresh = np.arange(self.ranked, len(self.table))
+        fresh = np.arange(self.ranked, self.size)
         order = np.argsort(self.first[fresh])
         self.ranked_ids[fresh[order]] = fresh
-        self.ranked = len(self.table)
+        self.ranked = self.size
         return self.ranked_ids[labels]
 
 
-# odd 64-bit base of the row hash in _unique_rows: the dot product of a row
-# with (B, B**2, B**3, ...), wrapping modulo 2**64
+# Fewer keys than this are numbered through a dict: a numpy pass costs tens
+# of microseconds however few keys it sorts, a dict about 0.3 us a key
+_DICT_KEYS = 256
+
+
+class _KeyStore:
+    """Distinct int64 rows of one width with their labels.
+
+    The rows a store is made with are left as they are until it is first
+    searched, so a store that is only written is never indexed.  From then
+    on a key is in one of two places.  Large batches, of ``_DICT_KEYS``
+    keys and a quarter of the arrays or more, are merged into arrays
+    sorted by 64-bit hash word (``_row_words``), which are searched with
+    ``searchsorted`` and an exact row check and never sorted again.
+    Smaller batches go to a dict keyed by row bytes, which a large batch
+    empties into the arrays.
+    """
+
+    __slots__ = ("words", "rows", "labels", "recent")
+
+    def __init__(self, rows: np.ndarray, labels: np.ndarray):
+        self.words: Optional[np.ndarray] = None  # sorted, once searched
+        self.rows = rows
+        self.labels = labels
+        self.recent: dict[bytes, int] = {}
+
+    def label(self, rows: np.ndarray, size: int) -> tuple[np.ndarray, int]:
+        """(the label of each of the distinct ``rows``, how many of them
+        the store did not hold); those get labels ``size``, ``size + 1``,
+        ... and are added."""
+        if self.words is None:
+            stored, labels = self.rows, self.labels
+            self.words, self.rows, self.labels = np.empty(0, np.uint64), stored[:0], labels[:0]
+            if self._large(len(stored)):
+                self._merge(stored, labels)
+            else:
+                self.recent = dict(zip(_row_bytes(stored), labels.tolist()))
+        large = self._large(len(rows))
+        if large and self.recent:
+            self._merge(rows[:0], self.labels[:0])
+        labels = self._search(rows) if len(self.words) else np.full(len(rows), -1, np.int64)
+        new = labels < 0
+        if large:
+            added = int(np.count_nonzero(new))
+            labels[new] = np.arange(size, size + added)
+            self._merge(rows[new], labels[new])
+            return labels, added
+        table = self.recent
+        held = len(table)
+        base = size - held  # a key added as the dict's k-th gets base + k
+        labels[new] = [table.setdefault(key, base + len(table)) for key in _row_bytes(rows[new])]
+        return labels, len(table) - held
+
+    def _large(self, count: int) -> bool:
+        return count >= max(_DICT_KEYS, len(self.words) // 4)
+
+    def _search(self, rows: np.ndarray) -> np.ndarray:
+        """Labels of the rows in the arrays, -1 where they are not."""
+        words = _row_words(rows)
+        count = len(self.words)
+        at = np.minimum(np.searchsorted(self.words, words), count - 1)
+        hit = self.words[at] == words
+        same = hit & (self.rows[at] == rows).all(axis=1)
+        shared = hit & (self.words[np.minimum(at + 1, count - 1)] == words) & (at + 1 < count)
+        if not (hit & ~same).any() and not shared.any():
+            return np.where(same, self.labels[at], -1)
+        # a hash word shared by different rows: match whole rows instead
+        both = np.concatenate([self.rows, rows])
+        inverse = np.unique(both.view(np.dtype((np.void, both.itemsize * both.shape[1]))).ravel(), return_inverse=True)[1]
+        owner = np.full(len(both), -1, np.int64)
+        owner[inverse[:count]] = self.labels
+        return owner[inverse[count:]]
+
+    def _merge(self, rows: np.ndarray, labels: np.ndarray):
+        """Merge rows the store does not hold, and the dict's, into the
+        arrays."""
+        if self.recent:
+            recent = np.frombuffer(b"".join(self.recent), np.int64).reshape(len(self.recent), rows.shape[1])
+            rows = np.concatenate([rows, recent])
+            labels = np.concatenate([labels, np.fromiter(self.recent.values(), np.int64, len(self.recent))])
+            self.recent = {}
+        words = _row_words(rows)
+        order = np.argsort(words)
+        # merged positions of the new rows, and of the old ones
+        at = np.searchsorted(self.words, words[order]) + np.arange(len(order))
+        old = np.ones(len(self.words) + len(order), bool)
+        old[at] = False
+        self.words = _merged(self.words, words[order], old, at)
+        self.rows = _merged(self.rows, rows[order], old, at)
+        self.labels = _merged(self.labels, labels[order], old, at)
+
+
+def _merged(old: np.ndarray, new: np.ndarray, old_at: np.ndarray, new_at: np.ndarray) -> np.ndarray:
+    out = np.empty((len(old) + len(new), *old.shape[1:]), old.dtype)
+    out[old_at] = old
+    out[new_at] = new
+    return out
+
+
+def _row_bytes(rows: np.ndarray) -> list[bytes]:
+    """The bytes of each row of a 2-D int64 array."""
+    if not rows.shape[1]:
+        return [b""] * len(rows)
+    return np.ascontiguousarray(rows).view(np.dtype((np.void, 8 * rows.shape[1]))).ravel().tolist()
+
+
+# odd 64-bit base of the row hash: the dot product of a row with
+# (B, B**2, B**3, ...), wrapping modulo 2**64
 _HASH_BASE = np.uint64(0x9E3779B97F4A7C15)
 
 
+def _row_words(rows: np.ndarray) -> np.ndarray:
+    """One 64-bit hash word per row of a 2-D int64 array."""
+    width = rows.shape[1]
+    return rows.view(np.uint64) @ (_HASH_BASE ** np.arange(1, width + 1, dtype=np.uint64))
+
+
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first index of each distinct row, distinct-row index of each row).
+    """(first index of each distinct row, distinct-row index of each row)
+    of a nonempty 2-D int64 array.
 
     Rows are hashed to one 64-bit word each and the words are sorted; if
-    two different rows share a word, ``np.unique`` runs on the whole rows
-    instead.
+    two different rows share a word, the rows' bytes are sorted instead.
     """
-    count, width = rows.shape
     rows = np.ascontiguousarray(rows, dtype=np.int64)
-    words = rows.view(np.uint64) @ (_HASH_BASE ** np.arange(1, width + 1, dtype=np.uint64))
-    order = np.argsort(words, kind="stable")
-    ordered = words[order]
-    starts = np.empty(count, bool)
-    starts[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    inverse = np.empty(count, np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    at = order[starts]  # the sort is stable: each group's first row
+    at, inverse = _unique(_row_words(rows))
     if not (rows[at[inverse]] == rows).all():
-        _, at, inverse = np.unique(
-            rows.view(np.dtype((np.void, 8 * width))).ravel(), return_index=True, return_inverse=True
-        )
+        at, inverse = _unique(rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel())
     return at, inverse
 
 
+def _unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_unique_rows`` of a nonempty 1-D array.  The sort need not be
+    stable: a distinct value's first index is the least in its run."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    flags = np.empty(len(keys), bool)
+    flags[0] = True
+    flags[1:] = ordered[1:] != ordered[:-1]
+    inverse = np.empty(len(keys), np.intp)
+    inverse[order] = np.cumsum(flags) - 1
+    return np.minimum.reduceat(order, flags.nonzero()[0]), inverse
+
+
+def _first_seen(parts: list[np.ndarray]) -> list[np.ndarray]:
+    """Ids of the int64 rows of each part, numbered in the order the rows
+    are first seen, part after part; rows of different widths never
+    match."""
+    if sum(map(len, parts)) < _DICT_KEYS:
+        table: dict[bytes, int] = {}
+        return [np.array([table.setdefault(key, len(table)) for key in _row_bytes(rows)], np.int64) for rows in parts]
+    it = _BatchInterner()
+    starts = np.cumsum([0] + [len(rows) for rows in parts]).tolist()
+    labels = it.ids(_Interner.INIT, [(rows, start + np.arange(len(rows))) for rows, start in zip(parts, starts)])
+    return [it.rank(part) for part in labels]
+
+
 # ---------------------------------------------------------------------------
-# per-graph static data: (spec, graph, quant, static interner) -> data.
-# Pair data is a flat n*n int64 array of ids, made once per run.
+# per-graph static data: (spec, graphs, quant) -> data per graph, numbered
+# jointly over the run.  Pair data is a flat n*n int64 array of ids.
 
 
 def _atp_flat(g: Graph) -> np.ndarray:
     """Flat n*n atomic types: 0 on the diagonal, 1 for edges, 2 otherwise."""
     n = g.n
-    out = [2] * (n * n)
-    for u in range(n):
-        out[u * n + u] = 0
-        row = g.rows[u]
-        while row:
-            low = row & -row
-            out[u * n + (low.bit_length() - 1)] = 1
-            row ^= low
-    return np.array(out, np.int64)
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join([row.to_bytes(width, "little") for row in g.rows]), np.uint8)
+    out = np.full(n * n, 2, np.int64)
+    out -= np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").ravel()
+    out[:: n + 1] = 0
+    return out
 
 
-def _first_seen_ids(static: _Interner, keys: list, inverse: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """Static ids of the elements whose distinct keys are ``keys``, with
-    ``at`` the first element of each key and ``inverse`` each element's
-    key: the table is asked in the order the keys are first seen, which
-    gives the ids of one ``static.id`` call per element."""
-    order = np.argsort(at)
-    ids = np.empty(len(keys), np.int64)
-    ids[order] = [static.id(_Interner.STATIC, keys[k]) for k in order.tolist()]
-    return ids[inverse]
-
-
-def _proj_static(spec, g, quant, static):
+def _proj_static(spec, graphs, quant):
     """Flat n*n static ids of the projection pair invariants.  A pair's
     invariant is the row of its (eigenvalue code, entry code) records in
-    sorted order, keyed by the row's bytes: equal rows are equal multisets."""
-    lams, codes = quantized_projections(g, spec.kind, quant)
-    m, nn = codes.shape[0], g.n * g.n
-    if not nn:
-        return np.empty(0, np.int64)
-    rows = np.empty((nn, m, 2), np.int64)
-    rows[:, :, 0] = lams
-    rows[:, :, 1] = codes.reshape(m, nn).T
-    # eigenvalue codes ascend, so only the entries under an equal code need sorting
-    bounds = [0, *(np.flatnonzero(np.diff(lams)) + 1).tolist(), m]
-    for a, b in zip(bounds, bounds[1:]):
-        if b - a > 1:
-            rows[:, a:b, 1].sort(axis=1)
-    rows = rows.reshape(nn, 2 * m)
-    at, inverse = _unique_rows(rows)
-    keys = rows[at].view(np.dtype((np.void, 16 * m))).ravel().tolist()
-    return _first_seen_ids(static, keys, inverse, at)
+    sorted order: equal rows are equal multisets."""
+    parts = []
+    for g in graphs:
+        lams, codes = quantized_projections(g, spec.kind, quant)
+        m, nn = codes.shape[0], g.n * g.n
+        rows = np.empty((nn, m, 2), np.int64)
+        rows[:, :, 0] = lams
+        rows[:, :, 1] = codes.reshape(m, nn).T
+        # eigenvalue codes ascend, so only the entries under an equal code need sorting
+        bounds = [0, *(np.flatnonzero(np.diff(lams)) + 1).tolist(), m]
+        for a, b in zip(bounds, bounds[1:]):
+            if b - a > 1:
+                rows[:, a:b, 1].sort(axis=1)
+        parts.append(rows.reshape(nn, 2 * m))
+    return _first_seen(parts)
 
 
 def _require_no_isolated(spec: AlgorithmSpec, g: Graph):
@@ -390,38 +530,45 @@ def _require_no_isolated(spec: AlgorithmSpec, g: Graph):
         raise UsageError(f"{spec.label()} is undefined on graphs with isolated vertices")
 
 
-def _no_static(spec, g, quant, static):
-    return None
+def _no_static(spec, graphs, quant):
+    return [None] * len(graphs)
 
 
-def _atp_static(spec, g, quant, static):
-    return _atp_flat(g)
+def _atp_static(spec, graphs, quant):
+    return [_atp_flat(g) for g in graphs]
 
 
-def _dist_static(spec, g, quant, static):
+def _dist_static(spec, graphs, quant):
     """Flat n*n static ids of the distance tokens."""
     if spec.distance.rejects_isolated:
-        _require_no_isolated(spec, g)
-    tokens = distance_tokens(g, spec.distance, quant)
-    return np.array([static.id(_Interner.STATIC, tok) for tok in tokens], np.int64)
+        for g in graphs:
+            _require_no_isolated(spec, g)
+    return _token_ids(distance_tokens(g, spec.distance, quant) for g in graphs)
 
 
-def _girt_static(spec, g, quant, static):
+def _girt_static(spec, graphs, quant):
     """Flat n*n static ids of the landing-probability tokens."""
-    _require_no_isolated(spec, g)
-    tokens = _girt_init(g, spec.steps, quant)
-    return np.array([static.id(_Interner.STATIC, tok) for tok in tokens], np.int64)
+    for g in graphs:
+        _require_no_isolated(spec, g)
+    return _token_ids(_girt_init(g, spec.steps, quant) for g in graphs)
 
 
-def _eig_static(spec, g, quant, static):
-    """(eigenvalue codes, multiplicities, per-eigenvalue flat n*n static
-    ids of the projection entry codes)."""
-    lams, codes = quantized_projections(g, spec.kind, quant)
-    mults = decomposition_for(g, spec.kind, quant).multiplicities
-    flat = codes.ravel()
-    keys, at, inverse = np.unique(flat, return_index=True, return_inverse=True)
-    slices = _first_seen_ids(static, keys.tolist(), inverse, at).reshape(len(lams), g.n * g.n)
-    return lams.tolist(), mults, slices.tolist()
+def _token_ids(token_lists) -> list[np.ndarray]:
+    """Static ids of each graph's tokens, numbered over the run; the tokens
+    are Python objects, so a dict numbers them."""
+    static = _Interner()
+    return [np.array([static.id(_Interner.STATIC, tok) for tok in tokens], np.int64) for tokens in token_lists]
+
+
+def _eig_static(spec, graphs, quant):
+    """Per graph: (eigenvalue codes, multiplicities, per-eigenvalue flat
+    n*n static ids of the projection entry codes)."""
+    codes = [quantized_projections(g, spec.kind, quant) for g in graphs]
+    ids = _first_seen([c.reshape(-1, 1) for _, c in codes])
+    return [
+        (lams.tolist(), decomposition_for(g, spec.kind, quant).multiplicities, sids.reshape(len(lams), g.n * g.n).tolist())
+        for g, (lams, _), sids in zip(graphs, codes, ids)
+    ]
 
 
 def _girt_init(g: Graph, steps: int, quant: Quantization) -> list:
@@ -441,34 +588,42 @@ def _girt_init(g: Graph, steps: int, quant: Quantization) -> list:
 
 
 # ---------------------------------------------------------------------------
-# initial tokens: (n, per-graph data) -> one token per domain element
+# initial tokens: (n, per-graph data) -> one int64 row per domain element
 
 
 def _node_init(n, data):
-    return [("node-init",)] * n
+    return np.zeros((n, 1), np.int64)
 
 
 def _pair_init(n, data):
-    return [("pair-init",)] * (n * n)
+    return np.zeros((n * n, 1), np.int64)
 
 
 def _marked_init(n, data):
     """Node-marked pairs: the diagonal against everything else."""
-    return [1 if u == v else 0 for u in range(n) for v in range(n)]
+    return np.eye(n, dtype=np.int64).reshape(n * n, 1)
 
 
 def _data_init(n, data):
-    return data.tolist()
+    return data.reshape(-1, 1)
 
 
 def _lam_init(n, data):
     lams, _, slices = data
-    return [(lam, sid) for lam, ids in zip(lams, slices) for sid in ids]
+    return _slice_rows(lams, slices, n)
 
 
 def _mult_init(n, data):
     _, mults, slices = data
-    return [(mult, sid) for mult, ids in zip(mults, slices) for sid in ids]
+    return _slice_rows(mults, slices, n)
+
+
+def _slice_rows(heads, slices, n):
+    """Rows (head of the slice, static id), slice by slice."""
+    rows = np.empty((len(heads), n * n, 2), np.int64)
+    rows[:, :, 0] = np.array(heads, np.int64).reshape(-1, 1)
+    rows[:, :, 1] = np.array(slices, np.int64).reshape(len(heads), n * n)
+    return rows.reshape(-1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -499,61 +654,67 @@ def _pair_data(grp: _Group) -> np.ndarray:
     return np.stack(grp.data).reshape(len(grp.data), n, n)
 
 
-def _multiset_update(grp: _Group, left, right, head, it: _BatchInterner) -> np.ndarray:
-    """Per element e: the multiset of ``left << 32 | right`` over the last
-    axis (event 2e), then the token (*head, multiset) (event 2e + 1).
-    Colors and static ids stay below 2**31, so the packed values sort like
-    the pairs they encode."""
-    colors = grp.colors
-    bags = np.sort(left << 32 | right, axis=-1).reshape(colors.size, colors.shape[-1])
-    pos = (grp.owner[:, None] << _POS_SHIFT | np.arange(0, 2 * colors[0].size, 2)).ravel()
-    ms = it.ids(_Interner.MS, bags, pos)
-    tok = np.stack([*(np.ravel(x) for x in head), ms], axis=1)
-    return it.ids(_Interner.TOK, tok, pos + 1).reshape(colors.shape)
+def _multiset_update(groups, parts, it: _BatchInterner) -> list[np.ndarray]:
+    """Per group, the ``(left, right, head)`` of its elements.  Per element
+    e: the multiset of ``left << 32 | right`` over the last axis (event
+    2e), then the token (*head, multiset) (event 2e + 1).  Colors and
+    static ids stay below 2**31, so the packed values sort like the pairs
+    they encode."""
+    bags, pos = [], []
+    for grp, (left, right, _) in zip(groups, parts):
+        colors = grp.colors
+        bags.append(np.sort(left << 32 | right, axis=-1).reshape(colors.size, colors.shape[-1]))
+        pos.append((grp.owner[:, None] << _POS_SHIFT | np.arange(0, 2 * colors[0].size, 2)).ravel())
+    ms = it.ids(_Interner.MS, list(zip(bags, pos)))
+    del bags
+    toks = [
+        (np.stack([*(np.ravel(x) for x in head), m], axis=1), p + 1) for (_, _, head), m, p in zip(parts, ms, pos)
+    ]
+    return [labels.reshape(grp.colors.shape) for grp, labels in zip(groups, it.ids(_Interner.TOK, toks))]
 
 
 def _vertex_update(groups, it):
     """Own color plus the multiset over v of (color of v, pair data of (u, v))."""
-    return [_multiset_update(grp, grp.colors[:, None, :], _pair_data(grp), (grp.colors,), it) for grp in groups]
+    return _multiset_update(
+        groups, [(grp.colors[:, None, :], _pair_data(grp), (grp.colors,)) for grp in groups], it
+    )
 
 
 def _peg_update(groups, it):
     """The multiset over v of (color of v, d(u,u), d(v,v), d(u,v)), without
     the own color; the three data ids enter as one dense code."""
-    out = []
+    parts = []
     for grp in groups:
         d = _pair_data(grp)
         diag = np.diagonal(d, axis1=1, axis2=2)
         code = np.unique(diag[:, None, :] << 32 | d, return_inverse=True)[1]
         code = np.unique(diag[:, :, None] << 32 | code, return_inverse=True)[1]
-        out.append(_multiset_update(grp, grp.colors[:, None, :], code, (), it))
-    return out
+        parts.append((grp.colors[:, None, :], code, ()))
+    return _multiset_update(groups, parts, it)
 
 
 def _swl_update(groups, it):
     """Own color plus the multiset over w of (color of (u, w), atomic type of (v, w))."""
-    return [
-        _multiset_update(grp, grp.colors[:, :, None, :], _pair_data(grp)[:, None], (grp.colors,), it)
-        for grp in groups
-    ]
+    return _multiset_update(
+        groups, [(grp.colors[:, :, None, :], _pair_data(grp)[:, None], (grp.colors,)) for grp in groups], it
+    )
 
 
 def _pswl_update(groups, it):
     """The ``swl`` token with the color of (v, v) added."""
-    out = []
+    parts = []
     for grp in groups:
         c = grp.colors
         diag_v = np.broadcast_to(np.diagonal(c, axis1=1, axis2=2)[:, None, :], c.shape)
-        out.append(_multiset_update(grp, c[:, :, None, :], _pair_data(grp)[:, None, :, :], (c, diag_v), it))
-    return out
+        parts.append((c[:, :, None, :], _pair_data(grp)[:, None, :, :], (c, diag_v)))
+    return _multiset_update(groups, parts, it)
 
 
 def _fwl2_update(groups, it):
     """Own color plus the multiset over w of (color of (u, w), color of (w, v))."""
-    return [
-        _multiset_update(grp, grp.colors[:, :, None, :], grp.colors.mT[:, None], (grp.colors,), it)
-        for grp in groups
-    ]
+    return _multiset_update(
+        groups, [(grp.colors[:, :, None, :], grp.colors.mT[:, None], (grp.colors,)) for grp in groups], it
+    )
 
 
 def _girt_update(groups, it):
@@ -561,19 +722,24 @@ def _girt_update(groups, it):
     (u, v), color of (v, v)) (events 2e and 2e + 1); off it, (color of
     (u, v), color of (u, u), color of (v, v)) (event 2e + 1).  A diagonal
     token keeps its multiset in the second slot and a flag in the fourth."""
-    out = []
+    bags, pos = [], []
     for grp in groups:
         c = grp.colors
         s, n = c.shape[:2]
+        pos.append(grp.owner[:, None, None] << _POS_SHIFT | np.arange(0, 2 * n * n, 2).reshape(n, n))
+        bags.append(np.sort(c << 32 | np.diagonal(c, axis1=1, axis2=2)[:, None, :], axis=2).reshape(s * n, n))
+    ms = it.ids(_Interner.MS, [(b, np.diagonal(p, axis1=1, axis2=2).ravel()) for b, p in zip(bags, pos)])
+    del bags
+    toks = []
+    for grp, m, p in zip(groups, ms, pos):
+        c = grp.colors
+        s, n = c.shape[:2]
         diag = np.diagonal(c, axis1=1, axis2=2)
-        pos = grp.owner[:, None, None] << _POS_SHIFT | np.arange(0, 2 * n * n, 2).reshape(n, n)
-        bags = np.sort(c << 32 | diag[:, None, :], axis=2).reshape(s * n, n)
-        ms = it.ids(_Interner.MS, bags, np.diagonal(pos, axis1=1, axis2=2).ravel())
         eye = np.eye(n, dtype=np.int64)
-        second = np.where(eye, ms.reshape(s, n, 1), diag[:, :, None])
+        second = np.where(eye, m.reshape(s, n, 1), diag[:, :, None])
         tok = np.stack(np.broadcast_arrays(c, second, diag[:, None, :], eye), axis=-1).reshape(-1, 4)
-        out.append(it.ids(_Interner.TOK, tok, pos.ravel() + 1).reshape(c.shape))
-    return out
+        toks.append((tok, p.ravel() + 1))
+    return [labels.reshape(grp.colors.shape) for grp, labels in zip(groups, it.ids(_Interner.TOK, toks))]
 
 
 def _ign_events(n: int) -> int:
@@ -581,11 +747,11 @@ def _ign_events(n: int) -> int:
     return n * n + 2 * n + 2
 
 
-def _ign_slices(colors: np.ndarray, base: np.ndarray, it: _BatchInterner) -> np.ndarray:
-    """The 15-slot equivariant pair update of a stack of n x n color
-    slices.  Slice i's events start at position base[i]: its n row, n
-    column, diagonal and whole-slice multisets, then one token per pair,
-    row-major.
+def _ign_slices(stacks, it: _BatchInterner) -> list[np.ndarray]:
+    """The 15-slot equivariant pair update of each ``(colors, base)``
+    stack of n x n color slices.  Slice i of a stack has its events from
+    position base[i] on: its n row, n column, diagonal and whole-slice
+    multisets, then one token per pair, row-major.
 
     The token of pair (u, v) holds c(u,v), c(u,u), c(v,v), c(v,u), the
     row and column multisets of u and of v, and the diagonal and
@@ -595,37 +761,40 @@ def _ign_slices(colors: np.ndarray, base: np.ndarray, it: _BatchInterner) -> np.
     ungated slots and on being diagonal, so a token is interned as those,
     packed two to a word (ids stay below 2**31), plus a diagonal flag.
     """
-    s, n = colors.shape[:2]
-    MS = _Interner.MS
-    diag = np.diagonal(colors, axis1=1, axis2=2)
-    bags = np.concatenate(
-        [np.sort(colors, axis=2), np.sort(colors.transpose(0, 2, 1), axis=2), np.sort(diag, axis=1)[:, None, :]],
-        axis=1,
-    )
-    ms = it.ids(MS, bags.reshape(s * (2 * n + 1), n), (base[:, None] + np.arange(2 * n + 1)).ravel())
-    ms = ms.reshape(s, 2 * n + 1)
-    full = it.ids(MS, np.sort(colors.reshape(s, n * n), axis=1), base + 2 * n + 1)
-    lines = ms[:, :n] << 32 | ms[:, n : 2 * n]  # row and column multiset of each vertex
-    tok = np.empty((s, n, n, 6), np.int64)
-    tok[..., 0] = colors << 32 | colors.transpose(0, 2, 1)
-    tok[..., 1] = diag[:, :, None] << 32 | diag[:, None, :]
-    tok[..., 2] = lines[:, :, None]
-    tok[..., 3] = lines[:, None, :]
-    tok[..., 4] = (ms[:, 2 * n] << 32 | full)[:, None, None]
-    tok[..., 5] = np.eye(n, dtype=np.int64)
-    tok = tok.reshape(s * n * n, 6)
-    pos = (base[:, None] + (2 * n + 2) + np.arange(n * n)).ravel()
-    return it.ids(_Interner.TOK, tok, pos).reshape(colors.shape)
+    bags, full = [], []
+    for colors, base in stacks:
+        s, n = colors.shape[:2]
+        diag = np.diagonal(colors, axis1=1, axis2=2)
+        lines = np.concatenate(
+            [np.sort(colors, axis=2), np.sort(colors.transpose(0, 2, 1), axis=2), np.sort(diag, axis=1)[:, None, :]],
+            axis=1,
+        )
+        bags.append((lines.reshape(s * (2 * n + 1), n), (base[:, None] + np.arange(2 * n + 1)).ravel()))
+        full.append((np.sort(colors.reshape(s, n * n), axis=1), base + 2 * n + 1))
+    ms = it.ids(_Interner.MS, bags + full)
+    del bags, full
+    toks = []
+    for (colors, base), lines_ms, full_ms in zip(stacks, ms, ms[len(stacks) :]):
+        s, n = colors.shape[:2]
+        lines_ms = lines_ms.reshape(s, 2 * n + 1)
+        diag = np.diagonal(colors, axis1=1, axis2=2)
+        lines = lines_ms[:, :n] << 32 | lines_ms[:, n : 2 * n]  # row and column multiset of each vertex
+        tok = np.empty((s, n, n, 6), np.int64)
+        tok[..., 0] = colors << 32 | colors.transpose(0, 2, 1)
+        tok[..., 1] = diag[:, :, None] << 32 | diag[:, None, :]
+        tok[..., 2] = lines[:, :, None]
+        tok[..., 3] = lines[:, None, :]
+        tok[..., 4] = (lines_ms[:, 2 * n] << 32 | full_ms)[:, None, None]
+        tok[..., 5] = np.eye(n, dtype=np.int64)
+        toks.append((tok.reshape(s * n * n, 6), (base[:, None] + (2 * n + 2) + np.arange(n * n)).ravel()))
+    return [labels.reshape(c.shape) for (c, _), labels in zip(stacks, it.ids(_Interner.TOK, toks))]
 
 
 def _ign_update(groups, it):
     """The 15-slot update of every slice on its own: one slice per graph
     on the pair domain, one per eigenvalue on the spectral one."""
-    out = []
-    for grp in groups:
-        base = grp.owner << _POS_SHIFT | grp.index * _ign_events(grp.colors.shape[1])
-        out.append(_ign_slices(grp.colors, base, it))
-    return out
+    stacks = [(grp.colors, grp.owner << _POS_SHIFT | grp.index * _ign_events(grp.colors.shape[1])) for grp in groups]
+    return _ign_slices(stacks, it)
 
 
 def _cross_update(groups, it):
@@ -636,8 +805,9 @@ def _cross_update(groups, it):
     n*n pair multisets, the 15-slot update over them and k*n*n pair
     tokens.  The pair multiset ids act as colors in the second update,
     where they meet slice colors in the same keys, so they must be final
-    ids: the graphs are updated one at a time in run order, and the pair
-    multisets are ranked before the second update.
+    ids: the graphs are updated one at a time in run order, each looking
+    its keys up among the earlier graphs', and the pair multisets are
+    ranked before the second update.
     """
     MS, TOK = _Interner.MS, _Interner.TOK
     out = [np.empty_like(grp.colors) for grp in groups]
@@ -648,13 +818,13 @@ def _cross_update(groups, it):
         k, n = colors.shape[:2]
         nn, events = n * n, _ign_events(n)
         start = i << _POS_SHIFT
-        per_slice = _ign_slices(colors, start + events * np.arange(k), it)
+        [per_slice] = _ign_slices([(colors, start + events * np.arange(k))], it)
         start += k * events
-        sp = it.ids(MS, np.sort(colors.reshape(k, nn).T, axis=1), start + np.arange(nn))
-        cross = _ign_slices(it.rank(sp).reshape(1, n, n), np.array([start + nn]), it)
+        [sp] = it.ids(MS, [(np.sort(colors.reshape(k, nn).T, axis=1), start + np.arange(nn))])
+        [cross] = _ign_slices([(it.rank(sp).reshape(1, n, n), np.array([start + nn]))], it)
         pairs = np.stack([per_slice.ravel(), np.tile(cross.ravel(), k)], axis=1)
-        pos = start + nn + events + np.arange(k * nn)
-        out[g][own] = it.ids(TOK, pairs, pos).reshape(k, n, n)
+        [tok] = it.ids(TOK, [(pairs, start + nn + events + np.arange(k * nn))])
+        out[g][own] = tok.reshape(k, n, n)
     return out
 
 
@@ -664,7 +834,7 @@ def _cross_update(groups, it):
 
 def _size_groups(graphs, colors, data, domain: str) -> list[_Group]:
     """The graphs grouped by vertex count, groups in order of first
-    appearance.  A graph has one length-n slice on the node domain, one
+    appearance; ``colors`` holds one int64 array per graph.  A graph has one length-n slice on the node domain, one
     n x n slice on the pair domain and one per eigenvalue on the spectral
     domain."""
     by_n: dict[int, list[int]] = {}
@@ -675,7 +845,7 @@ def _size_groups(graphs, colors, data, domain: str) -> list[_Group]:
         group_data = [data[i] for i in members]
         # spectral data is (eigenvalues, multiplicities, per-eigenvalue slices)
         counts = [len(d[2]) for d in group_data] if domain == _S else [1] * len(members)
-        flat = np.fromiter(itertools.chain.from_iterable(colors[i] for i in members), np.int64)
+        flat = np.concatenate([colors[i] for i in members])
         owner = np.repeat(np.array(members, np.int64), counts)
         index = np.fromiter(itertools.chain.from_iterable(map(range, counts)), np.int64, len(owner))
         shape = (n,) if domain == _N else (n, n)
@@ -684,9 +854,10 @@ def _size_groups(graphs, colors, data, domain: str) -> list[_Group]:
 
 
 def _run_update(update, graphs, colors, data, domain: str, it: _BatchInterner) -> list[np.ndarray]:
-    """New color ids per graph, in run order.  Every refinement update
-    runs here: ``update`` interns every key of the run into ``it`` first,
-    then the labels are ranked into ids."""
+    """New color ids per graph, in run order, from one int64 color array
+    per graph.  Every refinement update runs here: ``update`` interns
+    every key of the run into ``it`` first, then the labels are ranked
+    into ids."""
     out = [np.empty(0, np.int64)] * len(graphs)
     groups = _size_groups(graphs, colors, data, domain)
     for grp, labels in zip(groups, update(groups, it)):
@@ -801,8 +972,9 @@ def _wl_layers(graphs, node_colors, first_id: int, steps: Optional[int]) -> list
     """
     it = _BatchInterner()
     atps = [_atp_flat(g) for g in graphs]
+    node_colors = [np.array(cols, np.int64) for cols in node_colors]
     limit = steps if steps is not None else sum(g.n for g in graphs) + 1
-    prev_count = _distinct(np.fromiter(itertools.chain.from_iterable(node_colors), np.int64))
+    prev_count = _distinct(np.concatenate([np.empty(0, np.int64), *node_colors]))
     for _ in range(limit):
         node_colors = [first_id + ids for ids in _run_update(_vertex_update, graphs, node_colors, atps, _N, it)]
         if steps is None:
@@ -816,7 +988,7 @@ def _wl_layers(graphs, node_colors, first_id: int, steps: Optional[int]) -> list
 
 def _node_pool(groups, it):
     """The multiset of each graph's node colors."""
-    return [it.ids(_Interner.POOL, np.sort(grp.colors, axis=1), grp.owner << _POS_SHIFT) for grp in groups]
+    return it.ids(_Interner.POOL, [(np.sort(grp.colors, axis=1), grp.owner << _POS_SHIFT) for grp in groups])
 
 
 # ---------------------------------------------------------------------------
@@ -830,8 +1002,8 @@ class _Variant:
     domain: str  # "nodes", "pairs" or "spectral_pairs"
     needs_kind: bool  # the spec must carry a matrix kind A, L or Lhat
     quantized: bool  # initial tokens depend on quantized floating-point data
-    static: Callable  # (spec, graph, quant, static interner) -> per-graph data
-    init: Callable  # (n, data) -> initial tokens
+    static: Callable  # (spec, graphs, quant) -> per-graph data
+    init: Callable  # (n, data) -> initial tokens as int64 rows
     update: Callable  # (size groups, batch interner) -> labels per group
     pool: Callable  # (spec, graphs, colors per graph, interner) -> signature ids
 
@@ -911,6 +1083,15 @@ class ColorState:
     quant: Quantization
     _data: tuple = field(repr=False, default=())  # per-graph static data of the variant
     _sigs: Optional[tuple[int, ...]] = field(repr=False, default=None)
+    # the int64 arrays ``colors`` was made from; not an init field, so a
+    # state copied by dataclasses.replace rebuilds them from its own colors
+    _arrays: Optional[tuple[np.ndarray, ...]] = field(init=False, repr=False, compare=False, default=None)
+
+    def _color_arrays(self) -> tuple[np.ndarray, ...]:
+        """``colors`` as one int64 array per graph."""
+        if self._arrays is None:
+            self._arrays = tuple(np.array(cols, np.int64) for cols in self.colors)
+        return self._arrays
 
     def graph_index(self, g: Graph) -> int:
         for i, h in enumerate(self.graphs):
@@ -937,20 +1118,15 @@ def joint_initial_coloring(
 ) -> ColorState:
     """Iteration-0 coloring of a joint run over several graphs."""
     variant = _VARIANTS[spec.variant, spec.init]
-    static = _Interner()
-    data = []
-    for g in graphs:
-        if variant.needs_kind and spec.kind is MatrixKind.NORMALIZED_LAPLACIAN:
+    if variant.needs_kind and spec.kind is MatrixKind.NORMALIZED_LAPLACIAN:
+        for g in graphs:
             _require_no_isolated(spec, g)
-        data.append(variant.static(spec, g, quant, static))
-    table = _Interner()
-    colors = []
-    for g, d in zip(graphs, data):
-        colors.append(tuple(table.id(_Interner.INIT, t) for t in variant.init(g.n, d)))
-    return ColorState(
+    data = variant.static(spec, graphs, quant)
+    ids = _first_seen([variant.init(g.n, d) for g, d in zip(graphs, data)])
+    state = ColorState(
         spec=spec,
         graphs=tuple(graphs),
-        colors=tuple(colors),
+        colors=tuple(tuple(cols.tolist()) for cols in ids),
         iteration=0,
         run_id=next(_RUN_IDS),
         stable=False,
@@ -958,6 +1134,8 @@ def joint_initial_coloring(
         quant=quant,
         _data=tuple(data),
     )
+    state._arrays = tuple(ids)
+    return state
 
 
 def refine_once(spec: AlgorithmSpec, state: ColorState) -> ColorState:
@@ -970,12 +1148,13 @@ def refine_once(spec: AlgorithmSpec, state: ColorState) -> ColorState:
     if spec != state.spec:
         raise UsageError("state was produced by a different algorithm spec")
     update = _VARIANTS[spec.variant, spec.init].update
-    new_ids = _run_update(update, state.graphs, state.colors, state._data, state.domain, _BatchInterner())
+    arrays = state._color_arrays()
+    new_ids = _run_update(update, state.graphs, arrays, state._data, state.domain, _BatchInterner())
 
     # the distinct (old, new) pairs: the new partition refines the old one
     # iff there are no more of them than new colors, and nothing changed
     # iff there are no more of them than old colors
-    old = np.fromiter(itertools.chain.from_iterable(state.colors), np.int64)
+    old = np.concatenate([np.empty(0, np.int64), *arrays])
     new = np.concatenate([np.empty(0, np.int64), *new_ids])
     pairs = _distinct(old << 32 | new)
     if pairs != _distinct(new):
@@ -983,7 +1162,7 @@ def refine_once(spec: AlgorithmSpec, state: ColorState) -> ColorState:
             f"{spec.label()}: update did not refine the partition at iteration {state.iteration + 1}"
         )
     stable = pairs == _distinct(old)
-    return ColorState(
+    nxt = ColorState(
         spec=spec,
         graphs=state.graphs,
         colors=tuple(tuple(ids.tolist()) for ids in new_ids),
@@ -994,6 +1173,8 @@ def refine_once(spec: AlgorithmSpec, state: ColorState) -> ColorState:
         quant=state.quant,
         _data=state._data,
     )
+    nxt._arrays = tuple(new_ids)
+    return nxt
 
 
 def _distinct(values: np.ndarray) -> int:

@@ -209,6 +209,34 @@ def test_gap_scale_that_is_not_positive_and_finite_is_usage_error(capsys, scale)
     assert "eig_gap_scale" in err
 
 
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        (["hunt", "--a", "wl1", "--b", "epwl:A"], "budget", "-3"),
+        (["scan", "--algs", "wl1", "--corpus", "corpus.g6"], "jobs", "0"),
+        (["scan", "--algs", "wl1", "--corpus", "corpus.g6"], "jobs", "-2"),
+    ],
+)
+def test_negative_budget_and_fewer_than_one_job_are_usage_errors(
+    tmp_path, capsys, monkeypatch, source, command, key, value
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "corpus.g6").write_text(C6 + "\n")
+    argv = [*command, "--out", str(tmp_path / "out")]
+    if source == "flag":
+        argv += [f"--{key}", value]
+    elif source == "config":
+        (tmp_path / "run.cfg").write_text(f"{key}={value}\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    else:
+        monkeypatch.setenv(f"EIGENWL_{key.upper()}", value)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert key in err and value in err
+
+
 def test_scan_missing_corpus_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "scan", "--algs", "wl1", "--corpus", "/nonexistent.g6")
     assert code == 2

@@ -233,9 +233,7 @@ def test_static_ids_match_string_reference(kind, corpus):
     for variant in PROJECTION_VARIANTS:
         spec = AlgorithmSpec.parse(f"{variant}:{kind}")
         row = _VARIANTS[spec.variant, spec.init]
-        table = _Interner()
-        for g, want in zip(graphs, refs[row.static]):
-            got = row.static(spec, g, quant, table)
+        for g, want, got in zip(graphs, refs[row.static], row.static(spec, graphs, quant)):
             if row.static is refinement._proj_static:
                 assert got.tolist() == want, (spec.label(), g)
             else:

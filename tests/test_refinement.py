@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigenwl.distances import DistanceKind
+from eigenwl.distances import DistanceKind, distance_tokens
 from eigenwl.graphs import (
     Graph,
     MatrixKind,
@@ -791,3 +791,190 @@ def test_stable_flag_one_step_from_stable(label):
     for old, new in zip(states, states[1:]):
         assert new.stable == _same_partition(old.colors, new.colors)
     assert not states[-2].stable and states[-1].stable
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: iteration 0 as the per-key intern tables made it, one
+# static.id call per distinct static key in first-seen order and one
+# table.id call per domain element
+
+
+def _ref_first_seen_ids(static, keys, inverse, at):
+    order = np.argsort(at)
+    ids = np.empty(len(keys), np.int64)
+    ids[order] = [static.id(refinement._Interner.STATIC, keys[k]) for k in order.tolist()]
+    return ids[inverse]
+
+
+def _ref_proj_static(spec, g, quant, static):
+    lams, codes = spectral.quantized_projections(g, spec.kind, quant)
+    m, nn = codes.shape[0], g.n * g.n
+    if not nn:
+        return []
+    rows = np.empty((nn, m, 2), np.int64)
+    rows[:, :, 0] = lams
+    rows[:, :, 1] = codes.reshape(m, nn).T
+    bounds = [0, *(np.flatnonzero(np.diff(lams)) + 1).tolist(), m]
+    for a, b in zip(bounds, bounds[1:]):
+        rows[:, a:b, 1].sort(axis=1)
+    rows = rows.reshape(nn, 2 * m)
+    _, at, inverse = np.unique(rows.view(np.dtype((np.void, 16 * m))).ravel(), return_index=True, return_inverse=True)
+    keys = rows[at].view(np.dtype((np.void, 16 * m))).ravel().tolist()
+    return _ref_first_seen_ids(static, keys, inverse, at).tolist()
+
+
+def _ref_eig_static(spec, g, quant, static):
+    lams, codes = spectral.quantized_projections(g, spec.kind, quant)
+    mults = spectral.decomposition_for(g, spec.kind, quant).multiplicities
+    keys, at, inverse = np.unique(codes.ravel(), return_index=True, return_inverse=True)
+    slices = _ref_first_seen_ids(static, keys.tolist(), inverse, at).reshape(len(lams), g.n * g.n)
+    return lams.tolist(), mults, slices.tolist()
+
+
+def _ref_token_static(tokens):
+    def static(spec, g, quant, table):
+        return [table.id(refinement._Interner.STATIC, tok) for tok in tokens(spec, g, quant)]
+
+    return static
+
+
+_REFERENCE_STATIC = {
+    refinement._no_static: lambda spec, g, quant, table: None,
+    refinement._atp_static: lambda spec, g, quant, table: [
+        int(atomic_type(g, u, v)) for u in range(g.n) for v in range(g.n)
+    ],
+    refinement._proj_static: _ref_proj_static,
+    refinement._eig_static: _ref_eig_static,
+    refinement._dist_static: _ref_token_static(lambda spec, g, quant: distance_tokens(g, spec.distance, quant)),
+    refinement._girt_static: _ref_token_static(lambda spec, g, quant: refinement._girt_init(g, spec.steps, quant)),
+}
+
+_REFERENCE_INIT = {
+    refinement._node_init: lambda n, data: [("node-init",)] * n,
+    refinement._pair_init: lambda n, data: [("pair-init",)] * (n * n),
+    refinement._marked_init: lambda n, data: [1 if u == v else 0 for u in range(n) for v in range(n)],
+    refinement._data_init: lambda n, data: list(data),
+    refinement._lam_init: lambda n, data: [(lam, sid) for lam, ids in zip(data[0], data[2]) for sid in ids],
+    refinement._mult_init: lambda n, data: [(mult, sid) for mult, ids in zip(data[1], data[2]) for sid in ids],
+}
+
+# one spec per row of the variant table
+INITIAL_SPEC_LABELS = [
+    "wl1", "epwl:A", "gdwl:spd", "peg:L", "swl", "pswl", "fwl2", "girt:K=4", "ign2wl", "ign2wl:atp",
+    "ign2wl:proj:A", "spe:L", "spectralign:A", "siamese:L", "weakspectralign:A", "basisnet:A:layers=1",
+]
+
+
+def _plain(data):
+    return data.tolist() if isinstance(data, np.ndarray) else data
+
+
+def _assert_initial_matches_reference(label, graphs):
+    spec = AlgorithmSpec.parse(label)
+    row = _VARIANTS[spec.variant, spec.init]
+    quant = spectral.DEFAULT_QUANT
+    static, table = refinement._Interner(), refinement._Interner()
+    data = [_REFERENCE_STATIC[row.static](spec, g, quant, static) for g in graphs]
+    colors = tuple(
+        tuple(table.id(refinement._Interner.INIT, t) for t in _REFERENCE_INIT[row.init](g.n, d))
+        for g, d in zip(graphs, data)
+    )
+    state = joint_initial_coloring(spec, graphs, quant)
+    assert [_plain(d) for d in state._data] == data, label
+    assert state.colors == colors, label
+
+
+def test_initial_specs_cover_the_variant_table():
+    assert {(s.variant, s.init) for s in map(AlgorithmSpec.parse, INITIAL_SPEC_LABELS)} == set(_VARIANTS)
+
+
+_INITIAL_INPUTS = {
+    "mixed": _mixed_sizes,
+    "zero_and_one": lambda: [
+        complete_graph(2), complete_graph(1), path_graph(4), complete_graph(1), empty_graph(0), cycle_graph(3),
+        empty_graph(0),
+    ],
+    "hunt_24_48": lambda: [*_hunt_pair(24), *_hunt_pair(48)],
+}
+
+
+@pytest.mark.parametrize("colliding", [False, True], ids=["hashed", "colliding"])
+@pytest.mark.parametrize("inputs", sorted(_INITIAL_INPUTS))
+@pytest.mark.parametrize("label", INITIAL_SPEC_LABELS)
+def test_initial_coloring_matches_reference(label, inputs, colliding, monkeypatch):
+    if colliding:
+        monkeypatch.setattr(refinement, "_HASH_BASE", np.uint64(0))
+    _assert_initial_matches_reference(label, _defined_for(label, _INITIAL_INPUTS[inputs]()))
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 48, 128])
+def test_atp_flat_matches_atomic_type(n):
+    for g in (random_graph(n, 0.3, n), complete_graph(n), empty_graph(n)):
+        want = [int(atomic_type(g, u, v)) for u in range(n) for v in range(n)]
+        assert refinement._atp_flat(g).tolist() == want
+
+
+# ---------------------------------------------------------------------------
+# sort-based numbering
+
+
+@st.composite
+def _duplicated_rows(draw):
+    """A few distinct rows of one width, repeated many times in any order."""
+    width = draw(st.integers(1, 8))
+    value = st.integers(-(2**63), 2**63 - 1) | st.integers(-3, 3)
+    distinct = draw(st.lists(st.lists(value, min_size=width, max_size=width), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=80))
+    return np.array([distinct[i] for i in picks], np.int64).reshape(len(picks), width)
+
+
+@pytest.mark.parametrize("base", [refinement._HASH_BASE, np.uint64(0)], ids=["hashed", "colliding"])
+@settings(max_examples=150, deadline=None)
+@given(rows=_duplicated_rows())
+def test_unique_rows_first_index_and_inverse(base, rows):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(refinement, "_HASH_BASE", base)
+        at, inverse = refinement._unique_rows(rows)
+    assert (rows[at][inverse] == rows).all()
+    keys = [tuple(r) for r in rows.tolist()]
+    assert len(set(keys)) == len(at)
+    first = {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    assert sorted(first.values()) == sorted(at.tolist())
+    assert all(first[keys[i]] == i for i in at.tolist())
+
+
+def test_unique_rows_single_row():
+    at, inverse = refinement._unique_rows(np.array([[5, -1, 7]], np.int64))
+    assert at.tolist() == [0] and inverse.tolist() == [0]
+
+
+@pytest.mark.parametrize("base", [refinement._HASH_BASE, np.uint64(0)], ids=["hashed", "colliding"])
+@settings(max_examples=40, deadline=None)
+@given(
+    calls=st.lists(
+        st.tuples(st.integers(0, 1), st.integers(1, 3), st.integers(1, 700), st.integers(0, 2**32)),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_batch_interner_matches_one_key_at_a_time(base, calls):
+    """Calls of every size, each looking its keys up among the earlier
+    calls' (in the store's dict or its sorted arrays), give the ids of an
+    intern table fed the keys in event order."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(refinement, "_HASH_BASE", base)
+        it, table = refinement._BatchInterner(), refinement._Interner()
+        start = 0
+        for role, width, count, seed in calls:
+            rng = np.random.default_rng(seed)
+            rows = rng.integers(0, 1 + count // 3, (count, width))
+            events = rng.permutation(count)  # rows come out of event order
+            [labels] = it.ids(role, [(rows, start + events)])
+            got = it.rank(labels)
+            want = np.empty(count, np.int64)
+            for i in np.argsort(events).tolist():
+                want[i] = table.id(role, tuple(rows[i].tolist()))
+            assert got.tolist() == want.tolist()
+            start += count
