@@ -16,7 +16,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -147,13 +147,11 @@ class RunConfig:
             if key not in known:
                 raise UsageError(f"unknown config key {key!r}")
             parsed[key] = float(val) if key == "eig_gap_scale" else int(val)
-        cfg = cls(**parsed)
-        overrides = {
-            f.name: getattr(args, f.name)
-            for f in fields(cls)
-            if getattr(args, f.name, None) is not None
-        }
-        return replace(cfg, **overrides)
+        for f in fields(cls):
+            if getattr(args, f.name, None) is not None:
+                parsed[f.name] = getattr(args, f.name)
+        # built once from the merged values, so only the final ones are checked
+        return cls(**parsed)
 
     def verify_config(self) -> VerifyConfig:
         return VerifyConfig(

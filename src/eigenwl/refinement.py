@@ -258,13 +258,15 @@ class _BatchInterner:
     id counts the distinct keys seen first before it.  Roles are the
     ``_Interner`` ones; keys of different roles or widths never match.
 
-    One ``ids`` call finds its distinct keys by sorting
-    (``_unique_rows``), and its keys are kept in a ``_KeyStore`` per
-    (role, width) so that a later call can look its own keys up among
-    them.  An update numbers all multisets of an iteration in one call and
+    Keys are kept in a ``_KeyStore`` per (role, width), so that a call can
+    look its keys up among the earlier calls'.  A call of ``_DICT_KEYS``
+    rows or more finds its distinct keys by sorting (``_unique_rows``)
+    and adds them to the store as a sorted run; a smaller one searches
+    the runs and looks the rest up one by one in the store's dict, which
+    is faster at that size.  An update numbers all multisets of an iteration in one call and
     then all tokens in another, so only the calls that ``_cross_update``
-    makes graph by graph and those of ``_wl_layers``' layers ever look
-    keys up.
+    makes graph by graph and those of ``_wl_layers``' layers ever find
+    keys of earlier calls.
     """
 
     __slots__ = ("stores", "size", "first", "ranked_ids", "ranked")
@@ -285,40 +287,35 @@ class _BatchInterner:
         for i, (rows, _) in enumerate(parts):
             if len(rows):
                 by_width.setdefault(rows.shape[1], []).append(i)
-        for members in by_width.values():
+        for width, members in by_width.items():
             if len(members) == 1:
                 rows, pos = parts[members[0]]
             else:
                 rows = np.concatenate([parts[i][0] for i in members])
                 pos = np.concatenate([parts[i][1] for i in members])
-            at, inverse = _unique_rows(rows)
-            first = np.full(len(at), _NEVER)
-            np.minimum.at(first, inverse, pos)
-            labels = self._label(role, rows[at], first)[inverse]
+            store = self.stores.get((role, width))
+            if store is None:
+                store = self.stores[role, width] = _KeyStore(width)
+            if len(rows) < _DICT_KEYS:
+                labels, added = store.few(rows, self.size)
+            else:
+                at, inverse = _unique_rows(rows)
+                labels, added = store.many(rows[at], self.size)
+                labels = labels[inverse]
+            self._grow(added)
+            np.minimum.at(self.first, labels, pos)
             end = 0
             for i in members:
                 start, end = end, end + len(parts[i][0])
                 out[i] = labels[start:end]
         return out
 
-    def _label(self, role: int, keys: np.ndarray, first: np.ndarray) -> np.ndarray:
-        """Labels of distinct keys first seen at event positions ``first``:
-        the store's label where it holds the key, a new label otherwise."""
-        size = self.size
-        store = self.stores.get((role, keys.shape[1]))
-        if store is None:
-            added = len(keys)
-            labels = np.arange(size, size + added)
-            self.stores[role, keys.shape[1]] = _KeyStore(keys, labels)
-        else:
-            labels, added = store.label(keys, size)
-        self.size = size = size + added
+    def _grow(self, added: int):
+        self.size = size = self.size + added
         if size > len(self.first):
             grow = max(size, 2 * len(self.first)) - len(self.first)
             self.first = np.concatenate([self.first, np.full(grow, _NEVER)])
             self.ranked_ids = np.concatenate([self.ranked_ids, np.zeros(grow, np.int64)])
-        self.first[labels] = np.minimum(self.first[labels], first)
-        return labels
 
     def rank(self, labels: np.ndarray) -> np.ndarray:
         """Ids of labels from ``ids``.  The labels given since the last
@@ -332,96 +329,125 @@ class _BatchInterner:
         return self.ranked_ids[labels]
 
 
-# Fewer keys than this are numbered through a dict: a numpy pass costs tens
-# of microseconds however few keys it sorts, a dict about 0.3 us a key
+# Calls of fewer rows than this look them up in a dict: a numpy pass costs
+# tens of microseconds however few rows it sorts, a dict about 0.3 us a row
 _DICT_KEYS = 256
 
 
 class _KeyStore:
     """Distinct int64 rows of one width with their labels.
 
-    The rows a store is made with are left as they are until it is first
-    searched, so a store that is only written is never indexed.  From then
-    on a key is in one of two places.  Large batches, of ``_DICT_KEYS``
-    keys and a quarter of the arrays or more, are merged into arrays
-    sorted by 64-bit hash word (``_row_words``), which are searched with
-    ``searchsorted`` and an exact row check and never sorted again.
-    Smaller batches go to a dict keyed by row bytes, which a large batch
-    empties into the arrays.
+    A key is in one of two places.  ``many`` adds its keys, and the
+    dict's, as a run: arrays sorted by 64-bit hash word (``_row_words``),
+    searched with ``searchsorted`` and an exact row check.  A new run is
+    merged with the runs before it while they are at most twice its size,
+    so each run is more than twice the next, a store of N keys has at most
+    log2(N) runs and every key is copied O(log N) times however many
+    calls there are.  ``few`` adds its keys to a dict keyed by row bytes.
+    The keys of a first ``many`` call are left unsorted until the store is
+    searched, so a store that is only written is never indexed.
     """
 
-    __slots__ = ("words", "rows", "labels", "recent")
+    __slots__ = ("width", "runs", "unsorted", "recent")
 
-    def __init__(self, rows: np.ndarray, labels: np.ndarray):
-        self.words: Optional[np.ndarray] = None  # sorted, once searched
-        self.rows = rows
-        self.labels = labels
+    def __init__(self, width: int):
+        self.width = width
+        self.runs: list[_Run] = []
+        self.unsorted: Optional[tuple[np.ndarray, np.ndarray]] = None  # (rows, labels)
         self.recent: dict[bytes, int] = {}
 
-    def label(self, rows: np.ndarray, size: int) -> tuple[np.ndarray, int]:
-        """(the label of each of the distinct ``rows``, how many of them
+    def many(self, keys: np.ndarray, size: int) -> tuple[np.ndarray, int]:
+        """(the label of each of the distinct ``keys``, how many of them
         the store did not hold); those get labels ``size``, ``size + 1``,
-        ... and are added."""
-        if self.words is None:
-            stored, labels = self.rows, self.labels
-            self.words, self.rows, self.labels = np.empty(0, np.uint64), stored[:0], labels[:0]
-            if self._large(len(stored)):
-                self._merge(stored, labels)
-            else:
-                self.recent = dict(zip(_row_bytes(stored), labels.tolist()))
-        large = self._large(len(rows))
-        if large and self.recent:
-            self._merge(rows[:0], self.labels[:0])
-        labels = self._search(rows) if len(self.words) else np.full(len(rows), -1, np.int64)
+        ... and are added as a run, after the dict's keys."""
+        if not self.runs and not self.recent and self.unsorted is None:
+            self.unsorted = keys, np.arange(size, size + len(keys))
+            return self.unsorted[1], len(keys)
+        self._index()
+        if self.recent:
+            rows = np.frombuffer(b"".join(self.recent), np.int64).reshape(len(self.recent), self.width)
+            self._push(rows, np.fromiter(self.recent.values(), np.int64, len(self.recent)))
+            self.recent = {}
+        labels = self._search(keys)
         new = labels < 0
-        if large:
-            added = int(np.count_nonzero(new))
-            labels[new] = np.arange(size, size + added)
-            self._merge(rows[new], labels[new])
-            return labels, added
+        added = int(np.count_nonzero(new))
+        labels[new] = np.arange(size, size + added)
+        self._push(keys[new], labels[new])
+        return labels, added
+
+    def few(self, rows: np.ndarray, size: int) -> tuple[np.ndarray, int]:
+        """``many`` for rows that need not be distinct, adding the keys
+        the store did not hold to the dict."""
+        self._index()
+        labels = self._search(rows)
+        new = labels < 0
         table = self.recent
         held = len(table)
         base = size - held  # a key added as the dict's k-th gets base + k
         labels[new] = [table.setdefault(key, base + len(table)) for key in _row_bytes(rows[new])]
         return labels, len(table) - held
 
-    def _large(self, count: int) -> bool:
-        return count >= max(_DICT_KEYS, len(self.words) // 4)
+    def _index(self):
+        """Sort the keys of a first ``many`` call, once searched."""
+        if self.unsorted is not None:
+            self._push(*self.unsorted)
+            self.unsorted = None
 
     def _search(self, rows: np.ndarray) -> np.ndarray:
-        """Labels of the rows in the arrays, -1 where they are not."""
-        words = _row_words(rows)
-        count = len(self.words)
-        at = np.minimum(np.searchsorted(self.words, words), count - 1)
-        hit = self.words[at] == words
-        same = hit & (self.rows[at] == rows).all(axis=1)
-        shared = hit & (self.words[np.minimum(at + 1, count - 1)] == words) & (at + 1 < count)
-        if not (hit & ~same).any() and not shared.any():
-            return np.where(same, self.labels[at], -1)
-        # a hash word shared by different rows: match whole rows instead
-        both = np.concatenate([self.rows, rows])
-        inverse = np.unique(both.view(np.dtype((np.void, both.itemsize * both.shape[1]))).ravel(), return_inverse=True)[1]
-        owner = np.full(len(both), -1, np.int64)
-        owner[inverse[:count]] = self.labels
-        return owner[inverse[count:]]
+        """Labels of the rows in the runs, -1 where they are not."""
+        labels = np.full(len(rows), -1, np.int64)
+        if self.runs:
+            words = _row_words(rows)
+            for run in self.runs:
+                # a key is in one run at most, and labels are nonnegative
+                labels = np.maximum(labels, _run_labels(run, rows, words))
+        return labels
 
-    def _merge(self, rows: np.ndarray, labels: np.ndarray):
-        """Merge rows the store does not hold, and the dict's, into the
-        arrays."""
-        if self.recent:
-            recent = np.frombuffer(b"".join(self.recent), np.int64).reshape(len(self.recent), rows.shape[1])
-            rows = np.concatenate([rows, recent])
-            labels = np.concatenate([labels, np.fromiter(self.recent.values(), np.int64, len(self.recent))])
-            self.recent = {}
+    def _push(self, rows: np.ndarray, labels: np.ndarray):
+        """Add rows the store does not hold as a run."""
+        if not len(rows):
+            return
         words = _row_words(rows)
         order = np.argsort(words)
-        # merged positions of the new rows, and of the old ones
-        at = np.searchsorted(self.words, words[order]) + np.arange(len(order))
-        old = np.ones(len(self.words) + len(order), bool)
-        old[at] = False
-        self.words = _merged(self.words, words[order], old, at)
-        self.rows = _merged(self.rows, rows[order], old, at)
-        self.labels = _merged(self.labels, labels[order], old, at)
+        run = _run(words[order], rows[order], labels[order])
+        runs = self.runs
+        while runs and len(runs[-1].words) <= 2 * len(run.words):
+            old = runs.pop()
+            at = np.searchsorted(old.words, run.words) + np.arange(len(run.words))
+            keep = np.ones(len(old.words) + len(run.words), bool)
+            keep[at] = False
+            run = _run(*(_merged(a, b, keep, at) for a, b in zip(old[:3], run[:3])))
+        runs.append(run)
+
+
+class _Run(NamedTuple):
+    """Distinct int64 rows sorted by hash word, with their labels."""
+
+    words: np.ndarray
+    rows: np.ndarray
+    labels: np.ndarray
+    shared: bool  # some hash word belongs to two rows
+
+
+def _run(words: np.ndarray, rows: np.ndarray, labels: np.ndarray) -> _Run:
+    return _Run(words, rows, labels, bool((words[1:] == words[:-1]).any()))
+
+
+def _run_labels(run: _Run, rows: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Labels of the rows (with hash words ``words``) in a run, -1 where
+    they are not."""
+    count = len(run.words)
+    at = np.minimum(np.searchsorted(run.words, words), count - 1)
+    hit = run.words[at] == words
+    same = hit & (run.rows[at] == rows).all(axis=1)
+    if not run.shared and not (hit ^ same).any():
+        return np.where(same, run.labels[at], -1)
+    # a hash word shared by different rows: match whole rows instead
+    both = np.concatenate([run.rows, rows])
+    inverse = np.unique(both.view(np.dtype((np.void, both.itemsize * both.shape[1]))).ravel(), return_inverse=True)[1]
+    owner = np.full(len(both), -1, np.int64)
+    owner[inverse[:count]] = run.labels
+    return owner[inverse[count:]]
 
 
 def _merged(old: np.ndarray, new: np.ndarray, old_at: np.ndarray, new_at: np.ndarray) -> np.ndarray:
@@ -480,9 +506,6 @@ def _first_seen(parts: list[np.ndarray]) -> list[np.ndarray]:
     """Ids of the int64 rows of each part, numbered in the order the rows
     are first seen, part after part; rows of different widths never
     match."""
-    if sum(map(len, parts)) < _DICT_KEYS:
-        table: dict[bytes, int] = {}
-        return [np.array([table.setdefault(key, len(table)) for key in _row_bytes(rows)], np.int64) for rows in parts]
     it = _BatchInterner()
     starts = np.cumsum([0] + [len(rows) for rows in parts]).tolist()
     labels = it.ids(_Interner.INIT, [(rows, start + np.arange(len(rows))) for rows, start in zip(parts, starts)])
@@ -561,12 +584,12 @@ def _token_ids(token_lists) -> list[np.ndarray]:
 
 
 def _eig_static(spec, graphs, quant):
-    """Per graph: (eigenvalue codes, multiplicities, per-eigenvalue flat
-    n*n static ids of the projection entry codes)."""
+    """Per graph: (eigenvalue codes, multiplicities, an (eigenvalues, n*n)
+    int64 array of the static ids of the projection entry codes)."""
     codes = [quantized_projections(g, spec.kind, quant) for g in graphs]
     ids = _first_seen([c.reshape(-1, 1) for _, c in codes])
     return [
-        (lams.tolist(), decomposition_for(g, spec.kind, quant).multiplicities, sids.reshape(len(lams), g.n * g.n).tolist())
+        (lams.tolist(), decomposition_for(g, spec.kind, quant).multiplicities, sids.reshape(len(lams), g.n * g.n))
         for g, (lams, _), sids in zip(graphs, codes, ids)
     ]
 
@@ -622,7 +645,7 @@ def _slice_rows(heads, slices, n):
     """Rows (head of the slice, static id), slice by slice."""
     rows = np.empty((len(heads), n * n, 2), np.int64)
     rows[:, :, 0] = np.array(heads, np.int64).reshape(-1, 1)
-    rows[:, :, 1] = np.array(slices, np.int64).reshape(len(heads), n * n)
+    rows[:, :, 1] = slices
     return rows.reshape(-1, 2)
 
 

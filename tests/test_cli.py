@@ -237,6 +237,22 @@ def test_negative_budget_and_fewer_than_one_job_are_usage_errors(
     assert key in err and value in err
 
 
+@pytest.mark.parametrize("source", ["config", "env"])
+def test_flag_overrides_bad_config_and_env_values(tmp_path, capsys, monkeypatch, source):
+    """Only the final values are checked: a flag replaces a bad value from
+    a config file or the environment."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "corpus.g6").write_text(C6 + "\n")
+    argv = ["scan", "--algs", "wl1", "--corpus", "corpus.g6", "--out", str(tmp_path / "out"), "--jobs", "1"]
+    if source == "config":
+        (tmp_path / "run.cfg").write_text("jobs=0\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    else:
+        monkeypatch.setenv("EIGENWL_JOBS", "-2")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
+
+
 def test_scan_missing_corpus_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "scan", "--algs", "wl1", "--corpus", "/nonexistent.g6")
     assert code == 2

@@ -866,6 +866,8 @@ INITIAL_SPEC_LABELS = [
 
 
 def _plain(data):
+    if isinstance(data, tuple):
+        return tuple(map(_plain, data))
     return data.tolist() if isinstance(data, np.ndarray) else data
 
 
@@ -978,3 +980,25 @@ def test_batch_interner_matches_one_key_at_a_time(base, calls):
                 want[i] = table.id(role, tuple(rows[i].tolist()))
             assert got.tolist() == want.tolist()
             start += count
+
+
+@pytest.mark.parametrize("base", [refinement._HASH_BASE, np.uint64(0)], ids=["hashed", "colliding"])
+def test_key_store_runs_stay_logarithmic(base, monkeypatch):
+    """Many equal-size calls, as a run of many equal-size graphs makes
+    them, keep each sorted run more than twice the next and still give
+    the ids of an intern table fed the keys in event order."""
+    monkeypatch.setattr(refinement, "_HASH_BASE", base)
+    it, table = refinement._BatchInterner(), refinement._Interner()
+    rng = np.random.default_rng(5)
+    start = 0
+    for call in range(60):
+        count = 300 if call % 7 else 40  # every seventh call is small enough for the dict
+        rows = rng.integers(0, 30 + 20 * call, (count, 2))
+        [labels] = it.ids(refinement._Interner.TOK, [(rows, start + np.arange(count))])
+        want = [table.id(refinement._Interner.TOK, tuple(row)) for row in rows.tolist()]
+        assert it.rank(labels).tolist() == want
+        start += count
+    store = it.stores[refinement._Interner.TOK, 2]
+    sizes = [len(run.words) for run in store.runs]
+    assert all(a > 2 * b for a, b in zip(sizes, sizes[1:])), sizes
+    assert len(sizes) > 1 and sum(sizes) + len(store.recent) == len(table)
