@@ -98,6 +98,11 @@ def furer(base: Graph) -> FurerGraph:
     return FurerGraph(base, product, tuple(meta_index), tuple(subset_masks))
 
 
+def _product_n(base: Graph) -> int:
+    """Vertex count of the gadget product: 2^(deg(x) - 1) per base vertex x."""
+    return sum(1 << (d - 1) for d in base.degrees)
+
+
 def _normalize_twist(fg: FurerGraph, edges: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
     out = set()
     for u, v in edges:
@@ -298,10 +303,10 @@ def search_counterexamples(
             status = "budget exhausted"
             break
         remaining -= 1
-        fg = furer(base)
-        if max_product_n is not None and fg.product.n > max_product_n:
+        if max_product_n is not None and _product_n(base) > max_product_n:
             skipped += 1
             continue
+        fg = furer(base)
         first_edge = next(fg.base.edges())
         consider(fg.product, twist(fg, [first_edge]), note)
     return SearchResult(tuple(witnesses), examined, skipped, unstable, status)

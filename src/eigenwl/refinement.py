@@ -40,10 +40,12 @@ a run, grouped by vertex count.  Keys are int64 rows numbered by sorting
 (``_unique_rows``), one pass per phase: the static data, the initial
 tokens, then per iteration all multisets and then all tokens.  The ids
 come out as an intern table fed one key at a time would give them.
-``spectralign``'s cross update and the pools' reductions still go graph
-by graph, because their keys hold final ids; the cross update and the
-pools' vertex-refinement layers look their keys up among the earlier
-calls' in a ``_KeyStore``.
+``spectralign``'s cross update runs four such passes per iteration, each
+ranked before the next because the later ones key on final ids, so its
+ids follow the keys pass by pass over the run (phase-major); its later
+passes and the pools' vertex-refinement layers look their keys up among
+the earlier calls' in a ``_KeyStore``.  The pools' reductions still go
+graph by graph.
 """
 
 from __future__ import annotations
@@ -263,10 +265,10 @@ class _BatchInterner:
     rows or more finds its distinct keys by sorting (``_unique_rows``)
     and adds them to the store as a sorted run; a smaller one searches
     the runs and looks the rest up one by one in the store's dict, which
-    is faster at that size.  An update numbers all multisets of an iteration in one call and
-    then all tokens in another, so only the calls that ``_cross_update``
-    makes graph by graph and those of ``_wl_layers``' layers ever find
-    keys of earlier calls.
+    is faster at that size.  An update numbers all multisets of an
+    iteration in one call and then all tokens in another, so only the
+    later passes of ``_cross_update`` and the later layers of
+    ``_wl_layers`` ever find keys of earlier calls.
     """
 
     __slots__ = ("stores", "size", "first", "ranked_ids", "ranked")
@@ -655,8 +657,9 @@ def _slice_rows(heads, slices, n):
 # An update sees all graphs of the run at once, grouped by vertex count.
 # Every key it interns is one event of the per-element order that the
 # run's ids follow (graph by graph, element by element, multiset before
-# token); an event's position is its graph's run index shifted left by
-# _POS_SHIFT plus its place in that graph's event list.
+# token; _cross_update's passes are ranked one after the other, each
+# graph by graph); an event's position is its graph's run index shifted
+# left by _POS_SHIFT plus its place in that graph's event list.
 
 
 _POS_SHIFT = 40
@@ -824,31 +827,41 @@ def _cross_update(groups, it):
     """Per-slice 15-slot update paired with the 15-slot update of the pair
     multisets over slices (cross-eigenspace aggregation).
 
-    A graph with k slices has the events of its k slice updates, then its
-    n*n pair multisets, the 15-slot update over them and k*n*n pair
-    tokens.  The pair multiset ids act as colors in the second update,
-    where they meet slice colors in the same keys, so they must be final
-    ids: the graphs are updated one at a time in run order, each looking
-    its keys up among the earlier graphs', and the pair multisets are
-    ranked before the second update.
+    Four passes, each over the whole run and ranked before the next: the
+    15-slot update of every slice, every graph's n*n pair multisets over
+    its slices, the 15-slot update of every graph's slice of pair
+    multisets, and every element's (slice token, cross token) pair.  The
+    pair multiset ids act as colors in the third pass, where they meet
+    slice colors in the same keys, so they must be final ids before it.
+    Ids are thus numbered pass by pass, graph by graph within a pass
+    (phase-major); each pass's events are numbered from 0 per graph.
     """
-    MS, TOK = _Interner.MS, _Interner.TOK
-    out = [np.empty_like(grp.colors) for grp in groups]
-    runs = sorted((i, g) for g, grp in enumerate(groups) for i in np.unique(grp.owner).tolist())
-    for i, g in runs:
-        own = groups[g].owner == i
-        colors = groups[g].colors[own]
-        k, n = colors.shape[:2]
-        nn, events = n * n, _ign_events(n)
-        start = i << _POS_SHIFT
-        [per_slice] = _ign_slices([(colors, start + events * np.arange(k))], it)
-        start += k * events
-        [sp] = it.ids(MS, [(np.sort(colors.reshape(k, nn).T, axis=1), start + np.arange(nn))])
-        [cross] = _ign_slices([(it.rank(sp).reshape(1, n, n), np.array([start + nn]))], it)
-        pairs = np.stack([per_slice.ravel(), np.tile(cross.ravel(), k)], axis=1)
-        [tok] = it.ids(TOK, [(pairs, start + nn + events + np.arange(k * nn))])
-        out[g][own] = tok.reshape(k, n, n)
-    return out
+    slice_ids = [it.rank(labels) for labels in _ign_update(groups, it)]
+    # per group: the first slice of each graph and the graph's slice count
+    firsts = [np.flatnonzero(grp.index == 0) for grp in groups]
+    counts = [np.diff(np.append(first, len(grp.index))) for grp, first in zip(groups, firsts)]
+    # pair multisets, one part per group and slice count k: rows of width k
+    parts, where = [], []
+    for g, (grp, first, count) in enumerate(zip(groups, firsts, counts)):
+        nn = grp.colors.shape[1] ** 2
+        for k in np.unique(count).tolist():
+            picked = count == k
+            slices = grp.colors[(first[picked, None] + np.arange(k)).ravel()].reshape(-1, k, nn)
+            pos = grp.owner[first[picked], None] << _POS_SHIFT | np.arange(nn)
+            parts.append((np.sort(slices.mT, axis=2).reshape(-1, k), pos.ravel()))
+            where.append((g, picked))
+    sp = [np.empty((len(first), *grp.colors.shape[1:]), np.int64) for grp, first in zip(groups, firsts)]
+    for (g, picked), labels in zip(where, it.ids(_Interner.MS, parts)):
+        sp[g][picked] = it.rank(labels).reshape(-1, *sp[g].shape[1:])
+    stacks = [(s, grp.owner[first] << _POS_SHIFT) for s, grp, first in zip(sp, groups, firsts)]
+    cross = [it.rank(labels) for labels in _ign_slices(stacks, it)]
+    toks = []
+    for grp, ids, crossed, count in zip(groups, slice_ids, cross, counts):
+        nn = grp.colors.shape[1] ** 2
+        pairs = np.stack([ids.ravel(), np.repeat(crossed, count, axis=0).ravel()], axis=1)
+        pos = grp.owner[:, None] << _POS_SHIFT | grp.index[:, None] * nn + np.arange(nn)
+        toks.append((pairs, pos.ravel()))
+    return [labels.reshape(grp.colors.shape) for grp, labels in zip(groups, it.ids(_Interner.TOK, toks))]
 
 
 # ---------------------------------------------------------------------------

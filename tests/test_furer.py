@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eigenwl import furer as furer_module
 from eigenwl.furer import SearchResult, Witness, furer, parity_check, search_counterexamples, twist
 from eigenwl.graphs import (
     complete_graph,
@@ -168,6 +169,30 @@ def test_search_is_deterministic():
     a = search_counterexamples(AlgorithmSpec.parse("wl1"), AlgorithmSpec.parse("epwl:A"), **args)
     b = search_counterexamples(AlgorithmSpec.parse("wl1"), AlgorithmSpec.parse("epwl:A"), **args)
     assert a == b
+
+
+def test_search_skips_oversized_products_without_building_them(monkeypatch):
+    built = []
+    build = furer_module.furer
+
+    def recording(base):
+        fg = build(base)
+        built.append(fg.product.n)
+        return fg
+
+    monkeypatch.setattr(furer_module, "furer", recording)
+    spec = AlgorithmSpec.parse("wl1")
+    result = search_counterexamples(spec, spec, max_base_n=5, budget=40, seed=1, max_product_n=16)
+    assert result.skipped > 0
+    assert built and max(built) <= 16
+    assert result.examined == 1 + len(built)  # the seed pair, then one pair per product built
+
+
+def test_product_size_from_base_degrees():
+    """The size a hunt checks before building a product, over the bundled
+    hunts' candidate stream."""
+    for base, _ in furer_module._candidate_bases(6, 140, 1729):
+        assert furer_module._product_n(base) == furer(base).product.n
 
 
 def test_witness_line_round_trip():

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import itertools
+import json
 import random
 from pathlib import Path
 
@@ -24,8 +25,9 @@ from eigenwl.graphs import (
     random_connected_graph,
     random_graph,
     star_graph,
+    write_graph6,
 )
-from eigenwl import furer, refinement, spectral
+from eigenwl import cli, furer, refinement, spectral
 from eigenwl.refinement import (
     _VARIANTS,
     AlgorithmSpec,
@@ -344,9 +346,13 @@ def test_stability_is_a_fixpoint(c6, two_triangles):
 # golden refinement digest
 
 # sha256 over every iteration's coloring, the signatures, the quantization
-# flag and the label of each spec below, as computed before the variants
-# moved into one table; any change to a color id or a signature changes it.
-REFINEMENT_DIGEST = "018dd5bdf76fa37b1f57ede40a12cd4ac818eec6553844cd322e08ff4f0bbb57"
+# flag and the label of each spec below; any change to a color id or a
+# signature changes it.  It moved on purpose when spectralign's cross update
+# began numbering its keys pass by pass over the run (phase-major): that
+# renumbers the three spectralign specs and keeps every partition
+# (test_spectralign_partitions_match_graph_by_graph_numbering); the records
+# of every other spec are unchanged.
+REFINEMENT_DIGEST = "c69d15d65880223c8d3e8d1bc2d0107a8f57cb11fd4d99833f7177122496e091"
 
 DIGEST_SPEC_LABELS = ALL_SPEC_LABELS + [
     "spectralign:L",
@@ -409,14 +415,20 @@ def test_spec_without_table_row_is_rejected(variant, init):
         AlgorithmSpec(variant, kind=MatrixKind.ADJACENCY, init=init)
 
 
+def _perfbench(name):
+    """A module of the benchmark harness in ``perfbench/``, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    module_spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_tracer_hooks(c6, two_triangles, monkeypatch):
     """perfbench's tracer reaches refinement functions, ColorState fields
     and the projection cache by name; a rename would break the traced
     benchmark run."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    module_spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(module_spec)
-    module_spec.loader.exec_module(tracing)
+    tracing = _perfbench("tracing")
     for name in tracing.MODULES:
         importlib.import_module(f"eigenwl.{name}")
     # a cold projection cache, so that every quantization below is counted
@@ -445,6 +457,18 @@ def test_benchmark_tracer_hooks(c6, two_triangles, monkeypatch):
         spectral.decomposition_for(g, MatrixKind.ADJACENCY).m * (1 + g.n * g.n) for g in (c6, two_triangles)
     )
     assert metrics["spectral.quantized_entries"] == entries == 4 * 37 + 2 * 37
+
+
+def test_scan_reproduces_benchmark_digest(tmp_path, capsys):
+    """The benchmark's scan, on its base graphs with n = 16, 32 and 48,
+    gives the buckets and relations its regression digest records."""
+    workloads = _perfbench("workloads")
+    corpus, out = tmp_path / "scan.g6", tmp_path / "scan.json"
+    corpus.write_text("".join(write_graph6(g) + "\n" for g in workloads.scan_base_corpus()))
+    argv = ["scan", "--algs", ",".join(workloads.SCAN_ALGS), "--corpus", str(corpus), "--out", str(out)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert workloads.scan_digest(json.loads(out.read_text())) == workloads.SCAN_DIGEST
 
 
 # ---------------------------------------------------------------------------
@@ -555,13 +579,31 @@ def _ref_slice(n, data, colors, it):
     return out
 
 
-def _ref_cross(n, data, colors, it):
+def _ref_cross_sequential(n, data, colors, it):
+    """spectralign's update with the keys of one graph numbered before the
+    next graph's, as the update once ran; its ids differ from the run's,
+    its partitions must not."""
     MS, TOK = refinement._Interner.MS, refinement._Interner.TOK
     nn = n * n
     slice_ids = _ref_slice(n, None, colors, it)
     sp = [it.id(MS, tuple(sorted(colors[p::nn]))) for p in range(nn)]
     cross_ids = _ref_ign(n, None, sp, it) * (len(colors) // nn)
     return [it.id(TOK, pair) for pair in zip(slice_ids, cross_ids)]
+
+
+def _ref_cross(ns, data, colors, it):
+    """spectralign's update over the whole run, phase-major: every graph's
+    slice updates, then every graph's pair multisets over slices, their
+    15-slot updates, and every graph's (slice token, cross token) pairs."""
+    MS, TOK = refinement._Interner.MS, refinement._Interner.TOK
+    run = [i for i, n in enumerate(ns) if n]  # a graph without vertices has no slices
+    slice_ids = {i: _ref_slice(ns[i], None, colors[i], it) for i in run}
+    sps = {i: [it.id(MS, tuple(sorted(colors[i][p :: ns[i] ** 2]))) for p in range(ns[i] ** 2)] for i in run}
+    cross = {i: _ref_ign(ns[i], None, sps[i], it) for i in run}
+    out = [[] for _ in ns]
+    for i in run:
+        out[i] = [it.id(TOK, pair) for pair in zip(slice_ids[i], cross[i] * (len(colors[i]) // ns[i] ** 2))]
+    return out
 
 
 _REFERENCE_UPDATES = {
@@ -575,26 +617,31 @@ _REFERENCE_UPDATES = {
     "fwl2": _ref_fwl2,
     "ign2wl": _ref_ign,
     "spe": _ref_ign,
-    "spectralign": _ref_cross,
     "siamese": _ref_slice,
     "weakspectralign": _ref_slice,
     "basisnet": _ref_slice,
 }
 
+# references that see the whole run at once:
+# (vertex counts, per-graph data, flat colors per graph, interner) -> new color ids per graph
+_RUN_REFERENCE_UPDATES = {"spectralign": _ref_cross}
+
 
 def _assert_matches_reference(label, graphs):
     """refine_once gives the reference ids at every iteration to stability."""
     spec = AlgorithmSpec.parse(label)
-    ref = _REFERENCE_UPDATES[spec.variant]
     state = joint_initial_coloring(spec, graphs)
     while not state.stable:
         it = refinement._Interner()
-        expected = tuple(
-            tuple(ref(g.n, d.tolist() if isinstance(d, np.ndarray) else d, list(cols), it))
-            for g, d, cols in zip(state.graphs, state._data, state.colors)
-        )
+        data = [d.tolist() if isinstance(d, np.ndarray) else d for d in state._data]
+        colors = [list(cols) for cols in state.colors]
+        if spec.variant in _RUN_REFERENCE_UPDATES:
+            expected = _RUN_REFERENCE_UPDATES[spec.variant]([g.n for g in state.graphs], data, colors, it)
+        else:
+            ref = _REFERENCE_UPDATES[spec.variant]
+            expected = [ref(g.n, d, cols, it) for g, d, cols in zip(state.graphs, data, colors)]
         state = refine_once(spec, state)
-        assert state.colors == expected, (label, state.iteration)
+        assert state.colors == tuple(map(tuple, expected)), (label, state.iteration)
     return state
 
 
@@ -668,7 +715,7 @@ def _shuffled(g, seed):
     return g.relabel(perm)
 
 
-@pytest.mark.parametrize("label", ["fwl2", "pswl", "swl"])
+@pytest.mark.parametrize("label", ["fwl2", "pswl", "swl", "spectralign:A"])
 def test_pair_updates_match_reference_on_hunt_products(label):
     for n in (24, 48):
         _assert_matches_reference(label, list(_hunt_pair(n)))
@@ -682,8 +729,10 @@ def _mixed_sizes():
 
 
 def _defined_for(label, graphs):
-    """The graphs ``label`` is defined on: girt rejects isolated vertices."""
-    if AlgorithmSpec.parse(label).variant == "girt":
+    """The graphs ``label`` is defined on: girt and the Lhat variants
+    reject isolated vertices."""
+    spec = AlgorithmSpec.parse(label)
+    if spec.variant == "girt" or spec.kind is MatrixKind.NORMALIZED_LAPLACIAN:
         return [g for g in graphs if not g.has_isolated]
     return graphs
 
@@ -703,7 +752,7 @@ def test_pair_updates_match_reference_beyond_the_corpus(label):
 @pytest.mark.parametrize(
     "label",
     ["wl1", "epwl:A", "gdwl:spd", "peg:A", "girt:K=4", "swl", "pswl", "fwl2", "ign2wl", "ign2wl:atp",
-     "siamese:A"],
+     "siamese:A", "spectralign:A", "spectralign:L"],
 )
 def test_pair_updates_match_reference_on_zero_and_one_vertex(label):
     graphs = [complete_graph(2), complete_graph(1), path_graph(4), complete_graph(1)]
@@ -791,6 +840,77 @@ def test_stable_flag_one_step_from_stable(label):
     for old, new in zip(states, states[1:]):
         assert new.stable == _same_partition(old.colors, new.colors)
     assert not states[-2].stable and states[-1].stable
+
+
+def _sequential_cross_chain(spec, graphs):
+    """The colorings of spectralign's graph-by-graph reference update, from
+    the initial coloring to the first one that keeps the partition."""
+    chain = [joint_initial_coloring(spec, graphs).colors]
+    while len(chain) < 2 or not _same_partition(chain[-2], chain[-1]):
+        it = refinement._Interner()
+        chain.append(
+            tuple(tuple(_ref_cross_sequential(g.n, None, list(c), it)) if c else () for g, c in zip(graphs, chain[-1]))
+        )
+    return chain
+
+
+_CROSS_INPUTS = {
+    "digest": lambda: _digest_corpus(),
+    "hunt": lambda: [*_hunt_pair(24), *_hunt_pair(48)],
+    "mixed": _mixed_sizes,
+    "zero_and_one": lambda: [
+        complete_graph(2), complete_graph(1), path_graph(4), empty_graph(0), cycle_graph(3), empty_graph(0),
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", ["A", "L", "Lhat"])
+@pytest.mark.parametrize(
+    "inputs, colliding",
+    [("digest", False), ("hunt", False), ("mixed", False), ("zero_and_one", False), ("mixed", True)],
+    ids=["digest", "hunt", "mixed", "zero_and_one", "mixed_colliding"],
+)
+def test_spectralign_partitions_match_graph_by_graph_numbering(kind, inputs, colliding, monkeypatch):
+    """Numbering the cross update pass by pass over the run, not graph by
+    graph, changes ids only: every iteration's partition, the iteration
+    count and the signature buckets stay those of the sequential update."""
+    if colliding:
+        monkeypatch.setattr(refinement, "_HASH_BASE", np.uint64(0))
+    label = f"spectralign:{kind}"
+    spec = AlgorithmSpec.parse(label)
+    graphs = _defined_for(label, _CROSS_INPUTS[inputs]())
+    chain = _sequential_cross_chain(spec, graphs)
+    states = [joint_initial_coloring(spec, graphs)]
+    while not states[-1].stable:
+        states.append(refine_once(spec, states[-1]))
+    assert len(states) == len(chain)
+    for state, colors in zip(states, chain):
+        assert _same_partition(state.colors, colors), state.iteration
+    pool = _VARIANTS[spec.variant, spec.init].pool
+    sequential = pool(spec, graphs, [list(c) for c in chain[-1]], refinement._Interner())
+    batched = [s.value for s in signatures(states[-1])]
+    assert [sequential.index(v) for v in sequential] == [batched.index(v) for v in batched]
+
+
+def test_spectralign_interns_once_per_pass_whatever_the_run_size(monkeypatch):
+    """One refine_once makes the same number of ids calls on 2 graphs as on
+    40 of the same size."""
+    calls = []
+    ids = refinement._BatchInterner.ids
+
+    def counted(self, role, parts):
+        calls.append(role)
+        return ids(self, role, parts)
+
+    monkeypatch.setattr(refinement._BatchInterner, "ids", counted)
+    spec = AlgorithmSpec.parse("spectralign:L")
+    counts = []
+    for size in (2, 40):
+        state = joint_initial_coloring(spec, [random_connected_graph(7, 0.4, seed) for seed in range(size)])
+        calls.clear()
+        refine_once(spec, state)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 # ---------------------------------------------------------------------------
