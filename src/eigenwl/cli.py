@@ -85,6 +85,20 @@ SCAN_REPORT_SCHEMA = {
 }
 
 
+# sizes and counts, for which 0 is valid and a negative value means nothing
+_NONNEGATIVE = (
+    "budget",
+    "max_base_n",
+    "max_product_n",
+    "corpus_max_n",
+    "random_graphs",
+    "random_max_n",
+    "hierarchy_random_graphs",
+    "hierarchy_random_max_n",
+    "parity_max_base_n",
+)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """All tunables of a CLI invocation; seed fixes every random choice."""
@@ -105,8 +119,9 @@ class RunConfig:
 
     def __post_init__(self):
         # checked here, so flags, config files and EIGENWL_* variables all pass through it
-        if self.budget < 0:
-            raise UsageError(f"budget must be nonnegative, got {self.budget}")
+        for name in _NONNEGATIVE:
+            if getattr(self, name) < 0:
+                raise UsageError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if self.jobs < 1:
             raise UsageError(f"jobs must be at least 1, got {self.jobs}")
 

@@ -42,10 +42,11 @@ tokens, then per iteration all multisets and then all tokens.  The ids
 come out as an intern table fed one key at a time would give them.
 ``spectralign``'s cross update runs four such passes per iteration, each
 ranked before the next because the later ones key on final ids, so its
-ids follow the keys pass by pass over the run (phase-major); its later
-passes and the pools' vertex-refinement layers look their keys up among
-the earlier calls' in a ``_KeyStore``.  The pools' reductions still go
-graph by graph.
+ids follow the keys pass by pass over the run (phase-major).  Each call
+numbers only its own keys, as one role of an intern table fed in event
+order: a key of one cross-update pass never matches a key of another,
+and no other update, nor the pools' vertex-refinement layers, interns
+one key in two calls.  The pools' reductions still go graph by graph.
 """
 
 from __future__ import annotations
@@ -249,38 +250,33 @@ class _Interner:
 
 _NEVER = np.iinfo(np.int64).max  # the first event of a key not seen yet
 
+# Calls of fewer rows than this number them in a dict: a numpy pass costs
+# tens of microseconds however few rows it sorts, a dict about 0.3 us a row
+_DICT_KEYS = 256
+
 
 class _BatchInterner:
     """The ids an ``_Interner`` would give, for whole arrays of int64 row
     keys interned out of event order.
 
-    ``ids`` gives each distinct key a label and keeps the earliest event
-    position it was seen at; ``rank`` turns labels into the ids that
-    ``_Interner.id`` calls in event order would have given, since such an
-    id counts the distinct keys seen first before it.  Roles are the
-    ``_Interner`` ones; keys of different roles or widths never match.
-
-    Keys are kept in a ``_KeyStore`` per (role, width), so that a call can
-    look its keys up among the earlier calls'.  A call of ``_DICT_KEYS``
-    rows or more finds its distinct keys by sorting (``_unique_rows``)
-    and adds them to the store as a sorted run; a smaller one searches
-    the runs and looks the rest up one by one in the store's dict, which
-    is faster at that size.  An update numbers all multisets of an
-    iteration in one call and then all tokens in another, so only the
-    later passes of ``_cross_update`` and the later layers of
-    ``_wl_layers`` ever find keys of earlier calls.
+    ``ids`` gives each distinct key of one call a label and keeps the
+    earliest event position it was seen at; ``rank`` turns labels into
+    the ids that ``_Interner.id`` calls in event order would have given,
+    since such an id counts the distinct keys seen first before it.  A
+    call is one role of that ``_Interner``: keys of different calls, or of
+    different widths, never match.  A call finds its distinct keys by
+    sorting (``_unique_rows``), or in a dict below ``_DICT_KEYS`` rows.
     """
 
-    __slots__ = ("stores", "size", "first", "ranked_ids", "ranked")
+    __slots__ = ("size", "first", "ranked_ids", "ranked")
 
     def __init__(self):
-        self.stores: dict[tuple[int, int], _KeyStore] = {}
         self.size = 0  # labels given so far
         self.first = np.empty(0, np.int64)  # per label: earliest event position
         self.ranked_ids = np.empty(0, np.int64)  # per label: its id, once ranked
         self.ranked = 0  # labels below this are ranked
 
-    def ids(self, role: int, parts: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
+    def ids(self, parts: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
         """Labels of the rows of each ``(rows, pos)`` part: ``rows`` is a
         2-D int64 array with one row per event and ``pos[i]`` the event
         position of row i.  Parts of one width are numbered together."""
@@ -289,22 +285,21 @@ class _BatchInterner:
         for i, (rows, _) in enumerate(parts):
             if len(rows):
                 by_width.setdefault(rows.shape[1], []).append(i)
-        for width, members in by_width.items():
+        for members in by_width.values():
             if len(members) == 1:
                 rows, pos = parts[members[0]]
             else:
                 rows = np.concatenate([parts[i][0] for i in members])
                 pos = np.concatenate([parts[i][1] for i in members])
-            store = self.stores.get((role, width))
-            if store is None:
-                store = self.stores[role, width] = _KeyStore(width)
             if len(rows) < _DICT_KEYS:
-                labels, added = store.few(rows, self.size)
+                table: dict[bytes, int] = {}
+                inverse = np.array([table.setdefault(key, len(table)) for key in _row_bytes(rows)], np.int64)
+                distinct = len(table)
             else:
                 at, inverse = _unique_rows(rows)
-                labels, added = store.many(rows[at], self.size)
-                labels = labels[inverse]
-            self._grow(added)
+                distinct = len(at)
+            labels = self.size + inverse
+            self._grow(distinct)
             np.minimum.at(self.first, labels, pos)
             end = 0
             for i in members:
@@ -329,134 +324,6 @@ class _BatchInterner:
         self.ranked_ids[fresh[order]] = fresh
         self.ranked = self.size
         return self.ranked_ids[labels]
-
-
-# Calls of fewer rows than this look them up in a dict: a numpy pass costs
-# tens of microseconds however few rows it sorts, a dict about 0.3 us a row
-_DICT_KEYS = 256
-
-
-class _KeyStore:
-    """Distinct int64 rows of one width with their labels.
-
-    A key is in one of two places.  ``many`` adds its keys, and the
-    dict's, as a run: arrays sorted by 64-bit hash word (``_row_words``),
-    searched with ``searchsorted`` and an exact row check.  A new run is
-    merged with the runs before it while they are at most twice its size,
-    so each run is more than twice the next, a store of N keys has at most
-    log2(N) runs and every key is copied O(log N) times however many
-    calls there are.  ``few`` adds its keys to a dict keyed by row bytes.
-    The keys of a first ``many`` call are left unsorted until the store is
-    searched, so a store that is only written is never indexed.
-    """
-
-    __slots__ = ("width", "runs", "unsorted", "recent")
-
-    def __init__(self, width: int):
-        self.width = width
-        self.runs: list[_Run] = []
-        self.unsorted: Optional[tuple[np.ndarray, np.ndarray]] = None  # (rows, labels)
-        self.recent: dict[bytes, int] = {}
-
-    def many(self, keys: np.ndarray, size: int) -> tuple[np.ndarray, int]:
-        """(the label of each of the distinct ``keys``, how many of them
-        the store did not hold); those get labels ``size``, ``size + 1``,
-        ... and are added as a run, after the dict's keys."""
-        if not self.runs and not self.recent and self.unsorted is None:
-            self.unsorted = keys, np.arange(size, size + len(keys))
-            return self.unsorted[1], len(keys)
-        self._index()
-        if self.recent:
-            rows = np.frombuffer(b"".join(self.recent), np.int64).reshape(len(self.recent), self.width)
-            self._push(rows, np.fromiter(self.recent.values(), np.int64, len(self.recent)))
-            self.recent = {}
-        labels = self._search(keys)
-        new = labels < 0
-        added = int(np.count_nonzero(new))
-        labels[new] = np.arange(size, size + added)
-        self._push(keys[new], labels[new])
-        return labels, added
-
-    def few(self, rows: np.ndarray, size: int) -> tuple[np.ndarray, int]:
-        """``many`` for rows that need not be distinct, adding the keys
-        the store did not hold to the dict."""
-        self._index()
-        labels = self._search(rows)
-        new = labels < 0
-        table = self.recent
-        held = len(table)
-        base = size - held  # a key added as the dict's k-th gets base + k
-        labels[new] = [table.setdefault(key, base + len(table)) for key in _row_bytes(rows[new])]
-        return labels, len(table) - held
-
-    def _index(self):
-        """Sort the keys of a first ``many`` call, once searched."""
-        if self.unsorted is not None:
-            self._push(*self.unsorted)
-            self.unsorted = None
-
-    def _search(self, rows: np.ndarray) -> np.ndarray:
-        """Labels of the rows in the runs, -1 where they are not."""
-        labels = np.full(len(rows), -1, np.int64)
-        if self.runs:
-            words = _row_words(rows)
-            for run in self.runs:
-                # a key is in one run at most, and labels are nonnegative
-                labels = np.maximum(labels, _run_labels(run, rows, words))
-        return labels
-
-    def _push(self, rows: np.ndarray, labels: np.ndarray):
-        """Add rows the store does not hold as a run."""
-        if not len(rows):
-            return
-        words = _row_words(rows)
-        order = np.argsort(words)
-        run = _run(words[order], rows[order], labels[order])
-        runs = self.runs
-        while runs and len(runs[-1].words) <= 2 * len(run.words):
-            old = runs.pop()
-            at = np.searchsorted(old.words, run.words) + np.arange(len(run.words))
-            keep = np.ones(len(old.words) + len(run.words), bool)
-            keep[at] = False
-            run = _run(*(_merged(a, b, keep, at) for a, b in zip(old[:3], run[:3])))
-        runs.append(run)
-
-
-class _Run(NamedTuple):
-    """Distinct int64 rows sorted by hash word, with their labels."""
-
-    words: np.ndarray
-    rows: np.ndarray
-    labels: np.ndarray
-    shared: bool  # some hash word belongs to two rows
-
-
-def _run(words: np.ndarray, rows: np.ndarray, labels: np.ndarray) -> _Run:
-    return _Run(words, rows, labels, bool((words[1:] == words[:-1]).any()))
-
-
-def _run_labels(run: _Run, rows: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Labels of the rows (with hash words ``words``) in a run, -1 where
-    they are not."""
-    count = len(run.words)
-    at = np.minimum(np.searchsorted(run.words, words), count - 1)
-    hit = run.words[at] == words
-    same = hit & (run.rows[at] == rows).all(axis=1)
-    if not run.shared and not (hit ^ same).any():
-        return np.where(same, run.labels[at], -1)
-    # a hash word shared by different rows: match whole rows instead
-    both = np.concatenate([run.rows, rows])
-    inverse = np.unique(both.view(np.dtype((np.void, both.itemsize * both.shape[1]))).ravel(), return_inverse=True)[1]
-    owner = np.full(len(both), -1, np.int64)
-    owner[inverse[:count]] = run.labels
-    return owner[inverse[count:]]
-
-
-def _merged(old: np.ndarray, new: np.ndarray, old_at: np.ndarray, new_at: np.ndarray) -> np.ndarray:
-    out = np.empty((len(old) + len(new), *old.shape[1:]), old.dtype)
-    out[old_at] = old
-    out[new_at] = new
-    return out
 
 
 def _row_bytes(rows: np.ndarray) -> list[bytes]:
@@ -510,7 +377,7 @@ def _first_seen(parts: list[np.ndarray]) -> list[np.ndarray]:
     match."""
     it = _BatchInterner()
     starts = np.cumsum([0] + [len(rows) for rows in parts]).tolist()
-    labels = it.ids(_Interner.INIT, [(rows, start + np.arange(len(rows))) for rows, start in zip(parts, starts)])
+    labels = it.ids([(rows, start + np.arange(len(rows))) for rows, start in zip(parts, starts)])
     return [it.rank(part) for part in labels]
 
 
@@ -691,12 +558,12 @@ def _multiset_update(groups, parts, it: _BatchInterner) -> list[np.ndarray]:
         colors = grp.colors
         bags.append(np.sort(left << 32 | right, axis=-1).reshape(colors.size, colors.shape[-1]))
         pos.append((grp.owner[:, None] << _POS_SHIFT | np.arange(0, 2 * colors[0].size, 2)).ravel())
-    ms = it.ids(_Interner.MS, list(zip(bags, pos)))
+    ms = it.ids(list(zip(bags, pos)))
     del bags
     toks = [
         (np.stack([*(np.ravel(x) for x in head), m], axis=1), p + 1) for (_, _, head), m, p in zip(parts, ms, pos)
     ]
-    return [labels.reshape(grp.colors.shape) for grp, labels in zip(groups, it.ids(_Interner.TOK, toks))]
+    return [labels.reshape(grp.colors.shape) for grp, labels in zip(groups, it.ids(toks))]
 
 
 def _vertex_update(groups, it):
@@ -754,7 +621,7 @@ def _girt_update(groups, it):
         s, n = c.shape[:2]
         pos.append(grp.owner[:, None, None] << _POS_SHIFT | np.arange(0, 2 * n * n, 2).reshape(n, n))
         bags.append(np.sort(c << 32 | np.diagonal(c, axis1=1, axis2=2)[:, None, :], axis=2).reshape(s * n, n))
-    ms = it.ids(_Interner.MS, [(b, np.diagonal(p, axis1=1, axis2=2).ravel()) for b, p in zip(bags, pos)])
+    ms = it.ids([(b, np.diagonal(p, axis1=1, axis2=2).ravel()) for b, p in zip(bags, pos)])
     del bags
     toks = []
     for grp, m, p in zip(groups, ms, pos):
@@ -765,7 +632,7 @@ def _girt_update(groups, it):
         second = np.where(eye, m.reshape(s, n, 1), diag[:, :, None])
         tok = np.stack(np.broadcast_arrays(c, second, diag[:, None, :], eye), axis=-1).reshape(-1, 4)
         toks.append((tok, p.ravel() + 1))
-    return [labels.reshape(grp.colors.shape) for grp, labels in zip(groups, it.ids(_Interner.TOK, toks))]
+    return [labels.reshape(grp.colors.shape) for grp, labels in zip(groups, it.ids(toks))]
 
 
 def _ign_events(n: int) -> int:
@@ -797,7 +664,7 @@ def _ign_slices(stacks, it: _BatchInterner) -> list[np.ndarray]:
         )
         bags.append((lines.reshape(s * (2 * n + 1), n), (base[:, None] + np.arange(2 * n + 1)).ravel()))
         full.append((np.sort(colors.reshape(s, n * n), axis=1), base + 2 * n + 1))
-    ms = it.ids(_Interner.MS, bags + full)
+    ms = it.ids(bags + full)
     del bags, full
     toks = []
     for (colors, base), lines_ms, full_ms in zip(stacks, ms, ms[len(stacks) :]):
@@ -813,7 +680,7 @@ def _ign_slices(stacks, it: _BatchInterner) -> list[np.ndarray]:
         tok[..., 4] = (lines_ms[:, 2 * n] << 32 | full_ms)[:, None, None]
         tok[..., 5] = np.eye(n, dtype=np.int64)
         toks.append((tok.reshape(s * n * n, 6), (base[:, None] + (2 * n + 2) + np.arange(n * n)).ravel()))
-    return [labels.reshape(c.shape) for (c, _), labels in zip(stacks, it.ids(_Interner.TOK, toks))]
+    return [labels.reshape(c.shape) for (c, _), labels in zip(stacks, it.ids(toks))]
 
 
 def _ign_update(groups, it):
@@ -834,7 +701,10 @@ def _cross_update(groups, it):
     pair multiset ids act as colors in the third pass, where they meet
     slice colors in the same keys, so they must be final ids before it.
     Ids are thus numbered pass by pass, graph by graph within a pass
-    (phase-major); each pass's events are numbered from 0 per graph.
+    (phase-major); each pass's events are numbered from 0 per graph.  No
+    key matches a key of another pass, even an equal one: a pair-multiset
+    slice and a color slice are different things, and the last pass
+    keeps slice and cross ids in separate slots.
     """
     slice_ids = [it.rank(labels) for labels in _ign_update(groups, it)]
     # per group: the first slice of each graph and the graph's slice count
@@ -851,7 +721,7 @@ def _cross_update(groups, it):
             parts.append((np.sort(slices.mT, axis=2).reshape(-1, k), pos.ravel()))
             where.append((g, picked))
     sp = [np.empty((len(first), *grp.colors.shape[1:]), np.int64) for grp, first in zip(groups, firsts)]
-    for (g, picked), labels in zip(where, it.ids(_Interner.MS, parts)):
+    for (g, picked), labels in zip(where, it.ids(parts)):
         sp[g][picked] = it.rank(labels).reshape(-1, *sp[g].shape[1:])
     stacks = [(s, grp.owner[first] << _POS_SHIFT) for s, grp, first in zip(sp, groups, firsts)]
     cross = [it.rank(labels) for labels in _ign_slices(stacks, it)]
@@ -861,7 +731,7 @@ def _cross_update(groups, it):
         pairs = np.stack([ids.ravel(), np.repeat(crossed, count, axis=0).ravel()], axis=1)
         pos = grp.owner[:, None] << _POS_SHIFT | grp.index[:, None] * nn + np.arange(nn)
         toks.append((pairs, pos.ravel()))
-    return [labels.reshape(grp.colors.shape) for grp, labels in zip(groups, it.ids(_Interner.TOK, toks))]
+    return [labels.reshape(grp.colors.shape) for grp, labels in zip(groups, it.ids(toks))]
 
 
 # ---------------------------------------------------------------------------
@@ -870,9 +740,10 @@ def _cross_update(groups, it):
 
 def _size_groups(graphs, colors, data, domain: str) -> list[_Group]:
     """The graphs grouped by vertex count, groups in order of first
-    appearance; ``colors`` holds one int64 array per graph.  A graph has one length-n slice on the node domain, one
-    n x n slice on the pair domain and one per eigenvalue on the spectral
-    domain."""
+    appearance; ``colors`` holds one int64 array per graph.
+
+    A graph has one length-n slice on the node domain, one n x n slice on
+    the pair domain and one per eigenvalue on the spectral domain."""
     by_n: dict[int, list[int]] = {}
     for i, g in enumerate(graphs):
         by_n.setdefault(g.n, []).append(i)
@@ -1005,6 +876,12 @@ def _wl_layers(graphs, node_colors, first_id: int, steps: Optional[int]) -> list
     that many layers.  Ids continue the numbering of the pool's table,
     whose size is ``first_id``: its keys are multisets of pool colors, so
     it holds none of the bags, tokens and POOL keys interned here.
+
+    One interner numbers every layer, and each of its calls numbers only
+    its own keys, yet the ids are those of one table shared by all
+    layers: every key of a layer holds colors of the layer before, which
+    are ids new in that layer (pool colors, below ``first_id``, in the
+    first), so no key of a layer equals a key of an earlier one.
     """
     it = _BatchInterner()
     atps = [_atp_flat(g) for g in graphs]
@@ -1024,7 +901,7 @@ def _wl_layers(graphs, node_colors, first_id: int, steps: Optional[int]) -> list
 
 def _node_pool(groups, it):
     """The multiset of each graph's node colors."""
-    return it.ids(_Interner.POOL, [(np.sort(grp.colors, axis=1), grp.owner << _POS_SHIFT) for grp in groups])
+    return it.ids([(np.sort(grp.colors, axis=1), grp.owner << _POS_SHIFT) for grp in groups])
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import os
 import jsonschema
 import pytest
 
-from eigenwl.cli import SCAN_REPORT_SCHEMA, main
+from eigenwl.cli import SCAN_REPORT_SCHEMA, RunConfig, main
 from eigenwl.graphs import complete_graph, cycle_graph, parse_graph6, write_graph6
 from eigenwl.witnesses import parse_witness_corpus
 
@@ -235,6 +235,45 @@ def test_negative_budget_and_fewer_than_one_job_are_usage_errors(
     assert code == 2
     assert out == ""
     assert key in err and value in err
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        (["hunt", "--a", "wl1", "--b", "epwl:A"], "max_base_n", "-4"),
+        (["hunt", "--a", "wl1", "--b", "epwl:A"], "max_product_n", "-1"),
+        (["verify", "--quick"], "corpus_max_n", "-1"),
+        (["verify", "--quick"], "random_graphs", "-3"),
+        (["verify", "--quick"], "random_max_n", "-2"),
+        (["verify", "--quick"], "hierarchy_random_graphs", "-2"),
+        (["verify", "--quick"], "hierarchy_random_max_n", "-5"),
+        (["verify", "--quick"], "parity_max_base_n", "-1"),
+    ],
+)
+def test_negative_sizes_and_counts_are_usage_errors(tmp_path, capsys, monkeypatch, source, command, key, value):
+    """A negative size or count is rejected before any work starts, from
+    every source; before, it ran on empty corpora and reported success."""
+    monkeypatch.chdir(tmp_path)
+    argv = list(command)
+    if source == "flag":
+        argv += [f"--{key.replace('_', '-')}", value]
+    elif source == "config":
+        (tmp_path / "run.cfg").write_text(f"{key}={value}\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    else:
+        monkeypatch.setenv(f"EIGENWL_{key.upper()}", value)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert key in err and value in err
+
+
+def test_zero_sizes_and_counts_stay_valid():
+    names = ["budget", "max_base_n", "max_product_n", "corpus_max_n", "random_graphs", "random_max_n",
+             "hierarchy_random_graphs", "hierarchy_random_max_n", "parity_max_base_n"]
+    cfg = RunConfig(**dict.fromkeys(names, 0))
+    assert all(getattr(cfg, name) == 0 for name in names)
 
 
 @pytest.mark.parametrize("source", ["config", "env"])
