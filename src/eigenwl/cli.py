@@ -10,6 +10,7 @@ seed-threaded and timing is only emitted on request.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -409,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True, help="first graph (graph6)")
     p.add_argument("--h", dest="h_graph", required=True, help="second graph (graph6)")
     _add_config_options(p)
-    p.set_defaults(func=cmd_compare)
 
     p = subs.add_parser("scan", help="signature buckets and pairwise relations over a corpus")
     p.add_argument("--algs", required=True, help="comma-separated algorithm specs")
@@ -418,12 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="also write the relation matrix as CSV")
     p.add_argument("--timings", action="store_true", help="include wall-clock timings in the JSON")
     _add_config_options(p)
-    p.set_defaults(func=cmd_scan)
 
     p = subs.add_parser("verify", help="run every corpus-level property suite")
     p.add_argument("--quick", action="store_true", help="shrunken corpora for a fast smoke run")
     _add_config_options(p)
-    p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("hunt", help="search for pairs where two algorithms disagree")
     p.add_argument("--a", required=True, help="first algorithm spec")
@@ -431,35 +429,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-base-n", dest="max_base_n", type=int, default=None)
     p.add_argument("--out", default="witnesses.txt", help="witness corpus file to append to")
     _add_config_options(p)
-    p.set_defaults(func=cmd_hunt)
 
     p = subs.add_parser("distances", help="emit one distance matrix as CSV")
     p.add_argument("--kind", required=True, help="distance spec, e.g. rd or prd:w=0,1,0.5")
     p.add_argument("--g", required=True, help="graph (graph6)")
     _add_config_options(p)
-    p.set_defaults(func=cmd_distances)
 
     p = subs.add_parser("furer", help="emit the gadget product of a base graph")
     p.add_argument("--base", required=True, help="base graph (graph6)")
     p.add_argument("--twist", help="comma-separated base edges u-v to twist")
     _add_config_options(p)
-    p.set_defaults(func=cmd_furer)
 
     p = subs.add_parser("token", help="emit the k-th symmetric power of a graph")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--g", required=True, help="graph (graph6)")
     _add_config_options(p)
-    p.set_defaults(func=cmd_token)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process-wide parser: building it costs more than a small command."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so a replaced cmd_* function is the one that runs
+    command = globals()[f"cmd_{args.command}"]
     try:
         cfg = RunConfig.from_sources(getattr(args, "config", None), args)
-        return args.func(cfg, args)
+        return command(cfg, args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

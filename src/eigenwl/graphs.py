@@ -17,7 +17,7 @@ import enum
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -42,7 +42,6 @@ __all__ = [
     "random_graph",
     "read_corpus",
     "star_graph",
-    "wl_certificate",
     "write_graph6",
 ]
 
@@ -415,31 +414,6 @@ def build_matrix(g: Graph, kind: MatrixKind) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# canonical 1-WL certificate (bucketing key for enumeration dedupe)
-
-
-def wl_certificate(g: Graph) -> tuple:
-    """Cheap isomorphism-invariant certificate used for dedup bucketing.
-
-    Color ids are ranks within the sorted signature list of each round,
-    which makes the certificate canonical (independent of vertex order).
-    """
-    colors = [0] * g.n
-    prev = 1
-    for _ in range(g.n + 1):
-        sigs = [
-            (colors[u], tuple(sorted((colors[v], g.rows[u] >> v & 1) for v in range(g.n) if v != u)))
-            for u in range(g.n)
-        ]
-        ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        colors = [ranks[s] for s in sigs]
-        if len(ranks) == prev:
-            break
-        prev = len(ranks)
-    return (g.n, g.num_edges, tuple(sorted(colors)))
-
-
-# ---------------------------------------------------------------------------
 # exact isomorphism oracle
 
 
@@ -617,33 +591,208 @@ def biconnectivity_report(g: Graph) -> BiconnectivityReport:
 
 
 # ---------------------------------------------------------------------------
+# canonical form (isomorph rejection for enumeration)
+
+
+def _refine(rows: Sequence[int], cells: list[int], active: list[int]) -> list[int]:
+    """Coarsest equitable refinement of the ordered partition ``cells``.
+
+    Cells and splitters are vertex bitmasks.  Each splitter popped from
+    ``active`` splits every cell by neighbour count into it; the fragments
+    replace the cell in place, by ascending count, and become splitters.
+    Both orders follow cell positions only, so the result is equivariant
+    under relabelling.
+    """
+    while active:
+        w = active.pop()
+        out: list[int] = []
+        if w & (w - 1) == 0:
+            # one-vertex splitter: counts are 0 (non-neighbours) and 1
+            nbrs = rows[w.bit_length() - 1]
+            for x in cells:
+                hit = x & nbrs
+                if hit and hit != x:
+                    out += (x ^ hit, hit)
+                    active += (x ^ hit, hit)
+                else:
+                    out.append(x)
+        else:
+            for x in cells:
+                if x & (x - 1) == 0:
+                    out.append(x)
+                    continue
+                groups: dict[int, int] = {}
+                rem = x
+                while rem:
+                    low = rem & -rem
+                    count = (rows[low.bit_length() - 1] & w).bit_count()
+                    groups[count] = groups.get(count, 0) | low
+                    rem ^= low
+                if len(groups) == 1:
+                    out.append(x)
+                else:
+                    frags = [groups[c] for c in sorted(groups)]
+                    out += frags
+                    active += frags
+        cells = out
+    return cells
+
+
+def _canonical_form(rows: Sequence[int]) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """Canonical form of the graph with bit rows ``rows``, and automorphisms.
+
+    Individualization-refinement (McKay & Piperno, "Practical graph
+    isomorphism II", 2014).  The root is the equitable refinement of the
+    degree partition (cells by ascending degree).  A node individualizes
+    each vertex of its first non-singleton cell in turn and refines again;
+    a leaf is a discrete partition, read as a vertex order.  The form is
+    the least row tuple of the graph relabelled by a leaf, so two graphs
+    have equal forms iff they are isomorphic.
+
+    A leaf whose form equals the first or the best leaf's differs from it
+    by an automorphism, returned as ``perm`` with ``perm[v]`` the image of
+    ``v``.  Each prunes the search: a child is skipped when an automorphism
+    fixing the path to its node maps an explored sibling onto it.  At each
+    node of the first path, every child that the path's stabilizer maps the
+    first child to is pruned or leads to a leaf equal to the first, so the
+    automorphisms found generate the whole group.
+    """
+    n = len(rows)
+    by_degree: dict[int, int] = {}
+    for v, row in enumerate(rows):
+        d = row.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    cells = [by_degree[d] for d in sorted(by_degree)]
+    nbr_lists = [[v for v in range(n) if row >> v & 1] for row in rows]
+    automorphisms: list[tuple[int, ...]] = []
+    first = best = None  # (form, cells) of the first and the least leaf
+
+    def leaf(cells: list[int]) -> None:
+        nonlocal first, best
+        # the rows relabelled so that the vertex of cell i becomes i
+        new_bit = [0] * n
+        for i, c in enumerate(cells):
+            new_bit[c.bit_length() - 1] = 1 << i
+        bit = new_bit.__getitem__
+        form = tuple([sum(map(bit, nbr_lists[c.bit_length() - 1])) for c in cells])
+        if first is None:
+            first = best = form, cells
+            return
+        for ref_form, ref_cells in (first, best):
+            if form == ref_form:
+                perm = [0] * n
+                for a, b in zip(ref_cells, cells):
+                    perm[a.bit_length() - 1] = b.bit_length() - 1
+                automorphisms.append(tuple(perm))
+                return
+        if form < best[0]:
+            best = form, cells
+
+    def pruned(v: int, explored: int, path: list[int]) -> bool:
+        """Whether an automorphism fixing ``path`` maps an explored vertex to v."""
+        gens = [p for p in automorphisms if all(p[u] == u for u in path)]
+        orbit = 1 << v
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            for p in gens:
+                w = p[u]
+                if not orbit >> w & 1:
+                    if explored >> w & 1:
+                        return True
+                    orbit |= 1 << w
+                    stack.append(w)
+        return False
+
+    def search(cells: list[int], path: list[int]) -> None:
+        t = 0
+        while t < len(cells) and cells[t] & (cells[t] - 1) == 0:
+            t += 1
+        if t == len(cells):
+            leaf(cells)
+            return
+        target = cells[t]
+        explored = 0
+        rem = target
+        while rem:
+            low = rem & -rem
+            rem ^= low
+            v = low.bit_length() - 1
+            if explored and automorphisms and pruned(v, explored, path):
+                continue
+            explored |= low
+            child = cells[:t] + [low, target ^ low] + cells[t + 1 :]
+            search(_refine(rows, child, [low]), path + [v])
+
+    search(_refine(rows, cells, list(cells)), [])
+    return best[0], automorphisms
+
+
+# ---------------------------------------------------------------------------
 # exhaustive enumeration up to isomorphism
 
 
 _ENUM_CACHE: dict[int, list[Graph]] = {}
 
 
-def _extend(rep: Graph, mask: int) -> Graph:
-    rows = [row | ((mask >> u & 1) << rep.n) for u, row in enumerate(rep.rows)]
-    rows.append(mask)
-    return Graph(rep.n + 1, tuple(rows))
+def _orbit_minima(m: int, automorphisms: list[tuple[int, ...]]) -> Iterable[int]:
+    """Ascending masks over m vertices that no automorphism maps lower.
+
+    These are the least masks of the orbits of the group generated by
+    ``automorphisms`` on vertex subsets.
+    """
+    size = 1 << m
+    if not automorphisms:
+        return range(size)
+    images = []
+    for perm in automorphisms:
+        image = [0] * size
+        for s in range(1, size):
+            image[s] = image[s & (s - 1)] | 1 << perm[(s & -s).bit_length() - 1]
+        images.append(image)
+    seen = bytearray(size)
+    out = []
+    for s in range(size):
+        if seen[s]:
+            continue
+        out.append(s)
+        seen[s] = 1
+        stack = [s]
+        while stack:
+            t = stack.pop()
+            for image in images:
+                u = image[t]
+                if not seen[u]:
+                    seen[u] = 1
+                    stack.append(u)
+    return out
 
 
 def _all_classes(n: int) -> list[Graph]:
-    """One representative per isomorphism class on exactly n vertices."""
+    """One representative per isomorphism class on exactly n vertices.
+
+    Candidates extend each class on n - 1 vertices by a new vertex with
+    neighbour mask ``mask``, parent by parent and mask by mask ascending,
+    and the first candidate of each canonical form is kept.  A mask that
+    an automorphism of the parent maps to a smaller mask is skipped: its
+    candidate is isomorphic to one met before.
+    """
     if n in _ENUM_CACHE:
         return _ENUM_CACHE[n]
     if n == 1:
         reps = [empty_graph(1)]
     else:
-        buckets: dict[tuple, list[Graph]] = {}
-        for rep in _all_classes(n - 1):
-            for mask in range(1 << (n - 1)):
-                cand = _extend(rep, mask)
-                bucket = buckets.setdefault(wl_certificate(cand), [])
-                if not any(is_isomorphic(cand, other) for other in bucket):
-                    bucket.append(cand)
-        reps = [g for bucket in buckets.values() for g in bucket]
+        top = 1 << (n - 1)
+        seen: set[tuple[int, ...]] = set()
+        reps = []
+        for parent in _all_classes(n - 1):
+            _, automorphisms = _canonical_form(parent.rows)
+            for mask in _orbit_minima(n - 1, automorphisms):
+                rows = tuple([row | top if mask >> u & 1 else row for u, row in enumerate(parent.rows)] + [mask])
+                form, _ = _canonical_form(rows)
+                if form not in seen:
+                    seen.add(form)
+                    reps.append(Graph(n, rows))
         reps.sort(key=lambda g: (g.num_edges, write_graph6(g)))
     _ENUM_CACHE[n] = reps
     return reps
@@ -652,10 +801,11 @@ def _all_classes(n: int) -> list[Graph]:
 def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
     """Yield one representative per isomorphism class on exactly n vertices.
 
-    Exhaustive mode is limited to n <= 9 (n = 9 takes minutes; prefer
-    :func:`random_graph` for larger sizes).  Deduplication buckets
-    candidates by a 1-WL certificate and confirms with the exact
-    isomorphism oracle.
+    Exhaustive mode is limited to n <= 9; prefer :func:`random_graph` for
+    larger sizes.  Classes are told apart by canonical form.  On one core
+    of a 2-core Xeon host, n = 7 takes about 0.4 s, n = 8 about 5 s and
+    n = 9 about 2.5 minutes at 325 MB peak (with the smaller sizes, which
+    each size needs and caches per process).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -665,4 +815,3 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
         if connected_only and not g.is_connected():
             continue
         yield g
-

@@ -120,7 +120,7 @@ class SpectralDecomposition:
         """Moore-Penrose inverse of M^power, inverting nonzero eigenvalue
         clusters and zeroing the kernel cluster (same clustering threshold
         as the decomposition itself)."""
-        n = self.projections[0].shape[0]
+        n = sum(self.multiplicities)
         out = np.zeros((n, n))
         for lam, proj in zip(self.eigenvalues, self.projections):
             if lam != 0.0:

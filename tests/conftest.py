@@ -1,6 +1,9 @@
+from itertools import combinations
+
 import pytest
 
 from eigenwl.graphs import (
+    Graph,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -52,3 +55,30 @@ def k2():
 @pytest.fixture(scope="session")
 def p3():
     return path_graph(3)
+
+
+@pytest.fixture(scope="session")
+def rook_4x4():
+    """The 4x4 rook's graph, srg(16, 6, 2, 2)."""
+    edges = []
+    for a, b in combinations(range(16), 2):
+        r1, c1 = divmod(a, 4)
+        r2, c2 = divmod(b, 4)
+        if r1 == r2 or c1 == c2:
+            edges.append((a, b))
+    return Graph.from_edges(16, edges)
+
+
+@pytest.fixture(scope="session")
+def shrikhande():
+    """The Shrikhande graph: srg(16, 6, 2, 2) too, not isomorphic to the rook's graph."""
+    conn = [(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)]
+    edges = set()
+    for a in range(4):
+        for b in range(4):
+            for da, db in conn:
+                u = 4 * a + b
+                v = 4 * ((a + da) % 4) + ((b + db) % 4)
+                if u != v:
+                    edges.add((min(u, v), max(u, v)))
+    return Graph.from_edges(16, sorted(edges))

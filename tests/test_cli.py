@@ -4,6 +4,7 @@ import os
 import jsonschema
 import pytest
 
+from eigenwl import cli
 from eigenwl.cli import SCAN_REPORT_SCHEMA, RunConfig, main
 from eigenwl.graphs import complete_graph, cycle_graph, parse_graph6, write_graph6
 from eigenwl.witnesses import parse_witness_corpus
@@ -310,6 +311,31 @@ def test_distances_infinity(capsys):
     code, out, _ = run_cli(capsys, "distances", "--kind", "spd", "--g", "C`")  # 2K2 on 4 vertices
     assert code == 0
     assert any(line.endswith(",inf") for line in out.splitlines())
+
+
+@pytest.mark.parametrize("kind", ["spd", "rd", "htd", "ctd", "biharmonic", "prd", "diffusion"])
+def test_distances_on_empty_graph_print_only_the_header(capsys, kind):
+    assert run_cli(capsys, "distances", "--kind", kind, "--g", "?") == (0, "u,v,value\n", "")
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    argvs = [("distances", "--kind", "rd", "--g", "Bw"), ("token", "--k", "2", "--g", C6)]
+    fresh = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    builds = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    cli._parser.cache_clear()
+    assert [run_cli(capsys, *argv) for argv in argvs] == fresh
+    assert len(builds) == 1
+
+
+def test_main_dispatches_to_the_current_command_function(capsys, monkeypatch):
+    run_cli(capsys, "token", "--k", "2", "--g", C6)  # the parser is built before the patch
+    monkeypatch.setattr(cli, "cmd_token", lambda cfg, args: 7)
+    assert run_cli(capsys, "token", "--k", "2", "--g", C6) == (7, "", "")
 
 
 def test_furer_and_twist_round_trip(capsys):

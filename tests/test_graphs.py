@@ -1,6 +1,7 @@
+import hashlib
 import math
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigenwl.graphs import (
+    _canonical_form,
     AtomicType,
     Graph,
     Graph6Error,
@@ -301,10 +303,71 @@ def test_biconnectivity_matches_brute_force_random_n8():
 
 def test_enumeration_counts_match_known_values():
     # numbers of isomorphism classes (all / connected) on n vertices
-    known = {1: (1, 1), 2: (2, 1), 3: (4, 2), 4: (11, 6), 5: (34, 21), 6: (156, 112), 7: (1044, 853)}
+    # (OEIS A000088 / A001349)
+    known = {
+        1: (1, 1),
+        2: (2, 1),
+        3: (4, 2),
+        4: (11, 6),
+        5: (34, 21),
+        6: (156, 112),
+        7: (1044, 853),
+        8: (12346, 11117),
+    }
     for n, (total, connected) in known.items():
         assert len(list(enumerate_graphs(n))) == total
         assert len(list(enumerate_graphs(n, connected_only=True))) == connected
+
+
+def _wl_certificate(g):
+    """1-WL colour-class histogram, the bucket key of the reference enumerator."""
+    colors = [0] * g.n
+    prev = 1
+    for _ in range(g.n + 1):
+        sigs = [
+            (colors[u], tuple(sorted((colors[v], g.rows[u] >> v & 1) for v in range(g.n) if v != u)))
+            for u in range(g.n)
+        ]
+        ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        colors = [ranks[s] for s in sigs]
+        if len(ranks) == prev:
+            break
+        prev = len(ranks)
+    return (g.n, g.num_edges, tuple(sorted(colors)))
+
+
+def _reference_classes(n, cache={}):
+    """The enumerator before canonical forms: every mask of every class on
+    n - 1 vertices, deduplicated by 1-WL buckets and pairwise is_isomorphic."""
+    if n not in cache:
+        if n == 1:
+            reps = [empty_graph(1)]
+        else:
+            buckets = {}
+            for rep in _reference_classes(n - 1):
+                for mask in range(1 << (n - 1)):
+                    rows = [row | ((mask >> u & 1) << rep.n) for u, row in enumerate(rep.rows)]
+                    cand = Graph(n, tuple(rows + [mask]))
+                    bucket = buckets.setdefault(_wl_certificate(cand), [])
+                    if not any(is_isomorphic(cand, other) for other in bucket):
+                        bucket.append(cand)
+            reps = [g for bucket in buckets.values() for g in bucket]
+            reps.sort(key=lambda g: (g.num_edges, write_graph6(g)))
+        cache[n] = reps
+    return cache[n]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_enumeration_matches_reference_oracle(n):
+    expected = [write_graph6(g) for g in _reference_classes(n)]
+    assert [write_graph6(g) for g in enumerate_graphs(n)] == expected
+
+
+def test_enumeration_n7_matches_reference_digest():
+    # sha256 of the reference enumerator's n = 7 graph6 lines, joined by newlines
+    lines = "\n".join(write_graph6(g) for g in enumerate_graphs(7))
+    digest = hashlib.sha256(lines.encode()).hexdigest()
+    assert digest == "d597801f9146aa6844c801a70b39a5c9df49337dd357deb30663d5e51b99f4f4"
 
 
 def test_enumeration_yields_distinct_classes():
@@ -331,3 +394,92 @@ def test_disjoint_union(k2):
     g = random_graph(5, 0.6, 2)
     h = random_graph(4, 0.4, 3)
     assert disjoint_union(g, h).num_edges == g.num_edges + h.num_edges
+
+
+# ---------------------------------------------------------------------------
+# canonical form
+
+
+def _petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    return Graph.from_edges(10, outer + inner + spokes)
+
+
+def _complete_bipartite(m):
+    return Graph.from_edges(2 * m, [(u, m + v) for u in range(m) for v in range(m)])
+
+
+def _form(g):
+    return _canonical_form(g.rows)[0]
+
+
+def _group_order(generators, n):
+    identity = tuple(range(n))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        p = frontier.pop()
+        for gen in generators:
+            q = tuple(gen[x] for x in p)
+            if q not in seen:
+                seen.add(q)
+                frontier.append(q)
+    return len(seen)
+
+
+def _is_automorphism(g, perm):
+    return sorted(perm) == list(range(g.n)) and all(g.has_edge(perm[u], perm[v]) for u, v in g.edges())
+
+
+@settings(max_examples=80)
+@given(
+    n=st.integers(0, 10),
+    p=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**30),
+    perm_seed=st.integers(0, 2**30),
+)
+def test_canonical_form_survives_relabelling(n, p, seed, perm_seed):
+    g = random_graph(n, p, seed)
+    perm = random.Random(perm_seed).sample(range(n), n)
+    assert _form(g.relabel(perm)) == _form(g)
+
+
+def _fixed_families(rook_4x4, shrikhande):
+    families = [cycle_graph(n) for n in range(3, 13)]
+    families += [_complete_bipartite(m) for m in range(1, 6)]
+    return families + [_petersen(), rook_4x4, shrikhande]
+
+
+def test_canonical_form_survives_relabelling_on_fixed_families(rook_4x4, shrikhande):
+    rng = random.Random(11)
+    for g in _fixed_families(rook_4x4, shrikhande):
+        form = _form(g)
+        for _ in range(3):
+            assert _form(g.relabel(rng.sample(range(g.n), g.n))) == form, g
+
+
+def test_canonical_form_equality_agrees_with_isomorphism(corpus_n5, rook_4x4, shrikhande):
+    rng = random.Random(5)
+    graphs = corpus_n5 + [g.relabel(rng.sample(range(g.n), g.n)) for g in corpus_n5]
+    forms = [_form(g) for g in graphs]
+    for (g, fg), (h, fh) in combinations(zip(graphs, forms), 2):
+        assert (fg == fh) == (is_isomorphic(g, h) is not None), (g, h)
+    assert is_isomorphic(rook_4x4, shrikhande) is None
+    assert _form(rook_4x4) != _form(shrikhande)
+
+
+def test_reported_automorphisms_generate_the_automorphism_group(corpus_n5, rook_4x4, shrikhande):
+    for g in corpus_n5:
+        _, automorphisms = _canonical_form(g.rows)
+        assert all(_is_automorphism(g, p) for p in automorphisms)
+        brute = sum(_is_automorphism(g, p) for p in permutations(range(g.n)))
+        assert _group_order(automorphisms, g.n) == brute, g
+    known = {cycle_graph(n): 2 * n for n in range(3, 13)}
+    known.update({_complete_bipartite(m): 2 * math.factorial(m) ** 2 for m in range(2, 6)})
+    known.update({_petersen(): 120, rook_4x4: 1152, shrikhande: 192})
+    for g, order in known.items():
+        _, automorphisms = _canonical_form(g.rows)
+        assert all(_is_automorphism(g, p) for p in automorphisms), g
+        assert _group_order(automorphisms, g.n) == order, g

@@ -4,7 +4,7 @@ oracles for the engine, plus classical known-hard graph pairs."""
 import random
 from itertools import combinations
 
-from eigenwl.graphs import Graph, enumerate_graphs, is_isomorphic, random_connected_graph
+from eigenwl.graphs import enumerate_graphs, is_isomorphic, random_connected_graph
 from eigenwl.refinement import AlgorithmSpec, compare_partitions, distinguishes
 
 
@@ -77,36 +77,12 @@ def test_plain_pair_refinement_has_vertex_refinement_power():
     assert report.relation == "equivalent"
 
 
-def _rook_4x4():
-    edges = []
-    for a, b in combinations(range(16), 2):
-        r1, c1 = divmod(a, 4)
-        r2, c2 = divmod(b, 4)
-        if r1 == r2 or c1 == c2:
-            edges.append((a, b))
-    return Graph.from_edges(16, edges)
-
-
-def _shrikhande():
-    conn = [(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)]
-    edges = set()
-    for a in range(4):
-        for b in range(4):
-            for da, db in conn:
-                u = 4 * a + b
-                v = 4 * ((a + da) % 4) + ((b + db) % 4)
-                if u != v:
-                    edges.add((min(u, v), max(u, v)))
-    return Graph.from_edges(16, sorted(edges))
-
-
-def test_strongly_regular_pair_is_blind_spot():
+def test_strongly_regular_pair_is_blind_spot(rook_4x4, shrikhande):
     """The two 16-vertex strongly regular graphs with identical parameters
     are non-isomorphic yet indistinguishable by every implemented
     refinement up to the folklore pair refinement; anything the chain
     bounds must therefore be blind too."""
-    rook = _rook_4x4()
-    shrik = _shrikhande()
+    rook, shrik = rook_4x4, shrikhande
     assert rook.degrees == shrik.degrees == (6,) * 16
     assert is_isomorphic(rook, shrik) is None
     for label in ("wl1", "swl", "pswl", "fwl2", "epwl:A", "epwl:Lhat", "spectralign:A", "gdwl:rd"):
