@@ -37,21 +37,26 @@ stable coloring to one signature per graph.
 
 Every update runs through one driver as numpy passes over all graphs of
 a run, grouped by vertex count.  Keys are int64 rows numbered by sorting
-(``_unique_rows``), one pass per phase: the static data, the initial
-tokens, then per iteration all multisets and then all tokens.  The ids
-come out as an intern table fed one key at a time would give them.
-``spectralign``'s cross update runs four such passes per iteration, each
-ranked before the next because the later ones key on final ids, so its
-ids follow the keys pass by pass over the run (phase-major).  Each call
-numbers only its own keys, as one role of an intern table fed in event
-order: a key of one cross-update pass never matches a key of another,
-and no other update, nor the pools' vertex-refinement layers, interns
-one key in two calls.  The pools' reductions still go graph by graph.
+(``_unique_rows``), one pass per phase: the static data of the projection
+variants, the initial tokens, then per iteration all multisets and then
+all tokens.  The ids come out as an intern table fed one key at a time
+would give them.  ``spectralign``'s cross update runs four such passes
+per iteration, each ranked before the next because the later ones key on
+final ids, so its ids follow the keys pass by pass over the run
+(phase-major).  Each call numbers only its own keys, as one role of an
+intern table fed in event order: a key of one cross-update pass never
+matches a key of another, and no other update interns one key in two
+calls.  The pools reduce the stable coloring the same way: each
+reduction level (row, column, diagonal, slice or eigenvalue multisets,
+each vertex-refinement layer of ``spe`` and ``basisnet``, then the
+multiset that is the signature) is one pass over the run, ranked before
+the next level keys on its ids.  Colorings stay int64 arrays throughout.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -221,33 +226,6 @@ def _one_kind(head: str, rest: list[str]) -> MatrixKind:
 # interning
 
 
-class _Interner:
-    """Append-only bijection between canonical tokens and dense int ids.
-
-    Keys are tagged with a small role int so that equal payloads from
-    different token universes can never share an id.
-    """
-
-    __slots__ = ("table",)
-
-    INIT, MS, TOK, POOL, STATIC = range(5)
-
-    def __init__(self):
-        self.table: dict = {}
-
-    def id(self, role: int, key) -> int:
-        table = self.table
-        k = (role, key)
-        val = table.get(k)
-        if val is None:
-            val = len(table)
-            table[k] = val
-        return val
-
-    def __len__(self):
-        return len(self.table)
-
-
 _NEVER = np.iinfo(np.int64).max  # the first event of a key not seen yet
 
 # Calls of fewer rows than this number them in a dict: a numpy pass costs
@@ -256,15 +234,17 @@ _DICT_KEYS = 256
 
 
 class _BatchInterner:
-    """The ids an ``_Interner`` would give, for whole arrays of int64 row
-    keys interned out of event order.
+    """The ids an intern table (a dict giving each new key the next id)
+    would give, for whole arrays of int64 row keys interned out of event
+    order.
 
     ``ids`` gives each distinct key of one call a label and keeps the
     earliest event position it was seen at; ``rank`` turns labels into
-    the ids that ``_Interner.id`` calls in event order would have given,
-    since such an id counts the distinct keys seen first before it.  A
-    call is one role of that ``_Interner``: keys of different calls, or of
-    different widths, never match.  A call finds its distinct keys by
+    the ids that the table fed in event order would have given, since
+    such an id counts the distinct keys seen first before it.  A call is
+    one role of that table, as if its keys were tagged with the call:
+    keys of different calls, or of different widths, never match.  A call
+    finds its distinct keys by
     sorting (``_unique_rows``), or in a dict below ``_DICT_KEYS`` rows.
     """
 
@@ -448,19 +428,21 @@ def _girt_static(spec, graphs, quant):
 def _token_ids(token_lists) -> list[np.ndarray]:
     """Static ids of each graph's tokens, numbered over the run; the tokens
     are Python objects, so a dict numbers them."""
-    static = _Interner()
-    return [np.array([static.id(_Interner.STATIC, tok) for tok in tokens], np.int64) for tokens in token_lists]
+    table: dict = {}
+    return [np.array([table.setdefault(tok, len(table)) for tok in tokens], np.int64) for tokens in token_lists]
 
 
 def _eig_static(spec, graphs, quant):
     """Per graph: (eigenvalue codes, multiplicities, an (eigenvalues, n*n)
-    int64 array of the static ids of the projection entry codes)."""
-    codes = [quantized_projections(g, spec.kind, quant) for g in graphs]
-    ids = _first_seen([c.reshape(-1, 1) for _, c in codes])
-    return [
-        (lams.tolist(), decomposition_for(g, spec.kind, quant).multiplicities, sids.reshape(len(lams), g.n * g.n))
-        for g, (lams, _), sids in zip(graphs, codes, ids)
-    ]
+    int64 array of the projection entry codes).  The codes need no static
+    ids: equal codes are equal entries, so the initial tokens keyed on
+    them are numbered as they would be on ids."""
+    out = []
+    for g in graphs:
+        lams, codes = quantized_projections(g, spec.kind, quant)
+        mults = decomposition_for(g, spec.kind, quant).multiplicities
+        out.append((lams, mults, codes.reshape(len(lams), g.n * g.n)))
+    return out
 
 
 def _girt_init(g: Graph, steps: int, quant: Quantization) -> list:
@@ -511,9 +493,9 @@ def _mult_init(n, data):
 
 
 def _slice_rows(heads, slices, n):
-    """Rows (head of the slice, static id), slice by slice."""
+    """Rows (head of the slice, entry code), slice by slice."""
     rows = np.empty((len(heads), n * n, 2), np.int64)
-    rows[:, :, 0] = np.array(heads, np.int64).reshape(-1, 1)
+    rows[:, :, 0] = np.reshape(heads, (-1, 1))
     rows[:, :, 1] = slices
     return rows.reshape(-1, 2)
 
@@ -538,7 +520,7 @@ class _Group(NamedTuple):
     colors: np.ndarray  # (S, n) or (S, n, n) color slices of the graphs, in run order
     owner: np.ndarray  # (S,) run index of each slice's graph
     index: np.ndarray  # (S,) index of each slice within its graph
-    data: list  # per-graph static data of the graphs, in run order
+    data: Optional[list]  # per-graph static data of the graphs, in run order; None in the pools
 
 
 def _pair_data(grp: _Group) -> np.ndarray:
@@ -640,6 +622,26 @@ def _ign_events(n: int) -> int:
     return n * n + 2 * n + 2
 
 
+def _slice_multisets(stacks, it: _BatchInterner) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Labels of the multisets of each ``(colors, base)`` stack of S n x n
+    color slices, from one ids call: an (S, 2n + 1) array of every
+    slice's n row, n column and one diagonal multisets (events base[i]
+    on), and an (S,) array of its whole-slice multisets (event
+    base[i] + 2n + 1)."""
+    bags, full = [], []
+    for colors, base in stacks:
+        s, n = colors.shape[:2]
+        diag = np.diagonal(colors, axis1=1, axis2=2)
+        lines = np.concatenate(
+            [np.sort(colors, axis=2), np.sort(colors.transpose(0, 2, 1), axis=2), np.sort(diag, axis=1)[:, None, :]],
+            axis=1,
+        )
+        bags.append((lines.reshape(s * (2 * n + 1), n), (base[:, None] + np.arange(2 * n + 1)).ravel()))
+        full.append((np.sort(colors.reshape(s, n * n), axis=1), base + 2 * n + 1))
+    ms = it.ids(bags + full)
+    return [(ms[i].reshape(len(c), 2 * c.shape[1] + 1), ms[len(stacks) + i]) for i, (c, _) in enumerate(stacks)]
+
+
 def _ign_slices(stacks, it: _BatchInterner) -> list[np.ndarray]:
     """The 15-slot equivariant pair update of each ``(colors, base)``
     stack of n x n color slices.  Slice i of a stack has its events from
@@ -654,22 +656,9 @@ def _ign_slices(stacks, it: _BatchInterner) -> list[np.ndarray]:
     ungated slots and on being diagonal, so a token is interned as those,
     packed two to a word (ids stay below 2**31), plus a diagonal flag.
     """
-    bags, full = [], []
-    for colors, base in stacks:
-        s, n = colors.shape[:2]
-        diag = np.diagonal(colors, axis1=1, axis2=2)
-        lines = np.concatenate(
-            [np.sort(colors, axis=2), np.sort(colors.transpose(0, 2, 1), axis=2), np.sort(diag, axis=1)[:, None, :]],
-            axis=1,
-        )
-        bags.append((lines.reshape(s * (2 * n + 1), n), (base[:, None] + np.arange(2 * n + 1)).ravel()))
-        full.append((np.sort(colors.reshape(s, n * n), axis=1), base + 2 * n + 1))
-    ms = it.ids(bags + full)
-    del bags, full
     toks = []
-    for (colors, base), lines_ms, full_ms in zip(stacks, ms, ms[len(stacks) :]):
+    for (colors, base), (lines_ms, full_ms) in zip(stacks, _slice_multisets(stacks, it)):
         s, n = colors.shape[:2]
-        lines_ms = lines_ms.reshape(s, 2 * n + 1)
         diag = np.diagonal(colors, axis1=1, axis2=2)
         lines = lines_ms[:, :n] << 32 | lines_ms[:, n : 2 * n]  # row and column multiset of each vertex
         tok = np.empty((s, n, n, 6), np.int64)
@@ -683,11 +672,46 @@ def _ign_slices(stacks, it: _BatchInterner) -> list[np.ndarray]:
     return [labels.reshape(c.shape) for (c, _), labels in zip(stacks, it.ids(toks))]
 
 
+def _slice_stacks(groups) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The ``(colors, base)`` stack of each group for ``_ign_slices``: a
+    slice's events follow those of the slices before it in its graph."""
+    return [(grp.colors, grp.owner << _POS_SHIFT | grp.index * _ign_events(grp.colors.shape[1])) for grp in groups]
+
+
 def _ign_update(groups, it):
     """The 15-slot update of every slice on its own: one slice per graph
     on the pair domain, one per eigenvalue on the spectral one."""
-    stacks = [(grp.colors, grp.owner << _POS_SHIFT | grp.index * _ign_events(grp.colors.shape[1])) for grp in groups]
-    return _ign_slices(stacks, it)
+    return _ign_slices(_slice_stacks(groups), it)
+
+
+def _graph_slices(grp: _Group) -> tuple[np.ndarray, np.ndarray]:
+    """The index of each graph's first slice in the group, and the graph's
+    slice count."""
+    first = np.flatnonzero(grp.index == 0)
+    return first, np.diff(np.append(first, len(grp.index)))
+
+
+def _across_slices(groups, values, it: _BatchInterner) -> list[np.ndarray]:
+    """Ids of multisets across the slices of each graph, from one ids call
+    ranked at once: ``values`` holds per group one array per slice, and
+    the result per group one array of that shape per graph, graphs in
+    order of their first slice, whose entry x is the id of the multiset of
+    entry x over the graph's slices (event x of the graph).  Graphs with k
+    slices give rows of width k."""
+    parts, where, out = [], [], []
+    for g, (grp, vals) in enumerate(zip(groups, values)):
+        first, count = _graph_slices(grp)
+        width = math.prod(vals.shape[1:])
+        for k in sorted(set(count.tolist())):
+            picked = count == k
+            slices = vals[(first[picked, None] + np.arange(k)).ravel()].reshape(-1, k, width)
+            pos = grp.owner[first[picked], None] << _POS_SHIFT | np.arange(width)
+            parts.append((np.sort(slices.mT, axis=2).reshape(-1, k), pos.ravel()))
+            where.append((g, picked))
+        out.append(np.empty((len(first), *vals.shape[1:]), np.int64))
+    for (g, picked), labels in zip(where, it.ids(parts)):
+        out[g][picked] = it.rank(labels).reshape(-1, *out[g].shape[1:])
+    return out
 
 
 def _cross_update(groups, it):
@@ -707,26 +731,12 @@ def _cross_update(groups, it):
     keeps slice and cross ids in separate slots.
     """
     slice_ids = [it.rank(labels) for labels in _ign_update(groups, it)]
-    # per group: the first slice of each graph and the graph's slice count
-    firsts = [np.flatnonzero(grp.index == 0) for grp in groups]
-    counts = [np.diff(np.append(first, len(grp.index))) for grp, first in zip(groups, firsts)]
-    # pair multisets, one part per group and slice count k: rows of width k
-    parts, where = [], []
-    for g, (grp, first, count) in enumerate(zip(groups, firsts, counts)):
-        nn = grp.colors.shape[1] ** 2
-        for k in np.unique(count).tolist():
-            picked = count == k
-            slices = grp.colors[(first[picked, None] + np.arange(k)).ravel()].reshape(-1, k, nn)
-            pos = grp.owner[first[picked], None] << _POS_SHIFT | np.arange(nn)
-            parts.append((np.sort(slices.mT, axis=2).reshape(-1, k), pos.ravel()))
-            where.append((g, picked))
-    sp = [np.empty((len(first), *grp.colors.shape[1:]), np.int64) for grp, first in zip(groups, firsts)]
-    for (g, picked), labels in zip(where, it.ids(parts)):
-        sp[g][picked] = it.rank(labels).reshape(-1, *sp[g].shape[1:])
-    stacks = [(s, grp.owner[first] << _POS_SHIFT) for s, grp, first in zip(sp, groups, firsts)]
+    sp = _across_slices(groups, [grp.colors for grp in groups], it)
+    slices = [_graph_slices(grp) for grp in groups]
+    stacks = [(s, grp.owner[first] << _POS_SHIFT) for s, grp, (first, _) in zip(sp, groups, slices)]
     cross = [it.rank(labels) for labels in _ign_slices(stacks, it)]
     toks = []
-    for grp, ids, crossed, count in zip(groups, slice_ids, cross, counts):
+    for grp, ids, crossed, (_, count) in zip(groups, slice_ids, cross, slices):
         nn = grp.colors.shape[1] ** 2
         pairs = np.stack([ids.ravel(), np.repeat(crossed, count, axis=0).ravel()], axis=1)
         pos = grp.owner[:, None] << _POS_SHIFT | grp.index[:, None] * nn + np.arange(nn)
@@ -734,30 +744,53 @@ def _cross_update(groups, it):
     return [labels.reshape(grp.colors.shape) for grp, labels in zip(groups, it.ids(toks))]
 
 
+def _row_update(groups, it):
+    """Each node's multiset over its row of the pair slice."""
+    parts = []
+    for grp in groups:
+        s, n = grp.colors.shape[:2]
+        rows = np.sort(grp.colors, axis=2).reshape(s * n, n)
+        parts.append((rows, (grp.owner[:, None] << _POS_SHIFT | np.arange(n)).ravel()))
+    return [labels.reshape(grp.colors.shape[:2]) for grp, labels in zip(groups, it.ids(parts))]
+
+
 # ---------------------------------------------------------------------------
 # the update driver
 
 
-def _size_groups(graphs, colors, data, domain: str) -> list[_Group]:
+def _size_groups(graphs, colors, domain: str, data=None) -> list[_Group]:
     """The graphs grouped by vertex count, groups in order of first
-    appearance; ``colors`` holds one int64 array per graph.
+    appearance; ``colors`` holds one int64 array per graph and ``data``,
+    if given, the graphs' static data.
 
     A graph has one length-n slice on the node domain, one n x n slice on
-    the pair domain and one per eigenvalue on the spectral domain."""
+    the pair domain and one per eigenvalue on the spectral domain, where
+    its array holds one n*n block per eigenvalue."""
     by_n: dict[int, list[int]] = {}
     for i, g in enumerate(graphs):
         by_n.setdefault(g.n, []).append(i)
     groups = []
     for n, members in by_n.items():
-        group_data = [data[i] for i in members]
-        # spectral data is (eigenvalues, multiplicities, per-eigenvalue slices)
-        counts = [len(d[2]) for d in group_data] if domain == _S else [1] * len(members)
+        counts = [len(colors[i]) // (n * n) if n else 0 for i in members] if domain == _S else [1] * len(members)
         flat = np.concatenate([colors[i] for i in members])
         owner = np.repeat(np.array(members, np.int64), counts)
         index = np.fromiter(itertools.chain.from_iterable(map(range, counts)), np.int64, len(owner))
         shape = (n,) if domain == _N else (n, n)
+        group_data = None if data is None else [data[i] for i in members]
         groups.append(_Group(flat.reshape(len(owner), *shape), owner, index, group_data))
     return groups
+
+
+def _per_graph(groups, labels, it: _BatchInterner, size: int) -> list[np.ndarray]:
+    """Ids of each group's per-slice labels, as one flat array per graph
+    in run order; a graph without slices gets an empty one."""
+    out = [np.empty(0, np.int64)] * size
+    for grp, lab in zip(groups, labels):
+        ids = it.rank(lab)
+        starts = np.flatnonzero(grp.index == 0).tolist()
+        for i, a, b in zip(grp.owner[starts].tolist(), starts, starts[1:] + [len(ids)]):
+            out[i] = ids[a:b].ravel()
+    return out
 
 
 def _run_update(update, graphs, colors, data, domain: str, it: _BatchInterner) -> list[np.ndarray]:
@@ -765,143 +798,124 @@ def _run_update(update, graphs, colors, data, domain: str, it: _BatchInterner) -
     per graph.  Every refinement update runs here: ``update`` interns
     every key of the run into ``it`` first, then the labels are ranked
     into ids."""
-    out = [np.empty(0, np.int64)] * len(graphs)
-    groups = _size_groups(graphs, colors, data, domain)
-    for grp, labels in zip(groups, update(groups, it)):
-        ids = it.rank(labels)
-        starts = np.flatnonzero(grp.index == 0).tolist()
-        for i, a, b in zip(grp.owner[starts].tolist(), starts, starts[1:] + [len(ids)]):
-            out[i] = ids[a:b].ravel()
-    return out
+    groups = _size_groups(graphs, colors, domain, data)
+    return _per_graph(groups, update(groups, it), it, len(graphs))
 
 
 # ---------------------------------------------------------------------------
-# pools: (spec, graphs, colors per graph, interner) -> one signature id per
-# graph.  A pool interns one graph's reductions and its POOL id before it
-# starts the next graph, unless it refines node colors jointly first.
+# pools: (spec, graphs, colors per graph, batch interner) -> one signature
+# id per graph.  Each reduction level is one ids call over the whole run,
+# ranked before the next level keys on its ids; a level's keys never meet
+# another level's, as each call numbers only its own keys.
 
 
-def _pool_joint(spec, graphs, colors_list, it):
+def _pool(values, it: _BatchInterner) -> list[int]:
+    """The id of each graph's multiset of its int64 ``values`` (its
+    signature key); graphs with equally many values share one part."""
+    by_len: dict[int, list[int]] = {}
+    for i, vals in enumerate(values):
+        by_len.setdefault(len(vals), []).append(i)
+    members = list(by_len.values())
+    parts = [(np.sort(np.stack([values[i] for i in m]), axis=1), np.array(m, np.int64) << _POS_SHIFT) for m in members]
+    sigs = [0] * len(values)
+    for m, labels in zip(members, it.ids(parts)):
+        for i, sig in zip(m, it.rank(labels).tolist()):
+            sigs[i] = sig
+    return sigs
+
+
+def _per_graph_across_slices(graphs, groups, values, it: _BatchInterner) -> list[np.ndarray]:
+    """``_across_slices`` as one flat array per graph, in run order."""
+    out = [np.empty(0, np.int64)] * len(graphs)
+    for grp, stack in zip(groups, _across_slices(groups, values, it)):
+        for i, ids in zip(grp.owner[grp.index == 0].tolist(), stack):
+            out[i] = ids.ravel()
+    return out
+
+
+def _pair_multisets(graphs, colors, it: _BatchInterner) -> list[np.ndarray]:
+    """Per graph, the flat n*n ids of each pair's multiset over slices."""
+    groups = _size_groups(graphs, colors, _S)
+    return _per_graph_across_slices(graphs, groups, [grp.colors for grp in groups], it)
+
+
+def _pool_joint(spec, graphs, colors, it):
     """The multiset of all domain colors."""
-    return [it.id(_Interner.POOL, tuple(sorted(cols))) for cols in colors_list]
+    return _pool(colors, it)
 
 
-def _pool_rows(spec, graphs, colors_list, it):
+def _pool_rows(spec, graphs, colors, it):
     """Multiset over nodes of the multiset of each node's row."""
-    ms = it.id
-    MS, POOL = _Interner.MS, _Interner.POOL
-    out = []
-    for g, cols in zip(graphs, colors_list):
-        n = g.n
-        per_node = [ms(MS, tuple(sorted(cols[u * n : (u + 1) * n]))) for u in range(n)]
-        out.append(ms(POOL, tuple(sorted(per_node))))
-    return out
+    return _pool(_run_update(_row_update, graphs, colors, None, _P, it), it)
 
 
-def _pool_diag(spec, graphs, colors_list, it):
+def _pool_diag(spec, graphs, colors, it):
     """The multiset of diagonal colors."""
-    out = []
-    for g, cols in zip(graphs, colors_list):
-        n = g.n
-        out.append(it.id(_Interner.POOL, tuple(sorted(cols[u * n + u] for u in range(n)))))
-    return out
+    return _pool([cols[:: g.n + 1] for g, cols in zip(graphs, colors)], it)
 
 
-def _pool_spe(spec, graphs, colors_list, it):
+def _pool_spe(spec, graphs, colors, it):
     """Row multisets as node colors, refined to joint stability."""
-    ms = it.id
-    MS = _Interner.MS
-    node_colors = []
-    for g, cols in zip(graphs, colors_list):
-        n = g.n
-        node_colors.append([ms(MS, tuple(sorted(cols[u * n : (u + 1) * n]))) for u in range(n)])
-    return _wl_layers(graphs, node_colors, len(it), steps=None)
+    return _wl_layers(graphs, _run_update(_row_update, graphs, colors, None, _P, it), it, steps=None)
 
 
-def _pool_pairs(spec, graphs, colors_list, it):
+def _pool_pairs(spec, graphs, colors, it):
     """Multiset over pairs of each pair's multiset over slices."""
-    ms = it.id
-    MS, POOL = _Interner.MS, _Interner.POOL
-    out = []
-    for g, cols in zip(graphs, colors_list):
-        nn = g.n * g.n
-        per_pair = [ms(MS, tuple(sorted(cols[p::nn]))) for p in range(nn)]
-        out.append(ms(POOL, tuple(sorted(per_pair))))
-    return out
+    return _pool(_pair_multisets(graphs, colors, it), it)
 
 
-def _pool_pair_rows(spec, graphs, colors_list, it):
+def _pool_pair_rows(spec, graphs, colors, it):
     """Pair multisets over slices, then row multisets, then the node multiset."""
-    ms = it.id
-    MS, POOL = _Interner.MS, _Interner.POOL
-    out = []
-    for g, cols in zip(graphs, colors_list):
-        n = g.n
-        nn = n * n
-        per_pair = [ms(MS, tuple(sorted(cols[p::nn]))) for p in range(nn)]
-        per_node = [ms(MS, tuple(sorted(per_pair[u * n : (u + 1) * n]))) for u in range(n)]
-        out.append(ms(POOL, tuple(sorted(per_node))))
-    return out
+    pairs = _pair_multisets(graphs, colors, it)
+    return _pool(_run_update(_row_update, graphs, pairs, None, _P, it), it)
 
 
-def _pool_basisnet(spec, graphs, colors_list, it):
+def _pool_basisnet(spec, graphs, colors, it):
     """5-slot per-eigenspace pooling, eigenvalue multiset per node, then
-    the configured number of vertex-refinement layers."""
-    ms = it.id
-    MS = _Interner.MS
-    node_colors = []
-    for g, cols in zip(graphs, colors_list):
-        n = g.n
-        nn = n * n
-        per_node = []
-        for u in range(n):
-            lam_ids = []
-            for i in range(0, len(cols), nn):
-                sl = cols[i : i + nn]
-                row = ms(MS, tuple(sorted(sl[u * n : (u + 1) * n])))
-                col = ms(MS, tuple(sorted(sl[u::n])))
-                diag = ms(MS, tuple(sorted(sl[w * n + w] for w in range(n))))
-                full = ms(MS, tuple(sorted(sl)))
-                lam_ids.append(ms(MS, (sl[u * n + u], row, col, diag, full)))
-            per_node.append(ms(MS, tuple(sorted(lam_ids))))
-        node_colors.append(per_node)
-    return _wl_layers(graphs, node_colors, len(it), steps=spec.layers)
+    the configured number of vertex-refinement layers.
+
+    The 5-slot token of node u in a slice holds the color of (u, u), u's
+    row and column multisets and the slice's diagonal and whole-slice
+    multisets."""
+    groups = _size_groups(graphs, colors, _S)
+    toks = []
+    for grp, (lines, full) in zip(groups, _slice_multisets(_slice_stacks(groups), it)):
+        lines, full = it.rank(lines), it.rank(full)
+        s, n = grp.colors.shape[:2]
+        tok = np.empty((s, n, 5), np.int64)
+        tok[..., 0] = np.diagonal(grp.colors, axis1=1, axis2=2)
+        tok[..., 1] = lines[:, :n]
+        tok[..., 2] = lines[:, n : 2 * n]
+        tok[..., 3] = lines[:, 2 * n, None]
+        tok[..., 4] = full[:, None]
+        pos = grp.owner[:, None] << _POS_SHIFT | grp.index[:, None] * n + np.arange(n)
+        toks.append((tok.reshape(s * n, 5), pos.ravel()))
+    lam_ids = [it.rank(labels).reshape(grp.colors.shape[:2]) for grp, labels in zip(groups, it.ids(toks))]
+    return _wl_layers(graphs, _per_graph_across_slices(graphs, groups, lam_ids, it), it, steps=spec.layers)
 
 
-def _wl_layers(graphs, node_colors, first_id: int, steps: Optional[int]) -> list[int]:
+def _wl_layers(graphs, node_colors, it: _BatchInterner, steps: Optional[int]) -> list[int]:
     """Vertex-refinement layers over atomic types, joint across the run,
-    then the POOL id of each graph's multiset of node colors.
+    then the id of each graph's multiset of node colors.
 
     ``steps=None`` iterates to joint stability; an int applies exactly
-    that many layers.  Ids continue the numbering of the pool's table,
-    whose size is ``first_id``: its keys are multisets of pool colors, so
-    it holds none of the bags, tokens and POOL keys interned here.
-
-    One interner numbers every layer, and each of its calls numbers only
-    its own keys, yet the ids are those of one table shared by all
-    layers: every key of a layer holds colors of the layer before, which
-    are ids new in that layer (pool colors, below ``first_id``, in the
-    first), so no key of a layer equals a key of an earlier one.
+    that many layers.  The layers continue the pool's interner, whose
+    calls each number only their own keys, and need no lookup into an
+    earlier call: every key of a layer holds colors new in the layer
+    before (the pool's node colors in the first), so no earlier call
+    interned it.
     """
-    it = _BatchInterner()
     atps = [_atp_flat(g) for g in graphs]
-    node_colors = [np.array(cols, np.int64) for cols in node_colors]
     limit = steps if steps is not None else sum(g.n for g in graphs) + 1
     prev_count = _distinct(np.concatenate([np.empty(0, np.int64), *node_colors]))
     for _ in range(limit):
-        node_colors = [first_id + ids for ids in _run_update(_vertex_update, graphs, node_colors, atps, _N, it)]
+        node_colors = _run_update(_vertex_update, graphs, node_colors, atps, _N, it)
         if steps is None:
             count = _distinct(np.concatenate([np.empty(0, np.int64), *node_colors]))
             if count == prev_count:
                 break
             prev_count = count
-    pools = _run_update(_node_pool, graphs, node_colors, atps, _N, it)
-    return [first_id + int(ids[0]) for ids in pools]
-
-
-def _node_pool(groups, it):
-    """The multiset of each graph's node colors."""
-    return it.ids([(np.sort(grp.colors, axis=1), grp.owner << _POS_SHIFT) for grp in groups])
+    return _pool(node_colors, it)
 
 
 # ---------------------------------------------------------------------------
@@ -918,7 +932,7 @@ class _Variant:
     static: Callable  # (spec, graphs, quant) -> per-graph data
     init: Callable  # (n, data) -> initial tokens as int64 rows
     update: Callable  # (size groups, batch interner) -> labels per group
-    pool: Callable  # (spec, graphs, colors per graph, interner) -> signature ids
+    pool: Callable  # (spec, graphs, colors per graph, batch interner) -> signature ids
 
 
 _N, _P, _S = "nodes", "pairs", "spectral_pairs"
@@ -978,17 +992,19 @@ class Signature:
         return hash(self.value)
 
 
-@dataclass
+@dataclass(eq=False)
 class ColorState:
     """Joint coloring of a run at a fixed iteration.
 
-    ``colors[i]`` is the flat color-id list of graph i's domain; ids are
-    structural across all graphs of the run at this iteration.
+    ``colors[i]`` holds the color ids of graph i's domain as a flat,
+    read-only int64 array; ids are structural across all graphs of the
+    run at this iteration.  States compare by identity, since a
+    field-by-field ``==`` has no truth value on arrays.
     """
 
     spec: AlgorithmSpec
     graphs: tuple[Graph, ...]
-    colors: tuple[tuple[int, ...], ...]
+    colors: tuple[np.ndarray, ...]
     iteration: int
     run_id: int
     stable: bool
@@ -996,15 +1012,11 @@ class ColorState:
     quant: Quantization
     _data: tuple = field(repr=False, default=())  # per-graph static data of the variant
     _sigs: Optional[tuple[int, ...]] = field(repr=False, default=None)
-    # the int64 arrays ``colors`` was made from; not an init field, so a
-    # state copied by dataclasses.replace rebuilds them from its own colors
-    _arrays: Optional[tuple[np.ndarray, ...]] = field(init=False, repr=False, compare=False, default=None)
 
-    def _color_arrays(self) -> tuple[np.ndarray, ...]:
-        """``colors`` as one int64 array per graph."""
-        if self._arrays is None:
-            self._arrays = tuple(np.array(cols, np.int64) for cols in self.colors)
-        return self._arrays
+    def __post_init__(self):
+        self.colors = tuple(np.asarray(cols, np.int64) for cols in self.colors)
+        for cols in self.colors:
+            cols.flags.writeable = False
 
     def graph_index(self, g: Graph) -> int:
         for i, h in enumerate(self.graphs):
@@ -1036,10 +1048,10 @@ def joint_initial_coloring(
             _require_no_isolated(spec, g)
     data = variant.static(spec, graphs, quant)
     ids = _first_seen([variant.init(g.n, d) for g, d in zip(graphs, data)])
-    state = ColorState(
+    return ColorState(
         spec=spec,
         graphs=tuple(graphs),
-        colors=tuple(tuple(cols.tolist()) for cols in ids),
+        colors=tuple(ids),
         iteration=0,
         run_id=next(_RUN_IDS),
         stable=False,
@@ -1047,8 +1059,6 @@ def joint_initial_coloring(
         quant=quant,
         _data=tuple(data),
     )
-    state._arrays = tuple(ids)
-    return state
 
 
 def refine_once(spec: AlgorithmSpec, state: ColorState) -> ColorState:
@@ -1061,13 +1071,12 @@ def refine_once(spec: AlgorithmSpec, state: ColorState) -> ColorState:
     if spec != state.spec:
         raise UsageError("state was produced by a different algorithm spec")
     update = _VARIANTS[spec.variant, spec.init].update
-    arrays = state._color_arrays()
-    new_ids = _run_update(update, state.graphs, arrays, state._data, state.domain, _BatchInterner())
+    new_ids = _run_update(update, state.graphs, state.colors, state._data, state.domain, _BatchInterner())
 
     # the distinct (old, new) pairs: the new partition refines the old one
     # iff there are no more of them than new colors, and nothing changed
     # iff there are no more of them than old colors
-    old = np.concatenate([np.empty(0, np.int64), *arrays])
+    old = np.concatenate([np.empty(0, np.int64), *state.colors])
     new = np.concatenate([np.empty(0, np.int64), *new_ids])
     pairs = _distinct(old << 32 | new)
     if pairs != _distinct(new):
@@ -1075,10 +1084,10 @@ def refine_once(spec: AlgorithmSpec, state: ColorState) -> ColorState:
             f"{spec.label()}: update did not refine the partition at iteration {state.iteration + 1}"
         )
     stable = pairs == _distinct(old)
-    nxt = ColorState(
+    return ColorState(
         spec=spec,
         graphs=state.graphs,
-        colors=tuple(tuple(ids.tolist()) for ids in new_ids),
+        colors=tuple(new_ids),
         iteration=state.iteration + 1,
         run_id=state.run_id,
         stable=stable,
@@ -1086,8 +1095,6 @@ def refine_once(spec: AlgorithmSpec, state: ColorState) -> ColorState:
         quant=state.quant,
         _data=state._data,
     )
-    nxt._arrays = tuple(new_ids)
-    return nxt
 
 
 def _distinct(values: np.ndarray) -> int:
@@ -1113,7 +1120,7 @@ def signatures(state: ColorState) -> list[Signature]:
     if state._sigs is None:
         spec = state.spec
         pool = _VARIANTS[spec.variant, spec.init].pool
-        state._sigs = tuple(pool(spec, state.graphs, [list(c) for c in state.colors], _Interner()))
+        state._sigs = tuple(pool(spec, state.graphs, state.colors, _BatchInterner()))
     return [Signature(state.run_id, v) for v in state._sigs]
 
 

@@ -210,7 +210,7 @@ def check_distances_determined(cfg: VerifyConfig) -> CheckResult:
     bad = []
     count = 0
     for gi, g in enumerate(corpus):
-        cols = state.colors[gi]
+        cols = state.colors[gi].tolist()
         for u in range(g.n):
             for v in range(g.n):
                 key = (cols[u], cols[v], pair_token(g, MatrixKind.NORMALIZED_LAPLACIAN, u, v, cfg.quant).data)
@@ -375,7 +375,7 @@ def check_pair_colors_determine_projections(cfg: VerifyConfig) -> CheckResult:
         for gi, g in enumerate(corpus):
             if kind is MatrixKind.NORMALIZED_LAPLACIAN and g.has_isolated:
                 continue
-            cols = state.colors[gi]
+            cols = state.colors[gi].tolist()
             n = g.n
             for u in range(n):
                 for v in range(n):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from eigenwl import furer, refinement, spectral
 from eigenwl.graphs import MatrixKind, complete_graph, random_connected_graph
-from eigenwl.refinement import _VARIANTS, AlgorithmSpec, _Interner
+from eigenwl.refinement import _VARIANTS, AlgorithmSpec
 from eigenwl.spectral import (
     NEAR_TIE,
     Quantization,
@@ -31,7 +31,7 @@ from eigenwl.spectral import (
     quantized_projections,
     spectrum_token,
 )
-from test_refinement import _digest_corpus, _hypercube
+from test_refinement import _digest_corpus, _hypercube, _Interner
 
 KINDS = (MatrixKind.ADJACENCY, MatrixKind.LAPLACIAN, MatrixKind.NORMALIZED_LAPLACIAN)
 
@@ -172,12 +172,13 @@ def _ref_proj_static(spec, g, quant, static):
     return out
 
 
-def _ref_eig_static(spec, g, quant, static):
+def _ref_eig_static(spec, g, quant):
+    """(eigenvalue strings, multiplicities, each eigenvalue's flat n*n
+    projection entry strings)."""
     lams, entries = _ref_quantized_projections(g, spec.kind, quant)
     mults = decomposition_for(g, spec.kind, quant).multiplicities
     n = g.n
-    slices = [[static.id(_Interner.STATIC, ent[u][v]) for u in range(n) for v in range(n)] for ent in entries]
-    return lams, mults, slices
+    return list(lams), mults, [[ent[u][v] for u in range(n) for v in range(n)] for ent in entries]
 
 
 def _ref_pair_token(g, kind, u, v, quant):
@@ -222,14 +223,22 @@ PROJECTION_VARIANTS = ("epwl", "peg", "ign2wl:proj", "spe", "spectralign", "siam
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
 @pytest.mark.parametrize("kind", ["A", "L", "Lhat"])
 def test_static_ids_match_string_reference(kind, corpus):
-    """Each variant's static data of a joint run over the corpus, against
-    the string route's over one table."""
+    """Each variant's static data of a joint run over the corpus: the
+    projection variants' static ids against the string route's over one
+    table, and the spectral variants' eigenvalue and entry codes, which
+    the initial tokens number directly, against the string route's
+    strings."""
     quant, graphs = spectral.DEFAULT_QUANT, _corpus(corpus)
-    refs = {}
-    for static, ref in ((refinement._proj_static, _ref_proj_static), (refinement._eig_static, _ref_eig_static)):
-        spec = AlgorithmSpec.parse(f"{'epwl' if ref is _ref_proj_static else 'siamese'}:{kind}")
-        table = _Interner()
-        refs[static] = [ref(spec, g, quant, table) for g in graphs]
+    table = _Interner()
+    epwl, siamese = AlgorithmSpec.parse(f"epwl:{kind}"), AlgorithmSpec.parse(f"siamese:{kind}")
+    refs = {
+        refinement._proj_static: [_ref_proj_static(epwl, g, quant, table) for g in graphs],
+        refinement._eig_static: [_ref_eig_static(siamese, g, quant) for g in graphs],
+    }
+
+    def render(codes):
+        return [_render_code(code, quant.digits) for code in codes]
+
     for variant in PROJECTION_VARIANTS:
         spec = AlgorithmSpec.parse(f"{variant}:{kind}")
         row = _VARIANTS[spec.variant, spec.init]
@@ -238,8 +247,8 @@ def test_static_ids_match_string_reference(kind, corpus):
                 assert got.tolist() == want, (spec.label(), g)
             else:
                 lams, mults, slices = got
-                assert [_render_code(lam, quant.digits) for lam in lams] == list(want[0]), (spec.label(), g)
-                assert (mults, slices.tolist()) == want[1:], (spec.label(), g)
+                assert (render(lams.tolist()), mults) == want[:2], (spec.label(), g)
+                assert [render(codes) for codes in slices.tolist()] == want[2], (spec.label(), g)
 
 
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
