@@ -51,6 +51,20 @@ reduction level (row, column, diagonal, slice or eigenvalue multisets,
 each vertex-refinement layer of ``spe`` and ``basisnet``, then the
 multiset that is the signature) is one pass over the run, ranked before
 the next level keys on its ids.  Colorings stay int64 arrays throughout.
+
+Keys that hold an element's own color skip the sort when that color is
+the element's alone (the singleton rule): every 15-slot token holds its
+pair's color in its first slot, and each (slice token, cross token) pair
+of ``spectralign``'s last pass holds the slice token, so a color that
+occurs once in the pass makes that element's key match no other key of
+the call.  Such a key gets a label of its own at its event position,
+which is the label sorting would give a key seen once, and ``rank``
+numbers it with the rest, so every id stays what the intern table would
+give.  The last iteration of a run mostly confirms stability, and on
+larger graphs most elements enter it with colors of their own.  The
+multiset updates (``wl1``, ``swl``, ``pswl``, ``fwl2``, ``girt``,
+``peg``) hash every key: their cost is the multiset pass, and ``peg``'s
+token lacks the own color.
 """
 
 from __future__ import annotations
@@ -232,6 +246,10 @@ _NEVER = np.iinfo(np.int64).max  # the first event of a key not seen yet
 # tens of microseconds however few rows it sorts, a dict about 0.3 us a row
 _DICT_KEYS = 256
 
+# Labels a fresh interner has room for before it grows its tables: the
+# few hundred labels of a refinement step or pool of a tiny run fit
+_START_LABELS = 1024
+
 
 class _BatchInterner:
     """The ids an intern table (a dict giving each new key the next id)
@@ -244,33 +262,40 @@ class _BatchInterner:
     such an id counts the distinct keys seen first before it.  A call is
     one role of that table, as if its keys were tagged with the call:
     keys of different calls, or of different widths, never match.  A call
-    finds its distinct keys by
-    sorting (``_unique_rows``), or in a dict below ``_DICT_KEYS`` rows.
+    finds its distinct keys by sorting (``_unique_rows``), or in a dict
+    below ``_DICT_KEYS`` rows; keys its caller knows to be unique in the
+    call (the singleton rule) it labels without either, in the same call.
     """
 
     __slots__ = ("size", "first", "ranked_ids", "ranked")
 
     def __init__(self):
         self.size = 0  # labels given so far
-        self.first = np.empty(0, np.int64)  # per label: earliest event position
-        self.ranked_ids = np.empty(0, np.int64)  # per label: its id, once ranked
+        self.first = np.full(_START_LABELS, _NEVER)  # per label: earliest event position
+        self.ranked_ids = np.zeros(_START_LABELS, np.int64)  # per label: its id, once ranked
         self.ranked = 0  # labels below this are ranked
 
-    def ids(self, parts: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
-        """Labels of the rows of each ``(rows, pos)`` part: ``rows`` is a
-        2-D int64 array with one row per event and ``pos[i]`` the event
-        position of row i.  Parts of one width are numbered together."""
+    def ids(self, parts: list[tuple]) -> list[np.ndarray]:
+        """Labels of the events of each ``(rows, pos)`` part: ``pos[i]`` is
+        the position of event i and ``rows`` a 2-D int64 array of the
+        events' keys, one row per event.  Parts of one width are numbered
+        together.
+
+        The parts of a call may all be ``(rows, pos, shared)`` instead,
+        with a bool mask ``shared`` over the events: ``rows`` then holds
+        the keys of the events where it is true only, and every other
+        event's key is known to match no other key of the call, so the
+        event gets a label of its own without being hashed."""
         out = [np.empty(0, np.int64)] * len(parts)
         by_width: dict[int, list[int]] = {}
-        for i, (rows, _) in enumerate(parts):
-            if len(rows):
+        for i, (rows, pos, *_) in enumerate(parts):
+            if len(pos):
                 by_width.setdefault(rows.shape[1], []).append(i)
         for members in by_width.values():
             if len(members) == 1:
-                rows, pos = parts[members[0]]
+                rows, pos, *shared = parts[members[0]]
             else:
-                rows = np.concatenate([parts[i][0] for i in members])
-                pos = np.concatenate([parts[i][1] for i in members])
+                rows, pos, *shared = map(np.concatenate, zip(*(parts[i] for i in members)))
             if len(rows) < _DICT_KEYS:
                 table: dict[bytes, int] = {}
                 inverse = np.array([table.setdefault(key, len(table)) for key in _row_bytes(rows)], np.int64)
@@ -279,11 +304,17 @@ class _BatchInterner:
                 at, inverse = _unique_rows(rows)
                 distinct = len(at)
             labels = self.size + inverse
-            self._grow(distinct)
+            fresh = len(pos) - len(rows)
+            self._grow(distinct + fresh)
+            if shared:
+                every = np.empty(len(pos), np.int64)
+                every[shared[0]] = labels
+                every[~shared[0]] = np.arange(self.size - fresh, self.size)
+                labels = every
             np.minimum.at(self.first, labels, pos)
             end = 0
             for i in members:
-                start, end = end, end + len(parts[i][0])
+                start, end = end, end + len(parts[i][1])
                 out[i] = labels[start:end]
         return out
 
@@ -299,9 +330,8 @@ class _BatchInterner:
         call get the next ids, in the order of their earliest events, so
         every event interned after a call must come after every event
         interned before it."""
-        fresh = np.arange(self.ranked, self.size)
-        order = np.argsort(self.first[fresh])
-        self.ranked_ids[fresh[order]] = fresh
+        order = np.argsort(self.first[self.ranked : self.size])
+        self.ranked_ids[self.ranked + order] = np.arange(self.ranked, self.size)
         self.ranked = self.size
         return self.ranked_ids[labels]
 
@@ -655,7 +685,10 @@ def _ign_slices(stacks, it: _BatchInterner) -> list[np.ndarray]:
     absent elsewhere.  Two tokens are equal iff they agree on the ten
     ungated slots and on being diagonal, so a token is interned as those,
     packed two to a word (ids stay below 2**31), plus a diagonal flag.
+    A pair whose color occurs once in the stacks has a token no other
+    pair has, as c(u,v) is in its first slot; its token is not hashed.
     """
+    counts = np.bincount(np.concatenate([np.empty(0, np.int64)] + [colors.ravel() for colors, _ in stacks]))
     toks = []
     for (colors, base), (lines_ms, full_ms) in zip(stacks, _slice_multisets(stacks, it)):
         s, n = colors.shape[:2]
@@ -668,7 +701,10 @@ def _ign_slices(stacks, it: _BatchInterner) -> list[np.ndarray]:
         tok[..., 3] = lines[:, None, :]
         tok[..., 4] = (lines_ms[:, 2 * n] << 32 | full_ms)[:, None, None]
         tok[..., 5] = np.eye(n, dtype=np.int64)
-        toks.append((tok.reshape(s * n * n, 6), (base[:, None] + (2 * n + 2) + np.arange(n * n)).ravel()))
+        shared = counts[colors.ravel()] > 1
+        pos = (base[:, None] + (2 * n + 2) + np.arange(n * n)).ravel()
+        toks.append((tok.reshape(s * n * n, 6).compress(shared, axis=0), pos, shared))
+        del tok  # the dense tokens: only the shared ones are kept
     return [labels.reshape(c.shape) for (c, _), labels in zip(stacks, it.ids(toks))]
 
 
@@ -728,19 +764,23 @@ def _cross_update(groups, it):
     (phase-major); each pass's events are numbered from 0 per graph.  No
     key matches a key of another pass, even an equal one: a pair-multiset
     slice and a color slice are different things, and the last pass
-    keeps slice and cross ids in separate slots.
+    keeps slice and cross ids in separate slots.  Both 15-slot passes skip
+    hashing the tokens of singleton colors (``_ign_slices``), and the last
+    pass the pairs of slice tokens that occur once in the run.
     """
     slice_ids = [it.rank(labels) for labels in _ign_update(groups, it)]
     sp = _across_slices(groups, [grp.colors for grp in groups], it)
     slices = [_graph_slices(grp) for grp in groups]
     stacks = [(s, grp.owner[first] << _POS_SHIFT) for s, grp, (first, _) in zip(sp, groups, slices)]
     cross = [it.rank(labels) for labels in _ign_slices(stacks, it)]
+    counts = np.bincount(np.concatenate([np.empty(0, np.int64)] + [ids.ravel() for ids in slice_ids]))
     toks = []
     for grp, ids, crossed, (_, count) in zip(groups, slice_ids, cross, slices):
         nn = grp.colors.shape[1] ** 2
-        pairs = np.stack([ids.ravel(), np.repeat(crossed, count, axis=0).ravel()], axis=1)
+        shared = counts[ids.ravel()] > 1
+        pairs = np.stack([ids.ravel(), np.repeat(crossed, count, axis=0).ravel()], axis=1).compress(shared, axis=0)
         pos = grp.owner[:, None] << _POS_SHIFT | grp.index[:, None] * nn + np.arange(nn)
-        toks.append((pairs, pos.ravel()))
+        toks.append((pairs, pos.ravel(), shared))
     return [labels.reshape(grp.colors.shape) for grp, labels in zip(groups, it.ids(toks))]
 
 
@@ -907,11 +947,11 @@ def _wl_layers(graphs, node_colors, it: _BatchInterner, steps: Optional[int]) ->
     """
     atps = [_atp_flat(g) for g in graphs]
     limit = steps if steps is not None else sum(g.n for g in graphs) + 1
-    prev_count = _distinct(np.concatenate([np.empty(0, np.int64), *node_colors]))
+    prev_count = _classes(np.concatenate([np.empty(0, np.int64), *node_colors]))
     for _ in range(limit):
         node_colors = _run_update(_vertex_update, graphs, node_colors, atps, _N, it)
         if steps is None:
-            count = _distinct(np.concatenate([np.empty(0, np.int64), *node_colors]))
+            count = _classes(np.concatenate([np.empty(0, np.int64), *node_colors]))
             if count == prev_count:
                 break
             prev_count = count
@@ -1073,17 +1113,19 @@ def refine_once(spec: AlgorithmSpec, state: ColorState) -> ColorState:
     update = _VARIANTS[spec.variant, spec.init].update
     new_ids = _run_update(update, state.graphs, state.colors, state._data, state.domain, _BatchInterner())
 
-    # the distinct (old, new) pairs: the new partition refines the old one
-    # iff there are no more of them than new colors, and nothing changed
-    # iff there are no more of them than old colors
+    # the new partition refines the old one iff every new color lies in
+    # one old color: scatter each element's old color to its new color,
+    # and every element must read its own old color back; then nothing
+    # changed iff there are as many new colors as old ones
     old = np.concatenate([np.empty(0, np.int64), *state.colors])
     new = np.concatenate([np.empty(0, np.int64), *new_ids])
-    pairs = _distinct(old << 32 | new)
-    if pairs != _distinct(new):
+    owner = np.empty(new.max(initial=-1) + 1, np.int64)
+    owner[new] = old
+    if not (owner[new] == old).all():
         raise InternalError(
             f"{spec.label()}: update did not refine the partition at iteration {state.iteration + 1}"
         )
-    stable = pairs == _distinct(old)
+    stable = _classes(new) == _classes(old)
     return ColorState(
         spec=spec,
         graphs=state.graphs,
@@ -1097,9 +1139,9 @@ def refine_once(spec: AlgorithmSpec, state: ColorState) -> ColorState:
     )
 
 
-def _distinct(values: np.ndarray) -> int:
-    ordered = np.sort(values)
-    return int(ordered.size and 1 + np.count_nonzero(ordered[1:] != ordered[:-1]))
+def _classes(colors: np.ndarray) -> int:
+    """The number of distinct colors in a 1-D array of color ids."""
+    return int(np.count_nonzero(np.bincount(colors)))
 
 
 def stable_coloring(
