@@ -4,7 +4,7 @@ Every distance has a direct definition (BFS, pseudo-inverse formula,
 truncated walk sum, linear-system recursion) and, where a closed form in
 terms of the normalized-Laplacian eigenprojections exists, a spectral
 route used as a cross-check.  ``cross_validate`` reports the worst
-disagreement between the two routes.  What a kind is (its parameter,
+disagreement between the two routes.  What a kind is (its parameters,
 its precondition, its routes) is one row of the ``_KINDS`` table at the
 end of the module.
 
@@ -48,14 +48,43 @@ CROSS_TOL = 1e-8
 
 @dataclass(frozen=True)
 class _Param:
-    """The one parameter of a distance kind, as labels spell it."""
+    """One parameter of a spec, as labels spell it: its value alone, or
+    ``key=value`` if it has a key (matched case-insensitively)."""
 
-    key: str  # 'w' in 'prd:w=0,1,1/2'
-    field: str  # the DistanceKind field holding it
-    default: object
+    key: Optional[str]  # 'w' in 'prd:w=0,1,1/2'
+    field: str  # the spec field holding it
+    default: object  # its value when not spelled
     read: Callable  # label text -> raw value
     coerce: Callable  # raw value -> canonical value; ValueError if invalid
     show: Callable  # canonical value -> label text that reads back equal
+
+    def parse(self, token: str):
+        """The raw value a label token spells."""
+        if self.key is not None:
+            key, eq, token = token.partition("=")
+            if not eq or key.lower() != self.key.lower():
+                raise ValueError(f"parameter must be {self.key}=<value>")
+        return self.read(token)
+
+    def label(self, value) -> str:
+        return self.show(value) if self.key is None else f"{self.key}={self.show(value)}"
+
+
+def parse_params(params: tuple[_Param, ...], text: Optional[str]) -> dict:
+    """Raw field values of the parameters spelled in ``text`` (None when
+    nothing follows the head), one ``:``-separated token each, in order;
+    the last reads the rest of ``text``, colons and all."""
+    if text is None:
+        return {}
+    tokens = text.split(":", max(len(params) - 1, 0))
+    if len(tokens) > len(params):
+        raise ValueError("too many parameters")
+    return {param.field: param.parse(token) for param, token in zip(params, tokens)}
+
+
+def label_params(head: str, params: tuple[_Param, ...], spec) -> str:
+    """``head`` followed by the label of each parameter of ``spec``."""
+    return ":".join([head, *(param.label(getattr(spec, param.field)) for param in params)])
 
 
 def _coerce_weights(weights) -> tuple[Fraction, ...]:
@@ -109,7 +138,7 @@ class DistanceKind:
         # another would not survive parse(label())
         for param in (_WEIGHTS, _TAU):
             value = getattr(self, param.field)
-            if param is row.param:
+            if param in row.params:
                 value = param.default if value is None else value
                 object.__setattr__(self, param.field, param.coerce(value))
             elif value is not None:
@@ -117,31 +146,21 @@ class DistanceKind:
 
     @classmethod
     def parse(cls, text: str) -> "DistanceKind":
-        """Parse e.g. 'spd', 'rd', 'prd:w=0,1,0.5', 'diffusion:tau=2'."""
+        """Parse e.g. 'spd', 'rd', 'prd:w=0,1,0.5', 'diffusion:tau=2'; a
+        trailing ':' alone reads as no parameter."""
         head, _, rest = text.strip().lower().partition(":")
         name = _ALIASES.get(head, head)
         if name not in _KINDS:
             raise ValueError(f"unknown distance kind {text!r}")
-        if not rest:
-            return cls(name)
-        param = _KINDS[name].param
-        if param is None:
-            raise ValueError(f"distance {head!r} takes no parameters")
-        if not rest.startswith(f"{param.key}="):
-            raise ValueError(f"{name} parameter must be {param.key}=<value>")
-        return cls(name, **{param.field: param.read(rest[len(param.key) + 1 :])})
+        return cls(name, **parse_params(_KINDS[name].params, rest or None))
 
     def label(self) -> str:
-        param = _KINDS[self.name].param
-        if param is None:
-            return self.name
-        return f"{self.name}:{param.key}={param.show(getattr(self, param.field))}"
+        return label_params(self.name, _KINDS[self.name].params, self)
 
     @property
     def params(self) -> tuple:
         """The route arguments after the graph: () or (weights,) or (tau,)."""
-        param = _KINDS[self.name].param
-        return () if param is None else (getattr(self, param.field),)
+        return tuple(getattr(self, param.field) for param in _KINDS[self.name].params)
 
     @property
     def rejects_isolated(self) -> bool:
@@ -509,7 +528,7 @@ def _prd_tokens(g: Graph, kind: DistanceKind, quant: Quantization) -> list[bytes
 class _Kind:
     """Everything one distance kind is, in one record."""
 
-    param: Optional[_Param]  # its one parameter, if any
+    params: tuple[_Param, ...]  # its parameters, as labels spell them
     undefined_isolated: Optional[str]  # error subject if undefined with an isolated vertex
     exact: bool  # integer values: the two routes must agree exactly
     matrix: Callable  # (graph, *params) -> DistanceMatrix
@@ -520,13 +539,13 @@ class _Kind:
 # keyed by DistanceKind.name, in all_default() order; the columns are the
 # _Kind fields in order
 _KINDS: dict[str, _Kind] = {
-    "spd":        _Kind(None,     None,               True,  spd,                _spd_min_power,               _float_tokens),
-    "rd":         _Kind(None,     None,               False, resistance,         _resistance_normalized_route, _exact_ratio_tokens),
-    "htd":        _Kind(None,     None,               False, hitting_time,       _hitting_time_recursion,      _exact_ratio_tokens),
-    "ctd":        _Kind(None,     None,               False, commute_time,       _commute_time_via_resistance, _exact_ratio_tokens),
-    "prd":        _Kind(_WEIGHTS, _PRD_SUBJECT,       False, pagerank_distance,  _pagerank_spectral_route,     _prd_tokens),
-    "diffusion":  _Kind(_TAU,     _DIFFUSION_SUBJECT, False, diffusion_distance, _diffusion_series_route,      _float_tokens),
-    "biharmonic": _Kind(None,     None,               False, biharmonic,         _biharmonic_pinv_route,       _exact_ratio_tokens),
+    "spd":        _Kind((),          None,               True,  spd,                _spd_min_power,               _float_tokens),
+    "rd":         _Kind((),          None,               False, resistance,         _resistance_normalized_route, _exact_ratio_tokens),
+    "htd":        _Kind((),          None,               False, hitting_time,       _hitting_time_recursion,      _exact_ratio_tokens),
+    "ctd":        _Kind((),          None,               False, commute_time,       _commute_time_via_resistance, _exact_ratio_tokens),
+    "prd":        _Kind((_WEIGHTS,), _PRD_SUBJECT,       False, pagerank_distance,  _pagerank_spectral_route,     _prd_tokens),
+    "diffusion":  _Kind((_TAU,),     _DIFFUSION_SUBJECT, False, diffusion_distance, _diffusion_series_route,      _float_tokens),
+    "biharmonic": _Kind((),          None,               False, biharmonic,         _biharmonic_pinv_route,       _exact_ratio_tokens),
 }
 
 

@@ -30,10 +30,11 @@ Implemented algorithms (selected by :class:`AlgorithmSpec`):
 Each algorithm is one row of the variant table ``_VARIANTS``, keyed by
 ``(variant, init)`` (so ``ign2wl``, ``ign2wl:atp`` and ``ign2wl:proj`` are
 three rows).  A row holds the domain (``nodes``, ``pairs`` or
-``spectral_pairs``), whether the spec needs a matrix kind, whether the
-initial tokens are quantized, and the four functions of a run: per-graph
-static data, initial tokens, the update, and the pool that reduces the
-stable coloring to one signature per graph.
+``spectral_pairs``), the parameters its spec spells (a matrix kind, a
+distance, ``layers=``, ``K=``), whether the initial tokens are
+quantized, and the four functions of a run: per-graph static data,
+initial tokens, the update, and the pool that reduces the stable
+coloring to one signature per graph.
 
 Every update runs through one driver as numpy passes over all graphs of
 a run, grouped by vertex count.  Keys are int64 rows numbered by sorting
@@ -77,7 +78,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import exact
-from .distances import DistanceKind, distance_tokens
+from .distances import DistanceKind, _Param, distance_tokens, label_params, parse_params
 from .graphs import Graph, MatrixKind
 from .spectral import DEFAULT_QUANT, Quantization, _walk_powers, decomposition_for, quantized_projections
 
@@ -117,7 +118,13 @@ _ALGO_KINDS = {
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
-    """Declarative selector for one refinement algorithm and its parameters."""
+    """Declarative selector for one refinement algorithm and its parameters.
+
+    What a spec spells after the variant name (and after the ``init``
+    token, for a variant with rows other than ``const``, as ``ign2wl``)
+    is the ``params`` column of its ``_VARIANTS`` row, which ``parse``,
+    ``label`` and validation all read.
+    """
 
     variant: str
     kind: Optional[MatrixKind] = None
@@ -132,79 +139,39 @@ class AlgorithmSpec:
             raise UsageError(
                 f"unknown algorithm variant {self.variant!r} with initial coloring {self.init!r}"
             )
-        if row.needs_kind and self.kind not in _ALGO_KINDS:
-            raise UsageError(f"{self.variant} requires a matrix kind A, L, or Lhat")
-        if self.variant == "gdwl" and self.distance is None:
-            raise UsageError("gdwl requires a distance kind")
-        # label() omits parameters a variant does not take, so a spec
-        # carrying one would not survive parse(label())
-        if not row.needs_kind and self.kind is not None:
-            raise UsageError(f"{self.variant} takes no matrix kind")
-        if self.variant != "gdwl" and self.distance is not None:
-            raise UsageError("only gdwl takes a distance kind")
-        if self.variant != "basisnet" and self.layers != 1:
-            raise UsageError("only basisnet takes a layer count")
-        if self.variant != "girt" and self.steps != 16:
-            raise UsageError("only girt takes a walk length")
-        if self.variant == "basisnet" and self.layers < 0:
-            raise UsageError("basisnet layer count must be nonnegative")
-        if self.variant == "girt" and self.steps < 1:
-            raise UsageError("girt walk length must be at least 1")
+        # label() spells only the row's parameters, so a spec carrying
+        # another would not survive parse(label())
+        for param in (_KIND, _DISTANCE, _LAYERS, _STEPS):
+            value = getattr(self, param.field)
+            if param in row.params:
+                try:
+                    param.coerce(value)
+                except ValueError as exc:
+                    raise UsageError(f"{self.variant}: {exc}") from None
+            elif value != param.default:
+                raise UsageError(f"{self.variant} takes no {param.field} parameter")
 
     @classmethod
     def parse(cls, text: str) -> "AlgorithmSpec":
         """Parse the text grammar, e.g. 'epwl:Lhat', 'gdwl:rd', 'basisnet:A:layers=1'."""
-        parts = text.strip().split(":")
-        head = parts[0].lower()
-        rest = parts[1:]
-        try:
-            if head == "wl1" or head == "swl" or head == "pswl" or head == "fwl2":
-                if rest:
-                    raise UsageError(f"{head} takes no parameters")
-                return cls(head)
-            if head == "epwl" or head == "spe" or head == "peg":
-                return cls(head, kind=_one_kind(head, rest))
-            if head in {"sign", "spectralign"}:
-                return cls("spectralign", kind=_one_kind(head, rest))
-            if head in {"siamese", "siameseign"}:
-                return cls("siamese", kind=_one_kind(head, rest))
-            if head in {"wsign", "weakspectralign"}:
-                return cls("weakspectralign", kind=_one_kind(head, rest))
-            if head == "basisnet":
-                if not rest:
-                    raise UsageError("basisnet requires a matrix kind")
-                layers = 1
-                if len(rest) == 2:
-                    if not rest[1].lower().startswith("layers="):
-                        raise UsageError("basisnet parameter must be layers=<int>")
-                    layers = int(rest[1].split("=", 1)[1])
-                elif len(rest) > 2:
-                    raise UsageError("too many basisnet parameters")
-                return cls("basisnet", kind=MatrixKind.parse(rest[0]), layers=layers)
-            if head == "girt":
-                steps = 16
-                if rest:
-                    if len(rest) > 1 or not rest[0].lower().startswith("k="):
-                        raise UsageError("girt parameter must be K=<int>")
-                    steps = int(rest[0].split("=", 1)[1])
-                return cls("girt", steps=steps)
-            if head == "ign2wl":
-                if not rest:
-                    return cls("ign2wl", init="const")
-                init = rest[0].lower()
-                if init == "proj":
-                    return cls("ign2wl", init="proj", kind=_one_kind(head, rest[1:]))
-                if len(rest) > 1:
-                    raise UsageError("too many ign2wl parameters")
-                return cls("ign2wl", init=init)
-            if head == "gdwl":
-                return cls("gdwl", distance=DistanceKind.parse(":".join(rest)))
+        text = text.strip()
+        head, *rest = text.split(":", 1)
+        variant = _SPEC_ALIASES.get(head.lower(), head.lower())
+        if variant not in _VARIANT_NAMES:
             # bare distance specs are accepted as gdwl shorthand
-            return cls("gdwl", distance=DistanceKind.parse(text))
-        except UsageError:
-            raise
+            variant, rest = "gdwl", [text]
+        init = "const"
+        if variant in _SPELLED_INITS and rest:
+            init, *rest = rest[0].split(":", 1)
+            init = init.lower()
+        row = _VARIANTS.get((variant, init))
+        if row is None:
+            raise UsageError(f"unknown initial coloring {init!r} of {variant}")
+        try:
+            params = parse_params(row.params, rest[0] if rest else None)
         except ValueError as exc:
             raise UsageError(f"bad algorithm spec {text!r}: {exc}") from None
+        return cls(variant, init=init, **params)
 
     @property
     def quantization_sensitive(self) -> bool:
@@ -212,28 +179,42 @@ class AlgorithmSpec:
         return _VARIANTS[self.variant, self.init].quantized
 
     def label(self) -> str:
-        if self.variant == "gdwl":
-            return f"gdwl:{self.distance.label()}"
-        if self.variant == "girt":
-            return f"girt:K={self.steps}"
-        if self.variant == "basisnet":
-            return f"basisnet:{self.kind.value}:layers={self.layers}"
-        if self.variant == "ign2wl":
-            if self.init == "proj":
-                return f"ign2wl:proj:{self.kind.value}"
-            return f"ign2wl:{self.init}"
-        if self.kind is not None:
-            return f"{self.variant}:{self.kind.value}"
-        return self.variant
+        head = f"{self.variant}:{self.init}" if self.variant in _SPELLED_INITS else self.variant
+        return label_params(head, _VARIANTS[self.variant, self.init].params, self)
 
 
-def _one_kind(head: str, rest: list[str]) -> MatrixKind:
-    if len(rest) != 1:
-        raise UsageError(f"{head} requires exactly one matrix kind parameter")
-    kind = MatrixKind.parse(rest[0])
+def _algo_kind(kind: Optional[MatrixKind]) -> MatrixKind:
     if kind not in _ALGO_KINDS:
-        raise UsageError(f"{head} supports matrix kinds A, L, Lhat only")
+        raise ValueError("requires a matrix kind A, L, or Lhat")
     return kind
+
+
+def _given_distance(distance: Optional[DistanceKind]) -> DistanceKind:
+    if distance is None:
+        raise ValueError("requires a distance kind")
+    return distance
+
+
+def _layer_count(layers: int) -> int:
+    if layers < 0:
+        raise ValueError("layer count must be nonnegative")
+    return layers
+
+
+def _walk_length(steps: int) -> int:
+    if steps < 1:
+        raise ValueError("walk length must be at least 1")
+    return steps
+
+
+# the parameters a spec can spell after its variant, as labels spell them
+_KIND = _Param(None, "kind", None, MatrixKind.parse, _algo_kind, lambda kind: kind.value)
+_DISTANCE = _Param(None, "distance", None, DistanceKind.parse, _given_distance, DistanceKind.label)
+_LAYERS = _Param("layers", "layers", 1, int, _layer_count, str)
+_STEPS = _Param("K", "steps", 16, int, _walk_length, str)
+
+# other names of variants that specs may spell
+_SPEC_ALIASES = {"sign": "spectralign", "siameseign": "siamese", "wsign": "weakspectralign"}
 
 
 # ---------------------------------------------------------------------------
@@ -967,7 +948,7 @@ class _Variant:
     """Everything one refinement variant does, in one record."""
 
     domain: str  # "nodes", "pairs" or "spectral_pairs"
-    needs_kind: bool  # the spec must carry a matrix kind A, L or Lhat
+    params: tuple[_Param, ...]  # what its spec spells after the variant (and init), in order
     quantized: bool  # initial tokens depend on quantized floating-point data
     static: Callable  # (spec, graphs, quant) -> per-graph data
     init: Callable  # (n, data) -> initial tokens as int64 rows
@@ -980,23 +961,27 @@ _N, _P, _S = "nodes", "pairs", "spectral_pairs"
 # keyed by (AlgorithmSpec.variant, AlgorithmSpec.init); the columns are the
 # _Variant fields in order
 _VARIANTS: dict[tuple[str, str], _Variant] = {
-    ("wl1", "const"):             _Variant(_N, False, False, _atp_static,  _node_init,   _vertex_update,  _pool_joint),
-    ("epwl", "const"):            _Variant(_N, True,  True,  _proj_static, _node_init,   _vertex_update,  _pool_joint),
-    ("gdwl", "const"):            _Variant(_N, False, True,  _dist_static, _node_init,   _vertex_update,  _pool_joint),
-    ("peg", "const"):             _Variant(_N, True,  True,  _proj_static, _node_init,   _peg_update,     _pool_joint),
-    ("swl", "const"):             _Variant(_P, False, False, _atp_static,  _marked_init, _swl_update,     _pool_rows),
-    ("pswl", "const"):            _Variant(_P, False, False, _atp_static,  _marked_init, _pswl_update,    _pool_rows),
-    ("fwl2", "const"):            _Variant(_P, False, False, _atp_static,  _data_init,   _fwl2_update,    _pool_joint),
-    ("girt", "const"):            _Variant(_P, False, True,  _girt_static, _data_init,   _girt_update,    _pool_diag),
-    ("ign2wl", "const"):          _Variant(_P, False, False, _no_static,   _pair_init,   _ign_update,     _pool_joint),
-    ("ign2wl", "atp"):            _Variant(_P, False, False, _atp_static,  _data_init,   _ign_update,     _pool_joint),
-    ("ign2wl", "proj"):           _Variant(_P, True,  True,  _proj_static, _data_init,   _ign_update,     _pool_joint),
-    ("spe", "const"):             _Variant(_P, True,  True,  _proj_static, _data_init,   _ign_update,     _pool_spe),
-    ("spectralign", "const"):     _Variant(_S, True,  True,  _eig_static,  _lam_init,    _cross_update,   _pool_pair_rows),
-    ("siamese", "const"):         _Variant(_S, True,  True,  _eig_static,  _lam_init,    _ign_update,     _pool_joint),
-    ("weakspectralign", "const"): _Variant(_S, True,  True,  _eig_static,  _lam_init,    _ign_update,     _pool_pairs),
-    ("basisnet", "const"):        _Variant(_S, True,  True,  _eig_static,  _mult_init,   _ign_update,     _pool_basisnet),
+    ("wl1", "const"):             _Variant(_N, (),               False, _atp_static,  _node_init,   _vertex_update,  _pool_joint),
+    ("epwl", "const"):            _Variant(_N, (_KIND,),         True,  _proj_static, _node_init,   _vertex_update,  _pool_joint),
+    ("gdwl", "const"):            _Variant(_N, (_DISTANCE,),     True,  _dist_static, _node_init,   _vertex_update,  _pool_joint),
+    ("peg", "const"):             _Variant(_N, (_KIND,),         True,  _proj_static, _node_init,   _peg_update,     _pool_joint),
+    ("swl", "const"):             _Variant(_P, (),               False, _atp_static,  _marked_init, _swl_update,     _pool_rows),
+    ("pswl", "const"):            _Variant(_P, (),               False, _atp_static,  _marked_init, _pswl_update,    _pool_rows),
+    ("fwl2", "const"):            _Variant(_P, (),               False, _atp_static,  _data_init,   _fwl2_update,    _pool_joint),
+    ("girt", "const"):            _Variant(_P, (_STEPS,),        True,  _girt_static, _data_init,   _girt_update,    _pool_diag),
+    ("ign2wl", "const"):          _Variant(_P, (),               False, _no_static,   _pair_init,   _ign_update,     _pool_joint),
+    ("ign2wl", "atp"):            _Variant(_P, (),               False, _atp_static,  _data_init,   _ign_update,     _pool_joint),
+    ("ign2wl", "proj"):           _Variant(_P, (_KIND,),         True,  _proj_static, _data_init,   _ign_update,     _pool_joint),
+    ("spe", "const"):             _Variant(_P, (_KIND,),         True,  _proj_static, _data_init,   _ign_update,     _pool_spe),
+    ("spectralign", "const"):     _Variant(_S, (_KIND,),         True,  _eig_static,  _lam_init,    _cross_update,   _pool_pair_rows),
+    ("siamese", "const"):         _Variant(_S, (_KIND,),         True,  _eig_static,  _lam_init,    _ign_update,     _pool_joint),
+    ("weakspectralign", "const"): _Variant(_S, (_KIND,),         True,  _eig_static,  _lam_init,    _ign_update,     _pool_pairs),
+    ("basisnet", "const"):        _Variant(_S, (_KIND, _LAYERS), True,  _eig_static,  _mult_init,   _ign_update,     _pool_basisnet),
 }
+
+_VARIANT_NAMES = {variant for variant, _ in _VARIANTS}
+# variants whose specs spell the initial coloring after the name
+_SPELLED_INITS = {variant for variant, init in _VARIANTS if init != "const"}
 
 
 # ---------------------------------------------------------------------------
@@ -1023,10 +1008,6 @@ class Signature:
         if self.run_id != other.run_id:
             raise UsageError("signatures from different runs are not comparable")
         return self.value == other.value
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
 
     def __hash__(self):
         return hash(self.value)
@@ -1083,7 +1064,7 @@ def joint_initial_coloring(
 ) -> ColorState:
     """Iteration-0 coloring of a joint run over several graphs."""
     variant = _VARIANTS[spec.variant, spec.init]
-    if variant.needs_kind and spec.kind is MatrixKind.NORMALIZED_LAPLACIAN:
+    if spec.kind is MatrixKind.NORMALIZED_LAPLACIAN:
         for g in graphs:
             _require_no_isolated(spec, g)
     data = variant.static(spec, graphs, quant)

@@ -29,6 +29,7 @@ from .graphs import (
     build_matrix,
     enumerate_graphs,
     is_isomorphic,
+    parse_graph6,
     random_connected_graph,
     write_graph6,
 )
@@ -310,8 +311,8 @@ def check_witness_corpus(cfg: VerifyConfig) -> CheckResult:
     count = 0
 
     for w in witnesses:
-        ga = _parse_g6(w.graph6_a)
-        gb = _parse_g6(w.graph6_b)
+        ga = parse_graph6(w.graph6_a)
+        gb = parse_graph6(w.graph6_b)
         count += 1
         if distinguishes(AlgorithmSpec.parse(w.spec_a), ga, gb) != w.a_distinguishes:
             bad.append(("replay-a", w.to_line()))
@@ -332,7 +333,7 @@ def check_witness_corpus(cfg: VerifyConfig) -> CheckResult:
     else:
         w = gadget[0]
         count += 1
-        if is_isomorphic(_parse_g6(w.graph6_a), _parse_g6(w.graph6_b)) is not None:
+        if is_isomorphic(parse_graph6(w.graph6_a), parse_graph6(w.graph6_b)) is not None:
             bad.append(("gadget-pair-isomorphic", w.to_line()))
 
     # parity law sweep: one non-isomorphism proof per base, isomorphisms
@@ -412,7 +413,7 @@ def check_distinguishing_count_ordering(cfg: VerifyConfig) -> CheckResult:
     start = time.time()
     witnesses, _ = bundled_witnesses()
     pairs = sorted({(w.graph6_a, w.graph6_b) for w in witnesses})
-    graphs = [(_parse_g6(a), _parse_g6(b)) for a, b in pairs]
+    graphs = [(parse_graph6(a), parse_graph6(b)) for a, b in pairs]
     counts = {}
     labels = ["wl1", "epwl:A", "epwl:L", "epwl:Lhat", "fwl2"]
     for label in labels:
@@ -428,12 +429,6 @@ def check_distinguishing_count_ordering(cfg: VerifyConfig) -> CheckResult:
     return CheckResult(
         "distinguishing-count-ordering", not bad, details, time.time() - start, len(graphs)
     )
-
-
-def _parse_g6(text: str) -> Graph:
-    from .graphs import parse_graph6
-
-    return parse_graph6(text)
 
 
 ALL_CHECKS: list[Callable[[VerifyConfig], CheckResult]] = [

@@ -6,8 +6,6 @@ prints its PASS/FAIL line, so a verbose run shows one line per
 criterion.  Tolerances are fixed inside the checks themselves.
 """
 
-import pytest
-
 from eigenwl.verify import (
     VerifyConfig,
     check_biconnectivity_separation,

@@ -1,12 +1,11 @@
 import json
-import os
 
 import jsonschema
 import pytest
 
 from eigenwl import cli
 from eigenwl.cli import SCAN_REPORT_SCHEMA, RunConfig, main
-from eigenwl.graphs import complete_graph, cycle_graph, parse_graph6, write_graph6
+from eigenwl.graphs import parse_graph6, write_graph6
 from eigenwl.witnesses import parse_witness_corpus
 
 C6 = "EhEG"

@@ -1,18 +1,15 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from eigenwl import furer as furer_module
-from eigenwl.furer import SearchResult, Witness, furer, parity_check, search_counterexamples, twist
+from eigenwl.furer import Witness, furer, parity_check, search_counterexamples, twist
 from eigenwl.graphs import (
     complete_graph,
     cycle_graph,
     enumerate_graphs,
     is_isomorphic,
     path_graph,
-    write_graph6,
 )
 from eigenwl.refinement import AlgorithmSpec, distinguishes
 

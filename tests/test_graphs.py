@@ -24,7 +24,6 @@ from eigenwl.graphs import (
     enumerate_graphs,
     is_isomorphic,
     parse_graph6,
-    path_graph,
     random_graph,
     read_corpus,
     star_graph,

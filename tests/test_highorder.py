@@ -6,9 +6,6 @@ import pytest
 from eigenwl.graphs import (
     MatrixKind,
     complete_graph,
-    cycle_graph,
-    disjoint_union,
-    enumerate_graphs,
     is_isomorphic,
     random_connected_graph,
 )

@@ -122,6 +122,84 @@ def test_spec_rejects_parameters_its_variant_does_not_take(kwargs):
         AlgorithmSpec(**kwargs)
 
 
+def test_spec_aliases_parse_to_canonical_specs():
+    for alias, canonical in [
+        ("siameseign:A", "siamese:A"),
+        ("wsign:Lhat", "weakspectralign:Lhat"),
+        ("diff", "gdwl:diffusion"),
+        ("diff:tau=2", "gdwl:diffusion:tau=2"),
+        ("rd", "gdwl:rd"),
+    ]:
+        assert AlgorithmSpec.parse(alias) == AlgorithmSpec.parse(canonical), alias
+        assert AlgorithmSpec.parse(alias).label() == AlgorithmSpec.parse(canonical).label(), alias
+
+
+_SPEC_HEADS = [
+    *("wl1", "epwl", "swl", "pswl", "fwl2", "gdwl", "girt", "ign2wl", "spe", "peg"),
+    *("spectralign", "sign", "siamese", "siameseign", "weakspectralign", "wsign", "basisnet"),
+    *("spd", "rd", "htd", "ctd", "prd", "diffusion", "diff", "biharmonic", "bogus"),
+]
+_SPEC_TAILS = [
+    *("", "A", "D", "L", "Lhat", "nl", "A:B", "A:L"),
+    *("layers=2", "A:layers=2", "A:LAYERS=3", "A:layers=0", "A:layers=-1", "A:layer=1", "A:layers=x"),
+    *("A:layers=1:K=2", "A:layers=", "A:", "K=4", "k=4", "K=0", "K=-1", "K=", "J=2", "K=4:A"),
+    *("atp", "ATP", "const", "proj", "proj:A", "proj:D", "proj:Lhat", "proj:A:B", "atp:A", "const:A"),
+    *("rd", "spd", "prd", "prd:w=0,1,0.5", "prd:w=", "prd:W=1/2", "diffusion:tau=2", "diff:tau=0.5"),
+    *("diffusion:tau=-1", "rd:w=1", "w=0,1,0.5", "tau=2", "tau=x", "::"),
+]
+# trailing colons, inner spaces and int spellings, spelt whole
+_SPEC_SPELLINGS = [
+    *("wl1:", "epwl:A:", "girt:", "basisnet:A:", "ign2wl:", "ign2wl:atp:", "ign2wl:proj:", "ign2wl:proj:A:"),
+    *("rd:", "prd:", "gdwl:rd:", "gdwl:prd:", "gdwl:", " epwl:A ", "epwl: A", "epwl :A", "gdwl: rd", " rd"),
+    *("basisnet:A:layers=+2", "basisnet:A:layers= 2", "basisnet:A:layers =2", "girt:K=2_0", "girt: K=2"),
+    *("gdwl:prd:w=0, 1", "gdwl:PRD:W=1/2", "Prd:w=1", "prd:w=1:2", "diffusion:tau=1:2", "", ":", "A"),
+]
+
+# sha256 over (spelling, outcome) for every head (as written and upper-
+# cased) crossed with every tail and for each whole spelling, then over
+# the outcomes of direct constructions.  Recorded while the grammar was
+# still if-chains, before it moved into the variant table, so any change
+# to what a spelling or construction means moves it; error wording is
+# not part of an outcome
+SPEC_GRAMMAR_DIGEST = "ee24f116fa7f9a62f6f3ae3b035d75c0702730b3d451df5022d7e13f771783f6"
+
+
+def _spec_outcome(make) -> str:
+    try:
+        spec = make()
+    except Exception as exc:
+        return type(exc).__name__
+    fields = (spec.variant, spec.init, spec.kind, repr(spec.distance), spec.layers, spec.steps)
+    return f"{spec.label()}|{fields}|{spec.quantization_sensitive}"
+
+
+def _spec_grammar_records():
+    for head in _SPEC_HEADS:
+        for spelt in (head, head.upper()):
+            for tail in _SPEC_TAILS:
+                text = f"{spelt}:{tail}" if tail else spelt
+                yield f"{text!r} -> {_spec_outcome(lambda: AlgorithmSpec.parse(text))}"
+    for text in _SPEC_SPELLINGS:
+        yield f"{text!r} -> {_spec_outcome(lambda: AlgorithmSpec.parse(text))}"
+    for variant, init, kind, distance, layers, steps in itertools.product(
+        ["wl1", "epwl", "gdwl", "girt", "ign2wl", "basisnet", "spectralign", "sign", "bogus"],
+        ["const", "atp", "proj", "bogus"],
+        [None, *MatrixKind],
+        [None, DistanceKind.parse("rd")],
+        [1, 0, 2, -1],
+        [16, 1, 4, 0],
+    ):
+        kwargs = dict(variant=variant, init=init, kind=kind, distance=distance, layers=layers, steps=steps)
+        yield f"{kwargs} -> {_spec_outcome(lambda: AlgorithmSpec(**kwargs))}"
+
+
+def test_spec_grammar_digest():
+    h = hashlib.sha256()
+    for rec in _spec_grammar_records():
+        h.update(rec.encode() + b"\n")
+    assert h.hexdigest() == SPEC_GRAMMAR_DIGEST
+
+
 def test_lhat_specs_reject_isolated_vertices():
     g = disjoint_union(complete_graph(2), complete_graph(1))
     for label in ("epwl:Lhat", "gdwl:prd", "gdwl:diffusion"):
@@ -264,12 +342,18 @@ def test_signature_requires_membership(c6, two_triangles, k2):
         signature(spec, k2, state)
 
 
-def test_signatures_not_comparable_across_runs(k2):
+def test_signatures_not_comparable_across_runs(k2, c6, two_triangles):
     spec = AlgorithmSpec.parse("wl1")
     sig_a = signatures(stable_coloring(spec, [k2]))[0]
     sig_b = signatures(stable_coloring(spec, [k2]))[0]
     with pytest.raises(UsageError):
         sig_a == sig_b
+    with pytest.raises(UsageError):
+        sig_a != sig_b
+    same_run = signatures(stable_coloring(spec, [k2, c6, two_triangles]))
+    assert same_run[1] == same_run[2] and not same_run[1] != same_run[2]
+    assert same_run[0] != same_run[1] and not same_run[0] == same_run[1]
+    assert sig_a != 3 and not sig_a == 3
 
 
 @settings(max_examples=25, deadline=None)

@@ -13,8 +13,6 @@ from eigenwl.graphs import (
     build_matrix,
     complete_graph,
     cycle_graph,
-    enumerate_graphs,
-    path_graph,
     random_graph,
     write_graph6,
 )
