@@ -147,12 +147,12 @@ class DistanceKind:
     @classmethod
     def parse(cls, text: str) -> "DistanceKind":
         """Parse e.g. 'spd', 'rd', 'prd:w=0,1,0.5', 'diffusion:tau=2'; a
-        trailing ':' alone reads as no parameter."""
-        head, _, rest = text.strip().lower().partition(":")
+        ':' must be followed by a parameter."""
+        head, colon, rest = text.strip().lower().partition(":")
         name = _ALIASES.get(head, head)
         if name not in _KINDS:
             raise ValueError(f"unknown distance kind {text!r}")
-        return cls(name, **parse_params(_KINDS[name].params, rest or None))
+        return cls(name, **parse_params(_KINDS[name].params, rest if colon else None))
 
     def label(self) -> str:
         return label_params(self.name, _KINDS[self.name].params, self)
@@ -469,7 +469,6 @@ def _biharmonic_pinv_route(g: Graph) -> np.ndarray:
 # ties cannot occur, so the float route is safe.
 
 _INF_TOKEN = b"inf"
-_TOKEN_CACHE: dict[tuple, list[bytes]] = {}
 
 
 def _float_tokens(g: Graph, kind: DistanceKind, quant: Quantization) -> list[bytes]:
@@ -550,9 +549,7 @@ _KINDS: dict[str, _Kind] = {
 
 
 # ---------------------------------------------------------------------------
-# cached entry points and cross-validation
-
-_DIST_CACHE: dict[tuple, DistanceMatrix] = {}
+# entry points, kept in ``Graph.derived``, and cross-validation
 
 
 def _row(g: Graph, kind: DistanceKind) -> _Kind:
@@ -563,20 +560,21 @@ def _row(g: Graph, kind: DistanceKind) -> _Kind:
 
 
 def distance_matrix(g: Graph, kind: DistanceKind) -> DistanceMatrix:
-    """Cached distance matrix of the requested kind."""
-    key = (g, kind)
-    out = _DIST_CACHE.get(key)
+    """Distance matrix of the requested kind, kept in ``g.derived``."""
+    key = ("dist", kind)
+    out = g.derived.get(key)
     if out is None:
-        out = _DIST_CACHE[key] = _row(g, kind).matrix(g, *kind.params)
+        out = g.derived[key] = _row(g, kind).matrix(g, *kind.params)
     return out
 
 
 def distance_tokens(g: Graph, kind: DistanceKind, quant: Quantization = DEFAULT_QUANT) -> list[bytes]:
-    """Canonical per-pair tokens, flat row-major; exact for rational kinds."""
-    key = (g, kind, quant)
-    out = _TOKEN_CACHE.get(key)
+    """Canonical per-pair tokens, flat row-major; exact for rational kinds.
+    Kept in ``g.derived``."""
+    key = ("tokens", kind, quant)
+    out = g.derived.get(key)
     if out is None:
-        out = _TOKEN_CACHE[key] = _row(g, kind).tokens(g, kind, quant)
+        out = g.derived[key] = _row(g, kind).tokens(g, kind, quant)
     return out
 
 

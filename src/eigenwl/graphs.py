@@ -9,13 +9,25 @@ seeded Erdos-Renyi sampling).
 Adjacency is stored as one Python int per vertex (bit v of ``rows[u]``
 is the edge flag), which doubles as the packed machine-word layout for
 n <= 64 and an unpacked big-int fallback beyond.
+
+What other modules derive from a graph alone (eigendecompositions,
+projector codes, exact walk powers, distance matrices and tokens) lives
+in ``Graph.derived``, one dict shared by equal graphs, kept as long as
+one of them is alive and then for a while in a pool of fixed size.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
+import operator
 import random
+import sys
+import threading
+import weakref
+from collections import OrderedDict, deque
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -27,6 +39,7 @@ __all__ = [
     "Graph",
     "Graph6Error",
     "MatrixKind",
+    "POOL_BYTES",
     "atomic_type",
     "biconnectivity_report",
     "build_matrix",
@@ -129,6 +142,22 @@ class Graph:
             rows[v] |= 1 << u
         return Graph(n, tuple(rows))
 
+    def __getstate__(self):
+        # derived data and cached properties are recomputed, never pickled
+        return {"n": self.n, "rows": self.rows}
+
+    @cached_property
+    def derived(self) -> dict:
+        """Data derived from this graph alone, keyed by what was derived
+        (e.g. ``("decomp", kind, eig_gap_scale)``), in one dict shared by
+        every equal graph.  Filled by the modules that compute it, and
+        kept while any equal graph that read it is alive; afterwards it
+        waits in a pool of at most ``POOL_BYTES`` for the same graph to
+        come back."""
+        lease, entry = _STORE.lease((self.n, self.rows))
+        self.__dict__["_lease"] = lease
+        return entry
+
     @cached_property
     def has_isolated(self) -> bool:
         """True iff some vertex has degree 0 (n >= 1)."""
@@ -200,6 +229,136 @@ class Graph:
 
     def __repr__(self):
         return f"Graph({write_graph6(self)!r})"
+
+
+# ---------------------------------------------------------------------------
+# derived data of each graph
+
+# Bytes of derived data kept for graphs no longer alive: a program that
+# parses the same few graphs again and again (one compare per algorithm
+# on one pair of graph6 lines) finds them here, while a stream of
+# distinct graphs holds no more than this.
+POOL_BYTES = 8 << 20
+
+
+class _Lease:
+    """Held by every live graph that read one entry; the entry is
+    released when the last of them dies."""
+
+    __slots__ = ("__weakref__",)
+
+
+class _LeaseRef(weakref.ref):
+    """A weak reference to a lease, naming the entry it keeps alive and
+    the sizes of the entry's values measured so far."""
+
+    __slots__ = ("key", "entry", "sizes")
+
+
+class _DerivedStore:
+    """The entries of ``Graph.derived`` by ``(n, rows)``.
+
+    A weak reference to an entry's lease is kept while the lease lives.
+    When it dies, the weakref callback only queues the reference; the
+    next ``lease`` call moves queued entries to the pool, newest last,
+    and drops the oldest while the pool holds more than ``budget`` bytes.
+    So no store state changes inside a callback, which may run at any
+    allocation, and the lock is never taken there.  A lease on a pooled
+    graph takes its entry back.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.live: dict[tuple, _LeaseRef] = {}
+        # key -> (entry, sizes, bytes), oldest first
+        self.pool: OrderedDict[tuple, tuple[dict, dict, int]] = OrderedDict()
+        self.pool_bytes = 0
+        self.released: deque[_LeaseRef] = deque()
+        self._lock = threading.Lock()
+
+    def lease(self, key: tuple) -> tuple[_Lease, dict]:
+        """A lease on the entry of ``key`` and the entry, new if none is kept."""
+        with self._lock:
+            self._pool_released()
+            ref = self.live.get(key)
+            if ref is not None:
+                lease = ref()
+                if lease is not None:
+                    return lease, ref.entry
+                entry, sizes = ref.entry, ref.sizes  # its lease died after the queue was drained
+            elif key in self.pool:
+                entry, sizes, nbytes = self.pool.pop(key)
+                self.pool_bytes -= nbytes
+            else:
+                entry, sizes = {}, {None: (key, _nbytes(key))}
+            lease = _Lease()
+            ref = self.live[key] = _LeaseRef(lease, self.released.append)
+            ref.key, ref.entry, ref.sizes = key, entry, sizes
+            return lease, entry
+
+    def _pool_released(self):
+        while self.released:
+            ref = self.released.popleft()
+            if self.live.get(ref.key) is ref:
+                del self.live[ref.key]
+                nbytes = _entry_nbytes(ref.entry, ref.sizes)
+                self.pool[ref.key] = ref.entry, ref.sizes, nbytes
+                self.pool_bytes += nbytes
+        while self.pool_bytes > self.budget:
+            self.pool_bytes -= self.pool.popitem(last=False)[1][2]
+
+
+def _entry_nbytes(entry: dict, sizes: dict) -> int:
+    """Approximate bytes of an entry and its graph's key.  ``sizes`` keeps
+    ``(value, bytes)`` per key of the entry, and under ``None`` the key of
+    the graph with its bytes.  So a value is sized once, when its entry is
+    first released after the value was stored, and an entry that comes
+    back from the pool again and again is not sized again.  A value grown
+    in place must be stored anew to be sized again."""
+    for key, value in entry.items():
+        known = sizes.get(key)
+        if known is None or known[0] is not value:
+            sizes[key] = value, _nbytes(value)
+    return sys.getsizeof(entry) + sum(nbytes for _, nbytes in sizes.values())
+
+
+# exact types, as isinstance against Fraction's ABC costs a microsecond
+_ATOMS = frozenset({bool, int, float, str, bytes, Fraction})
+_ARRAY_BYTES = operator.attrgetter("nbytes")
+
+
+def _atom_bytes(x) -> int:
+    if type(x) is Fraction:
+        return sys.getsizeof(x) + sys.getsizeof(x.numerator) + sys.getsizeof(x.denominator)
+    return sys.getsizeof(x)
+
+
+def _nbytes(value) -> int:
+    """Approximate bytes held by derived data: arrays, and the numbers,
+    Fractions, strings and bytes in tuples, lists and dataclass records.
+    A sequence that starts and ends with an array holds only arrays (one
+    projector per eigenvalue); one that starts and ends with an atom holds
+    only atoms of about one size (an eigenvalue each, or an entry of a
+    walk power or of an exact matrix row each), sized from those two."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if type(value) in _ATOMS:
+        return _atom_bytes(value)
+    if not isinstance(value, (tuple, list)):
+        if not dataclasses.is_dataclass(value):
+            return sys.getsizeof(value)
+        value = tuple(vars(value).values())
+    if not value:
+        return sys.getsizeof(value)
+    first, last = value[0], value[-1]
+    if isinstance(first, np.ndarray) and isinstance(last, np.ndarray):
+        return sys.getsizeof(value) + sum(map(_ARRAY_BYTES, value))
+    if type(first) in _ATOMS and type(last) in _ATOMS:
+        return sys.getsizeof(value) + len(value) * max(_atom_bytes(first), _atom_bytes(last))
+    return sys.getsizeof(value) + sum(map(_nbytes, value))
+
+
+_STORE = _DerivedStore(POOL_BYTES)
 
 
 # ---------------------------------------------------------------------------

@@ -207,11 +207,19 @@ def _walk_length(steps: int) -> int:
     return steps
 
 
+def _read_int(text: str) -> int:
+    """A decimal integer of ASCII digits after an optional minus sign;
+    ``int`` alone would also read '+2', ' 2' and '2_0'."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 # the parameters a spec can spell after its variant, as labels spell them
 _KIND = _Param(None, "kind", None, MatrixKind.parse, _algo_kind, lambda kind: kind.value)
 _DISTANCE = _Param(None, "distance", None, DistanceKind.parse, _given_distance, DistanceKind.label)
-_LAYERS = _Param("layers", "layers", 1, int, _layer_count, str)
-_STEPS = _Param("K", "steps", 16, int, _walk_length, str)
+_LAYERS = _Param("layers", "layers", 1, _read_int, _layer_count, str)
+_STEPS = _Param("K", "steps", 16, _read_int, _walk_length, str)
 
 # other names of variants that specs may spell
 _SPEC_ALIASES = {"sign": "spectralign", "siameseign": "siamese", "wsign": "weakspectralign"}

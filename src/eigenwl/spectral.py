@@ -211,25 +211,49 @@ def validate_decomposition(dec: SpectralDecomposition, matrix: np.ndarray) -> Re
 
 
 # ---------------------------------------------------------------------------
-# per-(graph, kind) decomposition cache
+# decompositions and codes, kept in ``Graph.derived``
 
-_DECOMP_CACHE: dict[tuple, SpectralDecomposition] = {}
-_QPROJ_CACHE: dict[tuple, tuple] = {}
+
+def _decomp_key(kind: MatrixKind, quant: Quantization) -> tuple:
+    # decompose reads the clustering scale, never the digits
+    return ("decomp", kind, quant.eig_gap_scale)
+
+
+def _codes_key(kind: MatrixKind, quant: Quantization) -> tuple:
+    return ("codes", kind, quant)
+
+
+class _DerivedView:
+    """``(g, kind, quant) in view``: whether ``g.derived`` already holds
+    what a call with these arguments computes.  perfbench's tracer asks
+    ``_DECOMP_CACHE`` and ``_QPROJ_CACHE`` before each call to count
+    misses."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def __contains__(self, args) -> bool:
+        g, kind, quant = args
+        return self.key(kind, quant) in g.derived
+
+
+_DECOMP_CACHE = _DerivedView(_decomp_key)
+_QPROJ_CACHE = _DerivedView(_codes_key)
 
 
 def decomposition_for(
     g: Graph, kind: MatrixKind, quant: Quantization = DEFAULT_QUANT
 ) -> SpectralDecomposition:
-    """Cached decomposition of the graph's matrix of the given kind.
+    """Decomposition of the graph's matrix of the given kind, kept in
+    ``g.derived`` per clustering scale.
 
     Concurrent first computation is benign: results are identical, so a
     duplicated fill is a wasted eigensolve, never an inconsistency.
     """
-    key = (g, kind, quant)
-    dec = _DECOMP_CACHE.get(key)
+    key = _decomp_key(kind, quant)
+    dec = g.derived.get(key)
     if dec is None:
-        dec = decompose(build_matrix(g, kind), quant)
-        _DECOMP_CACHE[key] = dec
+        dec = g.derived[key] = decompose(build_matrix(g, kind), quant)
     return dec
 
 
@@ -244,8 +268,8 @@ def quantized_projections(
     and equal codes are equal strings.  Raises ``ValueError`` when a code
     does not fit in 64 bits.
     """
-    key = (g, kind, quant)
-    cached = _QPROJ_CACHE.get(key)
+    key = _codes_key(kind, quant)
+    cached = g.derived.get(key)
     if cached is None:
         dec = decomposition_for(g, kind, quant)
         n = g.n
@@ -256,8 +280,7 @@ def quantized_projections(
         lams = codes[:m]
         # "lam:" record prefixes of the pair tokens
         prefixes = tuple(f"{_render_code(lam, quant.digits)}:" for lam in lams.tolist())
-        cached = (lams, codes[m:].reshape(m, n, n), near_ties, prefixes)
-        _QPROJ_CACHE[key] = cached
+        cached = g.derived[key] = (lams, codes[m:].reshape(m, n, n), near_ties, prefixes)
     return cached[:2]
 
 
@@ -266,7 +289,7 @@ def near_ties(g: Graph, kind: MatrixKind, quant: Quantization = DEFAULT_QUANT) -
     entries lie within ``NEAR_TIE`` of a rounding boundary, where float
     noise may pick the rounding direction."""
     quantized_projections(g, kind, quant)
-    return _QPROJ_CACHE[g, kind, quant][2]
+    return g.derived[_codes_key(kind, quant)][2]
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +405,7 @@ def pair_token(
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise IndexError(f"vertex pair ({u}, {v}) out of range")
     _, codes = quantized_projections(g, kind, quant)
-    prefixes, d = _QPROJ_CACHE[g, kind, quant][3], quant.digits
+    prefixes, d = g.derived[_codes_key(kind, quant)][3], quant.digits
     records = sorted([lam + _render_code(ent, d) for lam, ent in zip(prefixes, codes[:, u, v].tolist())])
     return PairToken(f"P[{kind.value}]" .encode() + ";".join(records).encode())
 
@@ -447,14 +470,11 @@ def _exact_matrix(g: Graph, kind: MatrixKind) -> tuple[int, list[list[int]]]:
     raise ValueError(f"exact backend does not support kind {kind!r}")
 
 
-_EXACT_CACHE: dict[tuple, tuple] = {}
-
-
 def _exact_data(g: Graph, kind: MatrixKind):
-    """Cached (charpoly, [M^0, ..., M^{n-1}]), computed over the integers
-    and converted to Fractions once per graph."""
-    key = (g, kind)
-    cached = _EXACT_CACHE.get(key)
+    """(charpoly, [M^0, ..., M^{n-1}]), computed over the integers and
+    converted to Fractions once per graph (kept in ``g.derived``)."""
+    key = ("exact", kind)
+    cached = g.derived.get(key)
     if cached is None:
         scale, mat = _exact_matrix(g, kind)
         n = g.n
@@ -463,24 +483,25 @@ def _exact_data(g: Graph, kind: MatrixKind):
         scales = [scale**k for k in range(n + 1)]
         cp = tuple(Fraction(c, s) for c, s in zip(exact.charpoly(mat), scales))
         cached = (cp, [[[Fraction(x, s) for x in row] for row in p] for p, s in zip(powers, scales)])
-        _EXACT_CACHE[key] = cached
+        g.derived[key] = cached
     return cached
 
 
 def _walk_powers(g: Graph, count: int) -> tuple[int, list]:
     """(l, [M^0, ..., M^count]) with M = l * D^-1 A; (D^-1 A)^k = M^k / l^k.
 
-    One list per graph in ``_EXACT_CACHE``, extended to the largest
+    One list per graph in ``g.derived``, extended to the largest
     ``count`` asked for, serves every walk-based token kind.
     """
-    key = (g, "walk")
-    cached = _EXACT_CACHE.get(key)
+    cached = g.derived.get("walk")
     if cached is None:
         scale, mat = exact.walk_matrix(g)
-        cached = (scale, mat, [exact.identity(g.n)])
-        _EXACT_CACHE[key] = cached
+        cached = g.derived["walk"] = (scale, mat, [exact.identity(g.n)])
     scale, mat, powers = cached
-    exact.extend_powers(mat, powers, count)
+    if len(powers) <= count:
+        exact.extend_powers(mat, powers, count)
+        # stored anew, so that the store sizes the grown list again
+        g.derived["walk"] = (scale, mat, powers)
     return scale, powers[: count + 1]
 
 

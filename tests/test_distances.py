@@ -55,7 +55,10 @@ def test_distance_kind_parsing():
 
 @pytest.mark.parametrize(
     "bad",
-    ["spd:x=1", "prd:gamma=1", "diffusion:tau=-1", "hop", "diffusion:tau=nan", "diffusion:tau=inf"],
+    [
+        *("spd:x=1", "prd:gamma=1", "diffusion:tau=-1", "hop", "diffusion:tau=nan", "diffusion:tau=inf"),
+        *("rd:", "prd:", "diffusion:"),
+    ],
 )
 def test_distance_kind_rejects(bad):
     with pytest.raises(ValueError):

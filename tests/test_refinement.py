@@ -96,7 +96,12 @@ def test_spec_grammar_variants():
 
 @pytest.mark.parametrize(
     "bad",
-    ["epwl", "epwl:D", "wl1:A", "basisnet", "basisnet:A:layer=1", "girt:J=2", "gdwl", "bogus"],
+    [
+        *("epwl", "epwl:D", "wl1:A", "basisnet", "basisnet:A:layer=1", "girt:J=2", "gdwl", "bogus"),
+        # a trailing colon spells an empty parameter; integers are plain digits
+        *("wl1:", "girt:", "rd:", "prd:", "gdwl:rd:", "gdwl:prd:"),
+        *("girt:K=2_0", "basisnet:A:layers=+2", "basisnet:A:layers= 2", "layers= 2"),
+    ],
 )
 def test_spec_grammar_rejects(bad):
     with pytest.raises(UsageError):
@@ -157,11 +162,13 @@ _SPEC_SPELLINGS = [
 
 # sha256 over (spelling, outcome) for every head (as written and upper-
 # cased) crossed with every tail and for each whole spelling, then over
-# the outcomes of direct constructions.  Recorded while the grammar was
-# still if-chains, before it moved into the variant table, so any change
-# to what a spelling or construction means moves it; error wording is
-# not part of an outcome
-SPEC_GRAMMAR_DIGEST = "ee24f116fa7f9a62f6f3ae3b035d75c0702730b3d451df5022d7e13f771783f6"
+# the outcomes of direct constructions, so any change to what a spelling
+# or construction means moves it; error wording is not part of an
+# outcome.  First recorded while the grammar was still if-chains; moved
+# once on purpose, when 'rd:', 'prd:', 'gdwl:rd:', 'gdwl:prd:',
+# 'basisnet:A:layers=+2', 'basisnet:A:layers= 2' and 'girt:K=2_0' went
+# from parsing to UsageError
+SPEC_GRAMMAR_DIGEST = "d212ee2d7f2ea09179f936a6e12e4ad4955b8339be2a5bf16f69268f9eeb6578"
 
 
 def _spec_outcome(make) -> str:
