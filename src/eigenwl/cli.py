@@ -170,16 +170,7 @@ class RunConfig:
         return cls(**parsed)
 
     def verify_config(self) -> VerifyConfig:
-        return VerifyConfig(
-            corpus_max_n=self.corpus_max_n,
-            random_graphs=self.random_graphs,
-            random_max_n=self.random_max_n,
-            hierarchy_random_graphs=self.hierarchy_random_graphs,
-            hierarchy_random_max_n=self.hierarchy_random_max_n,
-            parity_max_base_n=self.parity_max_base_n,
-            seed=self.seed,
-            quant=self.quant,
-        )
+        return VerifyConfig(**{f.name: getattr(self, f.name) for f in fields(VerifyConfig)})
 
 
 def _meta(cfg: RunConfig) -> dict:

@@ -8,9 +8,11 @@ disagreement between the two routes.  What a kind is (its parameters,
 its precondition, its routes) is one row of the ``_KINDS`` table at the
 end of the module.
 
-Cross-component entries carry a dedicated Infinity token (never a large
-float) so that distance values remain exact discrete symbols inside
-refinement tokens.
+Per-pair tokens are int64 rows (is_inf, code).  A cross-component entry
+sets the Infinity flag column, with code 0, never a large float; any other
+entry carries the decimal code of its value (``spectral._decimal_codes``),
+so that distance values remain exact discrete symbols inside refinement
+tokens.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import exact
 from .graphs import Graph, MatrixKind, build_matrix
-from .spectral import DEFAULT_QUANT, Quantization, _walk_powers, decomposition_for, quantize
+from .spectral import DEFAULT_QUANT, Quantization, _decimal_codes, _int64_codes, _walk_powers, decomposition_for
 
 __all__ = [
     "CrossCheckReport",
@@ -190,13 +192,6 @@ class DistanceMatrix:
 
     def entry(self, u: int, v: int) -> float:
         return float(self.values[u, v])
-
-    def token(self, u: int, v: int, quant: Quantization = DEFAULT_QUANT) -> bytes:
-        """Canonical per-pair token; Infinity is its own symbol."""
-        x = self.values[u, v]
-        if np.isinf(x):
-            return b"inf"
-        return quantize(float(x), quant).encode()
 
 
 # ---------------------------------------------------------------------------
@@ -465,22 +460,30 @@ def _biharmonic_pinv_route(g: Graph) -> np.ndarray:
 # width: a floating-point route would leave the rounding direction to
 # solver noise and break relabeling invariance of the derived tokens.
 # Tokens for the rational kinds are therefore computed with exact
-# arithmetic; diffusion values are transcendental, where exact decimal
-# ties cannot occur, so the float route is safe.
-
-_INF_TOKEN = b"inf"
-
-
-def _float_tokens(g: Graph, kind: DistanceKind, quant: Quantization) -> list[bytes]:
-    """spd and diffusion tokens: the float matrix quantized, Infinity its own token."""
-    rows = distance_matrix(g, kind).values.tolist()
-    return [_INF_TOKEN if math.isinf(x) else quantize(x, quant).encode() for row in rows for x in row]
+# arithmetic and rounded by ``exact.round_code``; diffusion values are
+# transcendental, where exact decimal ties cannot occur, so the float
+# route is safe.
 
 
-def _exact_ratio_tokens(g: Graph, kind: DistanceKind, quant: Quantization) -> list[bytes]:
+def _token_rows(inf, codes: np.ndarray) -> np.ndarray:
+    """(n*n, 2) int64 rows (is_inf, code)."""
+    out = np.empty((len(codes), 2), np.int64)
+    out[:, 0] = inf
+    out[:, 1] = codes
+    return out
+
+
+def _float_tokens(g: Graph, kind: DistanceKind, quant: Quantization) -> np.ndarray:
+    """spd and diffusion tokens: the codes of the float matrix."""
+    values = distance_matrix(g, kind).values.ravel()
+    inf = np.isinf(values)
+    return _token_rows(inf, _decimal_codes(np.where(inf, 0.0, values), quant.digits)[0])
+
+
+def _exact_ratio_tokens(g: Graph, kind: DistanceKind, quant: Quantization) -> np.ndarray:
     """rd, htd, ctd and biharmonic tokens from the exact per-component L^+."""
-    n = g.n
-    out = [_INF_TOKEN] * (n * n)
+    n, digits = g.n, quant.digits
+    inf, codes = [1] * (n * n), [0] * (n * n)
     for comp in g.components():
         sub = _subgraph(g, comp)
         num, den = exact.laplacian_pinv(sub)
@@ -498,25 +501,26 @@ def _exact_ratio_tokens(g: Graph, kind: DistanceKind, quant: Quantization) -> li
         else:  # rd, biharmonic, and ctd = 2|E| rd per component
             f = sum(sub.degrees) if kind.name == "ctd" else 1
             block = [[f * (diag[i] + diag[j] - 2 * num[i][j]) for j in range(k)] for i in range(k)]
-        for i, u in enumerate(comp):
-            for j, v in enumerate(comp):
-                out[u * n + v] = exact.round_ratio(block[i][j], den, quant.digits).encode()
-    return out
+        for u, row in zip(comp, block):
+            for v, x in zip(comp, row):
+                inf[u * n + v], codes[u * n + v] = 0, exact.round_code(x, den, digits)
+    return _token_rows(inf, _int64_codes(codes, digits))
 
 
-def _prd_tokens(g: Graph, kind: DistanceKind, quant: Quantization) -> list[bytes]:
+def _prd_tokens(g: Graph, kind: DistanceKind, quant: Quantization) -> np.ndarray:
     """Exact PageRank tokens sum_k gamma_k M^k(u, v) / l^k over one denominator."""
     weights = kind.weights
     steps = len(weights) - 1
     scale, powers = _walk_powers(g, steps)
     den = math.lcm(*(w.denominator for w in weights)) * scale**steps
     coeffs = [w.numerator * den // (w.denominator * scale**k) for k, w in enumerate(weights)]
-    n = g.n
-    return [
-        exact.round_ratio(sum(c * p[u][v] for c, p in zip(coeffs, powers)), den, quant.digits).encode()
+    n, digits = g.n, quant.digits
+    codes = [
+        exact.round_code(sum(c * p[u][v] for c, p in zip(coeffs, powers)), den, digits)
         for u in range(n)
         for v in range(n)
     ]
+    return _token_rows(0, _int64_codes(codes, digits))
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +536,7 @@ class _Kind:
     exact: bool  # integer values: the two routes must agree exactly
     matrix: Callable  # (graph, *params) -> DistanceMatrix
     alternate: Callable  # (graph, *params) -> the cross-check route's np.ndarray
-    tokens: Callable  # (graph, kind, quant) -> flat row-major per-pair tokens
+    tokens: Callable  # (graph, kind, quant) -> row-major per-pair (is_inf, code) rows
 
 
 # keyed by DistanceKind.name, in all_default() order; the columns are the
@@ -568,13 +572,16 @@ def distance_matrix(g: Graph, kind: DistanceKind) -> DistanceMatrix:
     return out
 
 
-def distance_tokens(g: Graph, kind: DistanceKind, quant: Quantization = DEFAULT_QUANT) -> list[bytes]:
-    """Canonical per-pair tokens, flat row-major; exact for rational kinds.
-    Kept in ``g.derived``."""
+def distance_tokens(g: Graph, kind: DistanceKind, quant: Quantization = DEFAULT_QUANT) -> np.ndarray:
+    """Canonical per-pair tokens: a read-only (n*n, 2) int64 array of
+    row-major (is_inf, code) rows, exact for rational kinds.  Kept in
+    ``g.derived``; ``ValueError`` when a code does not fit in 64 bits."""
     key = ("tokens", kind, quant)
     out = g.derived.get(key)
     if out is None:
-        out = g.derived[key] = _row(g, kind).tokens(g, kind, quant)
+        out = _row(g, kind).tokens(g, kind, quant)
+        out.flags.writeable = False
+        g.derived[key] = out
     return out
 
 

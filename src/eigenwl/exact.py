@@ -2,7 +2,8 @@
 
 Every rational is an integer numerator over one common positive scale
 (walk powers M^k / l^k, Laplacian pseudo-inverses N / q), never
-gcd-normalised on the way; :func:`round_ratio` renders p / q at the end.
+gcd-normalised on the way; :func:`round_code` rounds p / q to a decimal
+code at the end.
 """
 
 from __future__ import annotations
@@ -83,14 +84,10 @@ def laplacian_pinv(g) -> tuple[list[list[int]], int]:
     return [[x // common for x in row] for row in num], n * prev // common
 
 
-def round_ratio(p: int, q: int, digits: int) -> str:
-    """p / q (q > 0) rounded half-even to ``digits`` places, rendered like
-    ``format(x, f".{digits}f")`` with negative zero normalized."""
+def round_code(p: int, q: int, digits: int) -> int:
+    """The code k of p / q (q > 0) rounded half-even to ``digits`` places:
+    the decimal k / 10**digits, as ``spectral._decimal_codes`` codes a float."""
     whole, rem = divmod(p * 10**digits, q)
     if 2 * rem > q or (2 * rem == q and whole % 2):
         whole += 1
-    sign = "-" if whole < 0 else ""
-    if not digits:
-        return f"{sign}{abs(whole)}"
-    ip, fp = divmod(abs(whole), 10**digits)
-    return f"{sign}{ip}.{fp:0{digits}d}"
+    return whole

@@ -38,9 +38,10 @@ coloring to one signature per graph.
 
 Every update runs through one driver as numpy passes over all graphs of
 a run, grouped by vertex count.  Keys are int64 rows numbered by sorting
-(``_unique_rows``), one pass per phase: the static data of the projection
-variants, the initial tokens, then per iteration all multisets and then
-all tokens.  The ids come out as an intern table fed one key at a time
+(``_unique_rows``), one pass per phase: the static data of the
+projection, distance and walk variants (rows of int64 decimal codes),
+the initial tokens, then per iteration all multisets and then all
+tokens.  The ids come out as an intern table fed one key at a time
 would give them.  ``spectralign``'s cross update runs four such passes
 per iteration, each ranked before the next because the later ones key on
 final ids, so its ids follow the keys pass by pass over the run
@@ -80,7 +81,7 @@ import numpy as np
 from . import exact
 from .distances import DistanceKind, _Param, distance_tokens, label_params, parse_params
 from .graphs import Graph, MatrixKind
-from .spectral import DEFAULT_QUANT, Quantization, _walk_powers, decomposition_for, quantized_projections
+from .spectral import DEFAULT_QUANT, Quantization, _int64_codes, _walk_powers, decomposition_for, quantized_projections
 
 __all__ = [
     "AlgorithmSpec",
@@ -434,21 +435,14 @@ def _dist_static(spec, graphs, quant):
     if spec.distance.rejects_isolated:
         for g in graphs:
             _require_no_isolated(spec, g)
-    return _token_ids(distance_tokens(g, spec.distance, quant) for g in graphs)
+    return _first_seen([distance_tokens(g, spec.distance, quant) for g in graphs])
 
 
 def _girt_static(spec, graphs, quant):
     """Flat n*n static ids of the landing-probability tokens."""
     for g in graphs:
         _require_no_isolated(spec, g)
-    return _token_ids(_girt_init(g, spec.steps, quant) for g in graphs)
-
-
-def _token_ids(token_lists) -> list[np.ndarray]:
-    """Static ids of each graph's tokens, numbered over the run; the tokens
-    are Python objects, so a dict numbers them."""
-    table: dict = {}
-    return [np.array([table.setdefault(tok, len(table)) for tok in tokens], np.int64) for tokens in token_lists]
+    return _first_seen([_girt_init(g, spec.steps, quant) for g in graphs])
 
 
 def _eig_static(spec, graphs, quant):
@@ -464,20 +458,22 @@ def _eig_static(spec, graphs, quant):
     return out
 
 
-def _girt_init(g: Graph, steps: int, quant: Quantization) -> list:
-    """Initial pair tokens: the multi-step landing-probability vector.
+def _girt_init(g: Graph, steps: int, quant: Quantization) -> np.ndarray:
+    """Initial pair tokens: the multi-step landing-probability vector, an
+    (n*n, steps + 1) int64 array whose row of (u, v) holds the decimal
+    codes of (D^-1 A)^k(u, v) for k = 0..steps.
 
     Walk powers are exact rationals; their decimal expansions routinely
-    end in a tie digit, so rounding must not be left to float noise.
+    end in a tie digit, so they are rounded exactly (``exact.round_code``),
+    never left to float noise.
     """
     scale, powers = _walk_powers(g, steps)
-    dens = [scale**k for k in range(steps + 1)]
-    n = g.n
-    return [
-        tuple(exact.round_ratio(p[u][v], d, quant.digits) for p, d in zip(powers, dens))
-        for u in range(n)
-        for v in range(n)
-    ]
+    digits = quant.digits
+    out = np.empty((g.n * g.n, steps + 1), np.int64)
+    for k, p in enumerate(powers):
+        den = scale**k
+        out[:, k] = _int64_codes([exact.round_code(x, den, digits) for row in p for x in row], digits)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ __all__ = [
     "near_ties",
     "pair_token",
     "quantize",
-    "quantize_fraction",
     "spectrum_token",
     "validate_decomposition",
 ]
@@ -92,16 +91,6 @@ def quantize(x: float, quant: Quantization = DEFAULT_QUANT) -> str:
     if s.startswith("-") and float(s) == 0.0:
         s = s[1:]
     return s
-
-
-def quantize_fraction(x: Fraction, quant: Quantization = DEFAULT_QUANT) -> str:
-    """Exact half-even decimal rounding of a rational.
-
-    Rational inputs sidestep the floating-point tie hazard: a walk
-    probability like 139/640 terminates with a 5 in the seventh decimal,
-    where solver noise would otherwise decide the rounding direction.
-    """
-    return exact.round_ratio(x.numerator, x.denominator, quant.digits)
 
 
 @dataclass(frozen=True)
@@ -354,6 +343,16 @@ def _format_code(x: float, digits: int) -> int:
     return int(text)
 
 
+def _int64_codes(codes: list[int], digits: int) -> np.ndarray:
+    """A list of Python-int codes (``exact.round_code``) as an int64 array;
+    ``ValueError`` when one does not fit in 64 bits."""
+    try:
+        return np.array(codes, np.int64)
+    except OverflowError:
+        wide = _render_code(max(codes, key=abs), digits)
+        raise ValueError(f"{wide} at {digits} digits does not fit in a 64-bit decimal code; use fewer digits") from None
+
+
 def _render_code(code: int, digits: int) -> str:
     """The decimal string of a code: ``quantize(x) == _render_code(k, digits)``
     for the code k of x."""
@@ -471,19 +470,18 @@ def _exact_matrix(g: Graph, kind: MatrixKind) -> tuple[int, list[list[int]]]:
 
 
 def _exact_data(g: Graph, kind: MatrixKind):
-    """(charpoly, [M^0, ..., M^{n-1}]), computed over the integers and
-    converted to Fractions once per graph (kept in ``g.derived``)."""
+    """(charpoly, scale, [M^0, ..., M^{n-1}]) of the integer matrix M with
+    M / scale the exact matrix of the kind, kept in ``g.derived``.  The
+    charpoly is in Fractions; (M / scale)^k is M^k / scale**k, its powers
+    stay integers."""
     key = ("exact", kind)
     cached = g.derived.get(key)
     if cached is None:
         scale, mat = _exact_matrix(g, kind)
-        n = g.n
-        powers = [exact.identity(n)]
-        exact.extend_powers(mat, powers, n - 1)
-        scales = [scale**k for k in range(n + 1)]
-        cp = tuple(Fraction(c, s) for c, s in zip(exact.charpoly(mat), scales))
-        cached = (cp, [[[Fraction(x, s) for x in row] for row in p] for p, s in zip(powers, scales)])
-        g.derived[key] = cached
+        powers = [exact.identity(g.n)]
+        exact.extend_powers(mat, powers, g.n - 1)
+        cp = tuple(Fraction(c, scale**k) for k, c in enumerate(exact.charpoly(mat)))
+        cached = g.derived[key] = (cp, scale, powers)
     return cached
 
 
@@ -511,8 +509,8 @@ def exact_pair_token(g: Graph, kind: MatrixKind, u: int, v: int) -> ExactPairTok
         raise IndexError(f"vertex pair ({u}, {v}) out of range")
     if kind is MatrixKind.DEGREE:
         raise ValueError("exact backend covers adjacency, Laplacian, and normalized Laplacian")
-    cp, powers = _exact_data(g, kind)
-    moments = tuple(p[u][v] for p in powers)
+    cp, scale, powers = _exact_data(g, kind)
+    moments = tuple(Fraction(p[u][v], scale**k) for k, p in enumerate(powers))
     degrees = None
     if kind is MatrixKind.NORMALIZED_LAPLACIAN:
         degrees = (g.degree(u), g.degree(v))

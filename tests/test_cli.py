@@ -53,6 +53,18 @@ def test_compare_digits_past_64_bit_codes_is_usage_error(capsys):
     assert code == 1
 
 
+def test_compare_digits_past_64_bit_distance_and_walk_codes_is_usage_error(capsys):
+    # distance and walk tokens share the projector codes' 64-bit limit: C6's
+    # hitting time 5 and every 0-step landing probability 1 pass 2**63 at 19 digits
+    for alg in ("gdwl:htd", "girt:K=4"):
+        code, _, err = run_cli(capsys, "compare", "--alg", alg, "--g", C6, "--h", TWO_TRIANGLES, "--digits", "19")
+        assert code == 2, alg
+        assert "64-bit" in err, alg
+    # C6's largest resistance distance 1.5 fits at 18 digits
+    code, _, _ = run_cli(capsys, "compare", "--alg", "gdwl:rd", "--g", C6, "--h", TWO_TRIANGLES, "--digits", "18")
+    assert code == 1
+
+
 def test_compare_bad_graph6_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "compare", "--alg", "wl1", "--g", "A", "--h", C6)
     assert code == 2
@@ -491,3 +503,17 @@ def test_unknown_config_key_rejected(tmp_path):
     path.write_text("not_a_key=3\n")
     with _pytest.raises(UsageError, match="unknown config key"):
         RunConfig.from_sources(str(path), argparse.Namespace())
+
+
+def test_run_config_passes_every_verify_field():
+    from eigenwl.spectral import Quantization
+    from eigenwl.verify import VerifyConfig
+
+    cfg = RunConfig(
+        seed=5, digits=3, eig_gap_scale=1e-9, corpus_max_n=4, random_graphs=6, random_max_n=7,
+        hierarchy_random_graphs=8, hierarchy_random_max_n=9, parity_max_base_n=3,
+    )
+    assert cfg.verify_config() == VerifyConfig(
+        corpus_max_n=4, random_graphs=6, random_max_n=7, hierarchy_random_graphs=8, hierarchy_random_max_n=9,
+        parity_max_base_n=3, seed=5, quant=Quantization(digits=3, eig_gap_scale=1e-9),
+    )

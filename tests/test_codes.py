@@ -1,13 +1,15 @@
-"""Integer decimal codes of the projector data against the decimal strings
-they replaced.
+"""Integer decimal codes of the projector, distance and walk data against
+the decimal strings they replaced.
 
 The reference oracles below are the string routes the codes replaced:
 per-entry ``quantize`` strings, sorted ``"lam:ent"`` records as static
-keys, and tokens joined from the cached strings.  Static ids and token
-bytes must come out identical.
+keys, tokens joined from the cached strings, and exact rationals
+rendered by ``round_ratio`` and numbered in a dict.  Static ids and
+token bytes must come out identical.
 """
 
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -16,14 +18,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigenwl import furer, refinement, spectral
-from eigenwl.graphs import MatrixKind, complete_graph, random_connected_graph
+from eigenwl import exact, furer, refinement, spectral
+from eigenwl.distances import DistanceKind, _subgraph, distance_matrix
+from eigenwl.graphs import MatrixKind, complete_graph, cycle_graph, disjoint_union, path_graph, random_connected_graph
 from eigenwl.refinement import _VARIANTS, AlgorithmSpec
 from eigenwl.spectral import (
     NEAR_TIE,
     Quantization,
     _decimal_codes,
     _render_code,
+    _walk_powers,
     decomposition_for,
     near_ties,
     pair_token,
@@ -271,3 +275,93 @@ def test_tokens_match_string_reference_at_other_digits(digits):
             for u in range(g.n):
                 for v in range(g.n):
                     assert pair_token(g, kind, u, v, quant).data == _ref_pair_token(g, kind, u, v, quant)
+
+
+# ---------------------------------------------------------------------------
+# reference oracle for the distance and walk tokens: the string route the
+# codes replaced, exact rationals rendered by round_ratio and numbered in a
+# dict one token at a time
+
+
+def _round_ratio(p, q, digits):
+    """p / q (q > 0) rounded half-even to ``digits`` places, rendered like
+    ``format(x, f".{digits}f")`` with negative zero normalized."""
+    whole, rem = divmod(p * 10**digits, q)
+    if 2 * rem > q or (2 * rem == q and whole % 2):
+        whole += 1
+    sign = "-" if whole < 0 else ""
+    if not digits:
+        return f"{sign}{abs(whole)}"
+    ip, fp = divmod(abs(whole), 10**digits)
+    return f"{sign}{ip}.{fp:0{digits}d}"
+
+
+def _ref_exact_ratios(g, kind):
+    """Every pair's exact distance as (p, q), None across components."""
+    n = g.n
+    if kind.name == "prd":
+        scale, powers = _walk_powers(g, len(kind.weights) - 1)
+        den = math.lcm(*(w.denominator for w in kind.weights)) * scale ** (len(powers) - 1)
+        coeffs = [int(w * den / scale**k) for k, w in enumerate(kind.weights)]  # gamma_k den / l^k
+        return [(sum(c * p[u][v] for c, p in zip(coeffs, powers)), den) for u in range(n) for v in range(n)]
+    out = [None] * (n * n)
+    for comp in g.components():
+        sub = _subgraph(g, comp)
+        num, den = exact.laplacian_pinv(sub)
+        if kind.name == "biharmonic":
+            num, den = exact.matmul(num, num), den * den
+        edges2 = sum(sub.degrees)
+        weighted = [sum(d * x for d, x in zip(sub.degrees, row)) for row in num]
+        for i, u in enumerate(comp):
+            for j, v in enumerate(comp):
+                rd = num[i][i] + num[j][j] - 2 * num[i][j]
+                out[u * n + v] = {
+                    "rd": rd,
+                    "biharmonic": rd,
+                    "ctd": edges2 * rd,
+                    "htd": weighted[i] - weighted[j] + edges2 * (num[j][j] - num[i][j]),
+                }[kind.name], den
+    return out
+
+
+def _ref_distance_strings(g, kind, quant):
+    if kind.name in ("spd", "diffusion"):
+        values = distance_matrix(g, kind).values.ravel().tolist()
+        return ["inf" if math.isinf(x) else quantize(x, quant) for x in values]
+    return ["inf" if pq is None else _round_ratio(*pq, quant.digits) for pq in _ref_exact_ratios(g, kind)]
+
+
+def _ref_girt_strings(g, steps, quant):
+    scale, powers = _walk_powers(g, steps)
+    return [
+        tuple(_round_ratio(p[u][v], scale**k, quant.digits) for k, p in enumerate(powers))
+        for u in range(g.n)
+        for v in range(g.n)
+    ]
+
+
+def _dict_ids(token_lists):
+    table = {}
+    return [[table.setdefault(tok, len(table)) for tok in tokens] for tokens in token_lists]
+
+
+def _token_corpus():
+    """The digest and hunt corpora, then a disconnected graph, whose
+    cross-component distances take the Infinity flag."""
+    return [*_corpus("digest"), *_corpus("hunt"), disjoint_union(cycle_graph(3), path_graph(4))]
+
+
+@pytest.mark.parametrize("digits", [6, 2])
+@pytest.mark.parametrize("distance", [kind.name for kind in DistanceKind.all_default()])
+def test_distance_static_ids_match_string_reference(distance, digits):
+    spec, quant, graphs = AlgorithmSpec.parse(f"gdwl:{distance}"), Quantization(digits=digits), _token_corpus()
+    want = _dict_ids(_ref_distance_strings(g, spec.distance, quant) for g in graphs)
+    assert [ids.tolist() for ids in refinement._dist_static(spec, graphs, quant)] == want
+
+
+@pytest.mark.parametrize("digits", [6, 2])
+@pytest.mark.parametrize("steps", [4, 16])
+def test_walk_static_ids_match_string_reference(steps, digits):
+    spec, quant, graphs = AlgorithmSpec.parse(f"girt:K={steps}"), Quantization(digits=digits), _token_corpus()
+    want = _dict_ids(_ref_girt_strings(g, steps, quant) for g in graphs)
+    assert [ids.tolist() for ids in refinement._girt_static(spec, graphs, quant)] == want

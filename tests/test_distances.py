@@ -32,9 +32,15 @@ from eigenwl.graphs import (
     star_graph,
     write_graph6,
 )
-from eigenwl.spectral import DEFAULT_QUANT, Quantization
+from eigenwl.spectral import DEFAULT_QUANT, Quantization, _render_code
 
 INF = float("inf")
+
+
+def rendered_tokens(tokens, digits=DEFAULT_QUANT.digits):
+    """The decimal strings that ``distance_tokens`` codes stand for, as the
+    former string route spelled them: ``b"inf"`` across components."""
+    return [b"inf" if inf else _render_code(code, digits).encode() for inf, code in tokens.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +94,7 @@ def test_float_walk_weights_are_exact_fractions():
     kind = DistanceKind("prd", weights=(0, 1, 0.5))
     assert kind == DistanceKind.parse("prd:w=0,1,1/2")
     g = random_connected_graph(7, 0.4, 3)
-    assert distance_tokens(g, kind) == distance_tokens(g, DistanceKind.parse("prd:w=0,1,1/2"))
+    assert np.array_equal(distance_tokens(g, kind), distance_tokens(g, DistanceKind.parse("prd:w=0,1,1/2")))
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +169,14 @@ def test_biharmonic_examples(k2):
 
 def test_infinity_tokens_are_distinct():
     g = disjoint_union(complete_graph(2), complete_graph(2))
-    mat = spd(g)
-    assert mat.token(0, 2) == b"inf"
-    assert mat.token(0, 1) == b"1.000000"
+    for kind in DistanceKind.all_default():
+        tokens = distance_tokens(g, kind).reshape(4, 4, 2)
+        if kind.name in ("prd", "diffusion"):
+            assert not tokens[:, :, 0].any(), kind  # walks stay finite across components
+            continue
+        assert tokens[0, 2].tolist() == [1, 0], kind  # the Infinity flag, code 0
+        assert not tokens[0, 0, 0] and not tokens[0, 1, 0], kind
+    assert rendered_tokens(distance_tokens(g, DistanceKind("spd")))[1:3] == [b"1.000000", b"inf"]
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +303,7 @@ def _output_records(graphs, capsys):
                 ]
             )
             for quant in (DEFAULT_QUANT, Quantization(digits=2)):
-                yield from _attempt(lambda: distance_tokens(g, kind, quant))
+                yield from _attempt(lambda: rendered_tokens(distance_tokens(g, kind, quant), quant.digits))
             rep = _attempt(lambda: cross_validate(g, kind))
             if isinstance(rep, list):
                 yield from rep

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 
 from eigenwl import exact
@@ -16,11 +17,12 @@ from eigenwl.spectral import (
     DEFAULT_QUANT,
     Quantization,
     _exact_matrix,
+    _render_code,
     _walk_powers,
     exact_pair_token,
     quantize,
-    quantize_fraction,
 )
+from test_distances import rendered_tokens
 
 # sha256 over the exact tokens below as computed by the Fraction-based
 # backend this module replaced; any change to an exact token changes it.
@@ -58,11 +60,11 @@ def _golden_records(graphs):
             if kind.name == "prd" and g.has_isolated:
                 continue
             yield kind.label().encode()
-            yield from distance_tokens(g, kind)
+            yield from rendered_tokens(distance_tokens(g, kind))
         if not g.has_isolated:
             for k in GIRT_STEPS:
-                for tok in _girt_init(g, k, DEFAULT_QUANT):
-                    yield ",".join(tok).encode()
+                for codes in _girt_init(g, k, DEFAULT_QUANT).tolist():
+                    yield ",".join(_render_code(code, DEFAULT_QUANT.digits) for code in codes).encode()
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +145,11 @@ def test_charpoly_small_cases():
 # ratio rounding
 
 
+def _rounded(p, q, digits=6):
+    """p / q rounded by ``exact.round_code``, as the decimal string of its code."""
+    return _render_code(exact.round_code(p, q, digits), digits)
+
+
 @pytest.mark.parametrize(
     "p, q, text",
     [
@@ -157,14 +164,13 @@ def test_charpoly_small_cases():
     ],
 )
 def test_round_ratio_ties_and_signs(p, q, text):
-    assert exact.round_ratio(p, q, 6) == text
-    assert quantize_fraction(Fraction(p, q)) == text
+    assert _rounded(p, q) == text
 
 
 def test_round_ratio_ignores_common_factors():
     for p, q in [(139, 640), (-1, 128), (2, 3), (-5, 7), (0, 9)]:
         for k in (2, 3, 27720, 2**70 + 1):
-            assert exact.round_ratio(p * k, q * k, 6) == exact.round_ratio(p, q, 6)
+            assert exact.round_code(p * k, q * k, 6) == exact.round_code(p, q, 6)
 
 
 def test_round_ratio_denominators_above_two_to_the_64():
@@ -172,12 +178,12 @@ def test_round_ratio_denominators_above_two_to_the_64():
     assert q > 2**64
     tie = 139 * q // 640
     assert tie * 640 == 139 * q
-    assert exact.round_ratio(tie, q, 6) == "0.217188"
-    assert exact.round_ratio(tie - 1, q, 6) == "0.217187"
-    assert exact.round_ratio(tie + 1, q, 6) == "0.217188"
-    assert exact.round_ratio(q // 128, q, 6) == "0.007812"
-    assert exact.round_ratio(q // 128 + 1, q, 6) == "0.007813"
-    assert exact.round_ratio(-(q // 128), q, 6) == "-0.007812"
+    assert _rounded(tie, q) == "0.217188"
+    assert _rounded(tie - 1, q) == "0.217187"
+    assert _rounded(tie + 1, q) == "0.217188"
+    assert _rounded(q // 128, q) == "0.007812"
+    assert _rounded(q // 128 + 1, q) == "0.007813"
+    assert _rounded(-(q // 128), q) == "-0.007812"
 
 
 def test_round_ratio_matches_float_route_on_dyadic_values():
@@ -186,17 +192,15 @@ def test_round_ratio_matches_float_route_on_dyadic_values():
         quant = Quantization(digits=digits)
         for k in range(-300, 301):
             x = Fraction(k, 64)
-            assert quantize_fraction(x, quant) == quantize(float(x), quant), (x, digits)
+            assert _rounded(x.numerator, x.denominator, digits) == quantize(float(x), quant), (x, digits)
 
 
 def test_zero_digits_render_like_float_route():
     quant = Quantization(digits=0)
-    assert quantize_fraction(Fraction(2), quant) == quantize(2.0, quant) == "2"
+    assert _rounded(2, 1, 0) == quantize(2.0, quant) == "2"
     # on a tree the resistance (exact route) equals the hop count (float route)
     p3 = path_graph(3)
-    assert distance_tokens(p3, DistanceKind("rd"), quant) == distance_tokens(
-        p3, DistanceKind("spd"), quant
-    )
+    assert np.array_equal(distance_tokens(p3, DistanceKind("rd"), quant), distance_tokens(p3, DistanceKind("spd"), quant))
 
 
 def test_negative_digits_rejected():

@@ -45,6 +45,7 @@ from eigenwl.refinement import (
     signatures,
     stable_coloring,
 )
+from test_distances import rendered_tokens
 
 ALL_SPEC_LABELS = [
     "wl1",
@@ -1315,8 +1316,15 @@ _REFERENCE_STATIC = {
     ],
     refinement._proj_static: _ref_proj_static,
     refinement._eig_static: _ref_eig_static,
-    refinement._dist_static: _ref_token_static(lambda spec, g, quant: distance_tokens(g, spec.distance, quant)),
-    refinement._girt_static: _ref_token_static(lambda spec, g, quant: refinement._girt_init(g, spec.steps, quant)),
+    refinement._dist_static: _ref_token_static(
+        lambda spec, g, quant: rendered_tokens(distance_tokens(g, spec.distance, quant), quant.digits)
+    ),
+    refinement._girt_static: _ref_token_static(
+        lambda spec, g, quant: [
+            tuple(spectral._render_code(code, quant.digits) for code in codes)
+            for codes in refinement._girt_init(g, spec.steps, quant).tolist()
+        ]
+    ),
 }
 
 _REFERENCE_INIT = {
