@@ -396,7 +396,7 @@ def _pagerank_spectral_route(g: Graph, weights: tuple[Fraction, ...]) -> np.ndar
     left = 1.0 / np.sqrt(deg)
     right = np.sqrt(deg)
     vals = np.zeros((g.n, g.n))
-    for lam, proj in zip(dec.eigenvalues, dec.projections):
+    for lam, proj in zip(dec.eigenvalues, dec.projectors()):
         coeff = sum(float(gamma) * (1.0 - lam) ** k for k, gamma in enumerate(weights))
         vals += coeff * proj
     return left[:, None] * vals * right[None, :]
@@ -411,7 +411,7 @@ def diffusion_distance(g: Graph, tau: float) -> DistanceMatrix:
     _require_no_isolated(g, _DIFFUSION_SUBJECT)
     dec = decomposition_for(g, MatrixKind.NORMALIZED_LAPLACIAN)
     sq = np.zeros((g.n, g.n))
-    for lam, proj in zip(dec.eigenvalues, dec.projections):
+    for lam, proj in zip(dec.eigenvalues, dec.projectors()):
         diag = np.diag(proj)
         sq += math.exp(-2.0 * tau * lam) * (diag[:, None] + diag[None, :] - 2.0 * proj)
     vals = np.sqrt(np.clip(sq, 0.0, None))

@@ -337,9 +337,10 @@ def _nbytes(value) -> int:
     """Approximate bytes held by derived data: arrays, and the numbers,
     Fractions, strings and bytes in tuples, lists and dataclass records.
     A sequence that starts and ends with an array holds only arrays (one
-    projector per eigenvalue); one that starts and ends with an atom holds
-    only atoms of about one size (an eigenvalue each, or an entry of a
-    walk power or of an exact matrix row each), sized from those two."""
+    eigenvector block per eigenvalue); one that starts and ends with an
+    atom holds only atoms of about one size (an eigenvalue each, or an
+    entry of a walk power or of an exact matrix row each), sized from
+    those two."""
     if isinstance(value, np.ndarray):
         return value.nbytes
     if type(value) in _ATOMS:

@@ -95,15 +95,30 @@ def quantize(x: float, quant: Quantization = DEFAULT_QUANT) -> str:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Distinct ascending eigenvalues with multiplicities and projectors."""
+    """Distinct ascending eigenvalues with multiplicities and, per
+    eigenvalue, the orthonormal eigenvectors of its cluster as an
+    (n, multiplicity) block U_i: n^2 floats in all, where the projectors
+    P_i = U_i U_i^T take m n^2.  ``projectors`` builds the P_i."""
 
     eigenvalues: tuple[float, ...]
     multiplicities: tuple[int, ...]
-    projections: tuple[np.ndarray, ...]
+    blocks: tuple[np.ndarray, ...]
 
     @property
     def m(self) -> int:
         return len(self.eigenvalues)
+
+    def projectors(self) -> np.ndarray:
+        """The projectors P_i = U_i U_i^T, symmetrized, as one (m, n, n)
+        array.  They are built anew on every call, so a caller builds
+        them once and indexes the result."""
+        n = sum(self.multiplicities)
+        out = np.empty((self.m, n, n))
+        for proj, block in zip(out, self.blocks):
+            gram = block @ block.T
+            np.add(gram, gram.T, out=proj)
+            proj /= 2.0
+        return out
 
     def pseudo_inverse(self, power: int = 1) -> np.ndarray:
         """Moore-Penrose inverse of M^power, inverting nonzero eigenvalue
@@ -111,7 +126,7 @@ class SpectralDecomposition:
         as the decomposition itself)."""
         n = sum(self.multiplicities)
         out = np.zeros((n, n))
-        for lam, proj in zip(self.eigenvalues, self.projections):
+        for lam, proj in zip(self.eigenvalues, self.projectors()):
             if lam != 0.0:
                 out += proj / (lam**power)
         return out
@@ -133,11 +148,11 @@ class ResidualReport:
 
 
 def decompose(matrix: np.ndarray, quant: Quantization = DEFAULT_QUANT) -> SpectralDecomposition:
-    """Eigendecomposition into distinct-eigenvalue clusters and projectors.
+    """Eigendecomposition into distinct-eigenvalue clusters.
 
     Eigenvalues are sorted ascending and split into clusters wherever the
-    gap exceeds tau = eig_gap_scale * max(1, max|M|); each projector is
-    the Gram matrix of the cluster's orthonormal eigenvectors.
+    gap exceeds tau = eig_gap_scale * max(1, max|M|); each cluster keeps
+    its orthonormal eigenvectors, whose Gram matrix is its projector.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -162,20 +177,19 @@ def decompose(matrix: np.ndarray, quant: Quantization = DEFAULT_QUANT) -> Spectr
 
     eigenvalues = []
     mults = []
-    projections = []
+    blocks = []
     for idxs in clusters:
         lam = float(np.mean(w[idxs]))
         # snap the kernel cluster exactly to zero so pseudo-inverses are clean
         if abs(lam) <= tau:
             lam = 0.0
+        # a copy, so that v itself is not kept
         block = v[:, idxs]
-        proj = block @ block.T
-        proj = (proj + proj.T) / 2.0
-        proj.flags.writeable = False
+        block.flags.writeable = False
         eigenvalues.append(lam)
         mults.append(len(idxs))
-        projections.append(proj)
-    return SpectralDecomposition(tuple(eigenvalues), tuple(mults), tuple(projections))
+        blocks.append(block)
+    return SpectralDecomposition(tuple(eigenvalues), tuple(mults), tuple(blocks))
 
 
 def validate_decomposition(dec: SpectralDecomposition, matrix: np.ndarray) -> ResidualReport:
@@ -184,18 +198,17 @@ def validate_decomposition(dec: SpectralDecomposition, matrix: np.ndarray) -> Re
     n = matrix.shape[0]
     if dec.m == 0:
         return ResidualReport(0.0, 0.0, 0.0, 0.0, 0.0)
-    idem = max(float(np.max(np.abs(p @ p - p))) for p in dec.projections)
+    projs = dec.projectors()
+    idem = max(float(np.max(np.abs(p @ p - p))) for p in projs)
     orth = 0.0
     for i in range(dec.m):
         for j in range(i + 1, dec.m):
-            orth = max(orth, float(np.max(np.abs(dec.projections[i] @ dec.projections[j]))))
-    total = sum(dec.projections)
+            orth = max(orth, float(np.max(np.abs(projs[i] @ projs[j]))))
+    total = sum(projs)
     comp = float(np.max(np.abs(total - np.eye(n))))
-    recon = sum(lam * p for lam, p in zip(dec.eigenvalues, dec.projections))
+    recon = sum(lam * p for lam, p in zip(dec.eigenvalues, projs))
     rec = float(np.max(np.abs(recon - matrix)))
-    tr = max(
-        abs(float(np.trace(p)) - mult) for p, mult in zip(dec.projections, dec.multiplicities)
-    )
+    tr = max(abs(float(np.trace(p)) - mult) for p, mult in zip(projs, dec.multiplicities))
     return ResidualReport(idem, orth, comp, rec, tr)
 
 
@@ -251,25 +264,27 @@ def quantized_projections(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decimal codes of the eigenvalues and projector entries.
 
-    Returns (lams, codes): int64 arrays of shapes (m,) and (m, n, n), with
-    codes[i, u, v] the code of P_i(u, v).  A code k stands for the decimal
-    k / 10**digits, so ``_render_code(k, digits)`` is the ``quantize`` string
-    and equal codes are equal strings.  Raises ``ValueError`` when a code
-    does not fit in 64 bits.
+    Returns (lams, codes): read-only arrays of shapes (m,) and (m, n, n),
+    with codes[i, u, v] the code of P_i(u, v).  A code k stands for the
+    decimal k / 10**digits, so ``_render_code(k, digits)`` is the
+    ``quantize`` string and equal codes are equal strings.  Eigenvalue
+    codes are int64.  Entry codes are int32 while 10**digits < 2**31
+    (entries lie in [-1, 1], so up to 9 digits) and int64 past that.
+    Raises ``ValueError`` when a code does not fit in 64 bits.
     """
     key = _codes_key(kind, quant)
     cached = g.derived.get(key)
     if cached is None:
         dec = decomposition_for(g, kind, quant)
-        n = g.n
-        values = np.concatenate([np.asarray(dec.eigenvalues, float), *(p.ravel() for p in dec.projections)])
-        codes, near_ties = _decimal_codes(values, quant.digits)
-        codes.flags.writeable = False
-        m = dec.m
-        lams = codes[:m]
+        lams, lam_ties = _decimal_codes(np.asarray(dec.eigenvalues, float), quant.digits)
+        width = np.int32 if quant.digits <= _INT32_DIGITS else np.int64
+        entries, near_ties = _decimal_codes(dec.projectors().ravel(), quant.digits, width)
+        entries = entries.reshape(dec.m, g.n, g.n)
+        near_ties += lam_ties
+        lams.flags.writeable = entries.flags.writeable = False
         # "lam:" record prefixes of the pair tokens
         prefixes = tuple(f"{_render_code(lam, quant.digits)}:" for lam in lams.tolist())
-        cached = g.derived[key] = (lams, codes[m:].reshape(m, n, n), near_ties, prefixes)
+        cached = g.derived[key] = (lams, entries, near_ties, prefixes)
     return cached[:2]
 
 
@@ -294,6 +309,8 @@ NEAR_TIE = 1e-6
 _ROUNDS_EXACTLY = 2.0**52
 _EXACT_POWERS = 22
 _INT64 = 1 << 63
+# 10**9 < 2**31 < 10**10, and projector entries lie in [-1, 1]
+_INT32_DIGITS = 9
 _SPLIT = 134217729.0  # 2**27 + 1
 
 
@@ -304,9 +321,10 @@ def _split(a):
     return hi, a - hi
 
 
-def _decimal_codes(values: np.ndarray, digits: int) -> tuple[np.ndarray, int]:
-    """(int64 codes k with ``_render_code(k, digits) == quantize(x)``, number
-    of near ties).
+def _decimal_codes(values: np.ndarray, digits: int, dtype=np.int64) -> tuple[np.ndarray, int]:
+    """(codes k with ``_render_code(k, digits) == quantize(x)``, number
+    of near ties).  The codes are int64, or ``dtype`` where the caller
+    knows that they fit in it.
 
     k is the half-even rounding of the exact x * 10**digits.  The float
     product p has an exact error e = x * 10**digits - p (Dekker's product),
@@ -327,7 +345,7 @@ def _decimal_codes(values: np.ndarray, digits: int) -> tuple[np.ndarray, int]:
         codes[tie] = np.where(err == 0, codes[tie], p[tie] + np.copysign(0.5, err))
         slow = np.flatnonzero(~(np.abs(p) < _ROUNDS_EXACTLY) if digits <= _EXACT_POWERS else x)
         codes[slow] = 0
-        codes = codes.astype(np.int64)
+        codes = codes.astype(dtype)
     for i in slow.tolist():
         codes[i] = _format_code(float(x[i]), digits)
     return codes, int(np.count_nonzero(off <= NEAR_TIE))
@@ -530,7 +548,7 @@ def dump_decomposition(g: Graph, kind: MatrixKind, quant: Quantization = DEFAULT
         "multiplicities": list(dec.multiplicities),
         "projections": [
             [[float(format(p[i, j], ".17g")) for j in range(g.n)] for i in range(g.n)]
-            for p in dec.projections
+            for p in dec.projectors()
         ],
     }
     return json.dumps(record, sort_keys=True)

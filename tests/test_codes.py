@@ -125,6 +125,27 @@ def test_projection_codes_reject_too_many_digits():
         refinement.distinguishes(AlgorithmSpec.parse("epwl:L"), k2, k2, Quantization(digits=19))
 
 
+@pytest.mark.parametrize("digits", [0, 6, 9, 10, 18])
+def test_entry_codes_are_int32_while_ten_to_the_digits_fits(digits):
+    """Entries lie in [-1, 1], so int32 holds their codes up to 9 digits;
+    the values are the int64 codes either way."""
+    quant = Quantization(digits=digits)
+    # P(3, 3) = 1 at the isolated vertex, the largest code an entry has
+    pendant = disjoint_union(path_graph(3), complete_graph(1))
+    cases = [(random_connected_graph(12, 0.4, 3), kind) for kind in KINDS]
+    cases += [(pendant, MatrixKind.ADJACENCY), (pendant, MatrixKind.LAPLACIAN)]
+    for g, kind in cases:
+        lams, codes = quantized_projections(g, kind, quant)
+        assert lams.dtype == np.int64
+        assert codes.dtype == (np.int32 if digits <= 9 else np.int64)
+        dec = decomposition_for(g, kind, quant)
+        values = np.concatenate([np.asarray(dec.eigenvalues, float), *(p.ravel() for p in dec.projectors())])
+        ref = _decimal_codes(values, digits)[0]
+        assert lams.tolist() == ref[: dec.m].tolist()
+        assert codes.ravel().tolist() == ref[dec.m :].tolist()
+    assert quantized_projections(pendant, MatrixKind.ADJACENCY, quant)[1].max() == 10**digits
+
+
 # ---------------------------------------------------------------------------
 # near ties
 
@@ -160,7 +181,7 @@ def test_near_tie_threshold():
 def _ref_quantized_projections(g, kind, quant):
     dec = decomposition_for(g, kind, quant)
     lams = tuple(quantize(lam, quant) for lam in dec.eigenvalues)
-    entries = [[[quantize(p[u, v], quant) for v in range(g.n)] for u in range(g.n)] for p in dec.projections]
+    entries = [[[quantize(p[u, v], quant) for v in range(g.n)] for u in range(g.n)] for p in dec.projectors()]
     return lams, entries
 
 

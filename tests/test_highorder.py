@@ -113,7 +113,7 @@ def test_projection_entry_diagonal_sums_to_one():
     tg = token_graph(g, 2)
     dec = decomposition_for(tg.product, MatrixKind.ADJACENCY)
     idx = tg.index_of((1, 3))
-    assert sum(p[idx, idx] for p in dec.projections) == pytest.approx(1.0)
+    assert sum(p[idx, idx] for p in dec.projectors()) == pytest.approx(1.0)
 
 
 def test_projection_entry_rejects_repeats():

@@ -13,10 +13,12 @@ from eigenwl.graphs import (
     build_matrix,
     complete_graph,
     cycle_graph,
+    random_connected_graph,
     random_graph,
     write_graph6,
 )
 from eigenwl.spectral import (
+    DEFAULT_QUANT,
     EPS_ALG,
     Quantization,
     SpectralDecomposition,
@@ -29,6 +31,7 @@ from eigenwl.spectral import (
     spectrum_token,
     validate_decomposition,
 )
+from test_refinement import _digest_corpus, _hypercube
 
 
 def test_quantize_rounding_and_negative_zero():
@@ -52,8 +55,9 @@ def test_decompose_k2_adjacency():
     dec = decompose(build_matrix(complete_graph(2), MatrixKind.ADJACENCY))
     assert dec.eigenvalues == (-1.0, 1.0)
     assert dec.multiplicities == (1, 1)
-    assert np.allclose(dec.projections[0], [[0.5, -0.5], [-0.5, 0.5]])
-    assert np.allclose(dec.projections[1], [[0.5, 0.5], [0.5, 0.5]])
+    projs = dec.projectors()
+    assert np.allclose(projs[0], [[0.5, -0.5], [-0.5, 0.5]])
+    assert np.allclose(projs[1], [[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_decompose_c4_normalized():
@@ -65,19 +69,43 @@ def test_decompose_c4_normalized():
     dec = decompose(m)
     assert np.allclose(dec.eigenvalues, [0.0, 1.0, 2.0])
     assert dec.multiplicities == (1, 2, 1)
-    assert np.allclose(dec.projections[0], np.full((4, 4), 0.25))
+    assert np.allclose(dec.projectors()[0], np.full((4, 4), 0.25))
 
 
 def test_decompose_identity():
     dec = decompose(np.eye(5))
     assert dec.eigenvalues == (1.0,)
     assert dec.multiplicities == (5,)
-    assert np.allclose(dec.projections[0], np.eye(5))
+    assert np.allclose(dec.projectors()[0], np.eye(5))
 
 
 def test_decompose_requires_symmetry():
     with pytest.raises(ValueError, match="symmetric"):
         decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _reference_projectors(matrix, quant):
+    """Projectors built straight from ``eigh``: clusters split at gaps
+    above tau, then each cluster's Gram matrix ``block @ block.T``,
+    symmetrized, one array each."""
+    w, v = np.linalg.eigh(matrix)
+    tau = quant.eig_gap_scale * max(1.0, float(np.max(np.abs(matrix))))
+    bounds = [0, *(np.flatnonzero(np.diff(w) > tau) + 1).tolist(), len(w)]
+    out = []
+    for a, b in zip(bounds, bounds[1:]):
+        block = v[:, list(range(a, b))]
+        proj = block @ block.T
+        out.append((proj + proj.T) / 2.0)
+    return out
+
+
+@pytest.mark.parametrize("kind", [MatrixKind.ADJACENCY, MatrixKind.LAPLACIAN, MatrixKind.NORMALIZED_LAPLACIAN])
+def test_projectors_built_from_blocks_equal_the_reference_bit_for_bit(kind):
+    for g in [*_digest_corpus(), _hypercube(5), random_connected_graph(48, 0.2, 5)]:
+        projs = decomposition_for(g, kind).projectors()
+        ref = _reference_projectors(build_matrix(g, kind), DEFAULT_QUANT)
+        assert len(projs) == len(ref)
+        assert all(np.array_equal(p, r) for p, r in zip(projs, ref)), write_graph6(g)
 
 
 def test_validate_decomposition_detects_missing_projection():
@@ -87,7 +115,7 @@ def test_validate_decomposition_detects_missing_projection():
     broken = SpectralDecomposition(
         dec.eigenvalues,
         dec.multiplicities,
-        tuple([np.zeros_like(dec.projections[0])] + list(dec.projections[1:])),
+        (np.zeros_like(dec.blocks[0]), *dec.blocks[1:]),
     )
     rep = validate_decomposition(broken, m)
     assert not rep.passed()
@@ -110,8 +138,9 @@ def test_pair_token_k2_values():
 def test_pair_token_diagonal_sums_to_one():
     g = random_graph(7, 0.5, 11)
     dec = decomposition_for(g, MatrixKind.ADJACENCY)
+    projs = dec.projectors()
     for u in range(g.n):
-        assert sum(p[u, u] for p in dec.projections) == pytest.approx(1.0)
+        assert sum(p[u, u] for p in projs) == pytest.approx(1.0)
 
 
 def test_pair_token_symmetry_and_relabeling():

@@ -12,7 +12,7 @@ import pytest
 
 from eigenwl import graphs, spectral
 from eigenwl.graphs import MatrixKind, parse_graph6, random_connected_graph, write_graph6
-from eigenwl.refinement import AlgorithmSpec, distinguishes
+from eigenwl.refinement import AlgorithmSpec, distinguishes, stable_coloring
 from eigenwl.spectral import Quantization
 
 A = MatrixKind.ADJACENCY
@@ -61,7 +61,7 @@ def test_memory_stays_bounded_over_a_stream_of_distinct_graphs():
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    # each pair derives about 2 MB; the last pair's entries wait in the
+    # each pair derives about 0.55 MB; the last pair's entries wait in the
     # release queue until the next graph reads its derived data
     assert grown < graphs.POOL_BYTES + (6 << 20)
 
@@ -72,7 +72,7 @@ def test_live_graph_reads_its_codes_back_while_the_pool_overflows(fresh_store, e
     token = spectral.pair_token(g, LHAT, 0, 1)
     released = 0
     for seed in range(100, 140):
-        h = random_connected_graph(48, 0.2, seed)
+        h = random_connected_graph(64, 0.2, seed)
         spectral.quantized_projections(h, LHAT)
         released += graphs._entry_nbytes(h.derived, {})
         del h
@@ -83,6 +83,37 @@ def test_live_graph_reads_its_codes_back_while_the_pool_overflows(fresh_store, e
     assert spectral.near_ties(g, LHAT) == ties
     assert spectral.pair_token(g, LHAT, 0, 1) == token
     assert len(eigensolves) == 41
+
+
+def _project(g):
+    for kind in ("A", "L", "Lhat"):
+        stable_coloring(AlgorithmSpec.parse(f"epwl:{kind}"), [g])
+
+
+def test_projection_data_of_an_n48_graph_stays_small():
+    """Eigenvector blocks (n^2 floats per kind) and int32 entry codes, not
+    m stored n x n float projectors beside int64 codes."""
+    g = random_connected_graph(48, 0.2, 5)
+    _project(g)
+    assert graphs._entry_nbytes(g.derived, {}) <= 1.5e6
+
+
+def test_pool_keeps_an_n48_graph_while_copies_are_compared(fresh_store, eigensolves):
+    """As in ``scan``: a scanned graph's data waits in the pool while
+    relabelled copies of it are compared and released, so the graph
+    parsed again from its line costs no second eigensolve."""
+    g = random_connected_graph(48, 0.2, 5)
+    line, rng = write_graph6(g), random.Random(5)
+    _project(g)
+    copies = [write_graph6(g.relabel(rng.sample(range(g.n), g.n))) for _ in range(6)]
+    del g
+    spec = AlgorithmSpec.parse("epwl:Lhat")
+    for a, b in zip(copies[::2], copies[1::2]):
+        distinguishes(spec, parse_graph6(a), parse_graph6(b))
+    gc.collect()
+    assert len(eigensolves) == 3 + 6
+    spectral.quantized_projections(parse_graph6(line), LHAT)
+    assert len(eigensolves) == 3 + 6
 
 
 def test_reparsed_graph_costs_no_second_eigensolve(eigensolves):
