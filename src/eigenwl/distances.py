@@ -27,7 +27,7 @@ import numpy as np
 
 from . import exact
 from .graphs import Graph, MatrixKind, build_matrix
-from .spectral import DEFAULT_QUANT, Quantization, _decimal_codes, _int64_codes, _walk_powers, decomposition_for
+from .spectral import DEFAULT_QUANT, Quantization, _decimal_codes, _int64_codes, decomposition_for
 
 __all__ = [
     "CrossCheckReport",
@@ -281,13 +281,14 @@ def _spd_min_power(g: Graph) -> np.ndarray:
     power, since both sum strictly positive weights over the same walks.
     """
     n = g.n
-    adj = exact.int_matrix(g, MatrixKind.ADJACENCY)
     vals = np.full((n, n), np.inf)
     np.fill_diagonal(vals, 0.0)
-    power = exact.identity(n)
+    # a local list, not the graph's power table: kept in ``g.derived`` it
+    # would cost the store a sizing pass for a cross-check that reads it once
+    powers = [exact.identity(n), exact.int_matrix(g, MatrixKind.ADJACENCY)]
     for i in range(1, n):
-        power = exact.matmul(power, adj)
-        vals[np.isinf(vals) & np.array([[x > 0 for x in row] for row in power])] = float(i)
+        exact.extend_powers(powers, i)
+        vals[np.isinf(vals) & np.array([[x > 0 for x in row] for row in powers[i]])] = float(i)
     return vals
 
 
@@ -481,25 +482,24 @@ def _float_tokens(g: Graph, kind: DistanceKind, quant: Quantization) -> np.ndarr
 
 
 def _exact_ratio_tokens(g: Graph, kind: DistanceKind, quant: Quantization) -> np.ndarray:
-    """rd, htd, ctd and biharmonic tokens from the exact per-component L^+."""
+    """rd, htd, ctd and biharmonic tokens from the exact per-component L^+,
+    one per graph for all four kinds (``exact.laplacian_pinvs``)."""
     n, digits = g.n, quant.digits
     inf, codes = [1] * (n * n), [0] * (n * n)
-    for comp in g.components():
-        sub = _subgraph(g, comp)
-        num, den = exact.laplacian_pinv(sub)
-        k = sub.n
+    for comp, (num, den) in zip(g.components(), exact.laplacian_pinvs(g)):
+        k, degrees = len(comp), [g.degree(u) for u in comp]
         if kind.name == "biharmonic":
             num, den = exact.matmul(num, num), den * den
         diag = [num[i][i] for i in range(k)]
         if kind.name == "htd":
-            edges2 = sum(sub.degrees)
-            weighted = [sum(map(mul, row, sub.degrees)) for row in num]
+            edges2 = sum(degrees)
+            weighted = [sum(map(mul, row, degrees)) for row in num]
             block = [
                 [weighted[i] - weighted[j] + edges2 * (diag[j] - num[i][j]) for j in range(k)]
                 for i in range(k)
             ]
         else:  # rd, biharmonic, and ctd = 2|E| rd per component
-            f = sum(sub.degrees) if kind.name == "ctd" else 1
+            f = sum(degrees) if kind.name == "ctd" else 1
             block = [[f * (diag[i] + diag[j] - 2 * num[i][j]) for j in range(k)] for i in range(k)]
         for u, row in zip(comp, block):
             for v, x in zip(comp, row):
@@ -511,7 +511,7 @@ def _prd_tokens(g: Graph, kind: DistanceKind, quant: Quantization) -> np.ndarray
     """Exact PageRank tokens sum_k gamma_k M^k(u, v) / l^k over one denominator."""
     weights = kind.weights
     steps = len(weights) - 1
-    scale, powers = _walk_powers(g, steps)
+    scale, powers = exact.powers(g, exact.WALK, steps)
     den = math.lcm(*(w.denominator for w in weights)) * scale**steps
     coeffs = [w.numerator * den // (w.denominator * scale**k) for k, w in enumerate(weights)]
     n, digits = g.n, quant.digits

@@ -1,12 +1,15 @@
-"""k-th symmetric powers (token graphs) and lifted spectral invariants.
+"""k-th symmetric powers (token graphs).
 
 The k-th symmetric power of a graph has the k-element vertex subsets as
 vertices, two subsets adjacent when their symmetric difference is an
 edge of the base graph.  (Some write-ups speak of multisets of
 cardinality k; the set form is what is implemented here.)  Spectra of
 token graphs carry strictly higher-order structure than the base
-spectrum and the module exposes them, together with projection pair
-invariants lifted to vertex tuples.
+spectrum.  The product is a plain ``Graph``, so the spectral tokens of
+:mod:`eigenwl.spectral` apply to it as they are:
+``spectrum_token(tg.product, kind)`` for its spectrum, and
+``pair_token(tg.product, kind, tg.index_of(a), tg.index_of(b))`` for the
+projection pair invariant of two k-vertex tuples.
 
 Token graphs of perfectly reasonable bases can contain isolated
 vertices (the 2nd power of an edge is a single bare vertex), in which
@@ -19,10 +22,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .graphs import Graph, MatrixKind
-from .spectral import DEFAULT_QUANT, PairToken, Quantization, SpectrumToken, pair_token, spectrum_token
+from .graphs import Graph
 
-__all__ = ["TokenGraph", "token_graph", "token_projection_entry", "token_spectrum"]
+__all__ = ["TokenGraph", "token_graph"]
 
 MAX_PRODUCT_VERTICES = 5000
 
@@ -91,29 +93,3 @@ def token_graph(g: Graph, k: int) -> TokenGraph:
                 rows[p] |= 1 << q
                 rows[q] |= 1 << p
     return TokenGraph(g, k, Graph(size, tuple(rows)), tuple(masks))
-
-
-def token_spectrum(
-    g: Graph, k: int, kind: MatrixKind, quant: Quantization = DEFAULT_QUANT
-) -> SpectrumToken:
-    """Spectrum token of the k-th symmetric power's matrix."""
-    return spectrum_token(token_graph(g, k).product, kind, quant)
-
-
-def token_projection_entry(
-    g: Graph,
-    k: int,
-    kind: MatrixKind,
-    u_tuple,
-    v_tuple,
-    quant: Quantization = DEFAULT_QUANT,
-) -> PairToken:
-    """Pair invariant of the product vertices named by two k-vertex tuples.
-
-    Tuples must consist of k distinct vertices each; order inside a
-    tuple is irrelevant (sets forget it).
-    """
-    tg = token_graph(g, k)
-    pu = tg.index_of(u_tuple)
-    pv = tg.index_of(v_tuple)
-    return pair_token(tg.product, kind, pu, pv, quant)

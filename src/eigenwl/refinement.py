@@ -81,7 +81,7 @@ import numpy as np
 from . import exact
 from .distances import DistanceKind, _Param, distance_tokens, label_params, parse_params
 from .graphs import Graph, MatrixKind
-from .spectral import DEFAULT_QUANT, Quantization, _int64_codes, _walk_powers, decomposition_for, quantized_projections
+from .spectral import DEFAULT_QUANT, Quantization, _int64_codes, decomposition_for, quantized_projections
 
 __all__ = [
     "AlgorithmSpec",
@@ -467,7 +467,7 @@ def _girt_init(g: Graph, steps: int, quant: Quantization) -> np.ndarray:
     end in a tie digit, so they are rounded exactly (``exact.round_code``),
     never left to float noise.
     """
-    scale, powers = _walk_powers(g, steps)
+    scale, powers = exact.powers(g, exact.WALK, steps)
     digits = quant.digits
     out = np.empty((g.n * g.n, steps + 1), np.int64)
     for k, p in enumerate(powers):

@@ -8,10 +8,11 @@ decimal quantization so that tokens compare exactly across graphs and
 platforms.
 
 An exact rational backend (characteristic polynomial plus the moment
-sequence M^k(u, v), computed fraction-free over the integers by
-:mod:`eigenwl.exact`) cross-validates the floating-point tokens: equal
-exact tokens always imply equal invariant values, and for the adjacency
-and Laplacian kinds the converse holds within a fixed spectrum
+sequence M^k(u, v), both read fraction-free over the integers from the
+power table of :mod:`eigenwl.exact`, the polynomial from the traces of
+the powers) cross-validates the floating-point tokens: equal exact
+tokens always imply equal invariant values, and for the adjacency and
+Laplacian kinds the converse holds within a fixed spectrum
 (Vandermonde invertibility).  For the normalized Laplacian the exact
 token is a sufficient-only certificate.
 """
@@ -23,6 +24,8 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -472,53 +475,23 @@ class ExactPairToken:
         return hashlib.blake2b(self.serialize(), digest_size=16).hexdigest()
 
 
-def _exact_matrix(g: Graph, kind: MatrixKind) -> tuple[int, list[list[int]]]:
-    """(scale, integer matrix) whose ratio is the exact matrix of the kind."""
-    if kind in (MatrixKind.ADJACENCY, MatrixKind.LAPLACIAN):
-        return 1, exact.int_matrix(g, kind)
-    if kind is MatrixKind.NORMALIZED_LAPLACIAN:
-        if g.has_isolated:
-            raise ValueError("normalized Laplacian undefined: graph has an isolated vertex")
-        # exact surrogate D^{-1} L = I - D^{-1} A, similar to L-hat
-        scale, walk = exact.walk_matrix(g)
-        return scale, [
-            [scale * (u == v) - x for v, x in enumerate(row)] for u, row in enumerate(walk)
-        ]
-    raise ValueError(f"exact backend does not support kind {kind!r}")
-
-
 def _exact_data(g: Graph, kind: MatrixKind):
     """(charpoly, scale, [M^0, ..., M^{n-1}]) of the integer matrix M with
-    M / scale the exact matrix of the kind, kept in ``g.derived``.  The
-    charpoly is in Fractions; (M / scale)^k is M^k / scale**k, its powers
+    M / scale the exact matrix of the kind: the powers from the table of
+    ``exact.powers``, and the charpoly, in Fractions, from their traces,
+    kept in ``g.derived``.  (M / scale)^k is M^k / scale**k, its powers
     stay integers."""
-    key = ("exact", kind)
-    cached = g.derived.get(key)
-    if cached is None:
-        scale, mat = _exact_matrix(g, kind)
-        powers = [exact.identity(g.n)]
-        exact.extend_powers(mat, powers, g.n - 1)
-        cp = tuple(Fraction(c, scale**k) for k, c in enumerate(exact.charpoly(mat)))
-        cached = g.derived[key] = (cp, scale, powers)
-    return cached
-
-
-def _walk_powers(g: Graph, count: int) -> tuple[int, list]:
-    """(l, [M^0, ..., M^count]) with M = l * D^-1 A; (D^-1 A)^k = M^k / l^k.
-
-    One list per graph in ``g.derived``, extended to the largest
-    ``count`` asked for, serves every walk-based token kind.
-    """
-    cached = g.derived.get("walk")
-    if cached is None:
-        scale, mat = exact.walk_matrix(g)
-        cached = g.derived["walk"] = (scale, mat, [exact.identity(g.n)])
-    scale, mat, powers = cached
-    if len(powers) <= count:
-        exact.extend_powers(mat, powers, count)
-        # stored anew, so that the store sizes the grown list again
-        g.derived["walk"] = (scale, mat, powers)
-    return scale, powers[: count + 1]
+    n = g.n
+    scale, powers = exact.powers(g, kind, n - 1)
+    key = ("charpoly", kind)
+    cp = g.derived.get(key)
+    if cp is None:
+        mat = exact.powers(g, kind, 1)[1][1]
+        # tr(M^n) = sum over (u, v) of M^{n-1}(u, v) M(v, u): M^n is never built
+        traces = [sum(p[i][i] for i in range(n)) for p in powers[1:]]
+        traces.append(sum(map(mul, chain.from_iterable(powers[-1]), chain.from_iterable(zip(*mat)))))
+        cp = g.derived[key] = tuple(Fraction(c, scale**k) for k, c in enumerate(exact.charpoly(traces)))
+    return cp, scale, powers
 
 
 def exact_pair_token(g: Graph, kind: MatrixKind, u: int, v: int) -> ExactPairToken:

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from eigenwl import graphs
 from eigenwl.graphs import (
     Graph,
     complete_graph,
@@ -10,6 +11,15 @@ from eigenwl.graphs import (
     enumerate_graphs,
     path_graph,
 )
+
+
+@pytest.fixture
+def fresh_store(monkeypatch):
+    """An empty store in place of the process-wide one, so that a new
+    graph starts with no derived data."""
+    store = graphs._DerivedStore(graphs.POOL_BYTES)
+    monkeypatch.setattr(graphs, "_STORE", store)
+    return store
 
 
 @pytest.fixture(scope="session")

@@ -27,7 +27,6 @@ from eigenwl.spectral import (
     Quantization,
     _decimal_codes,
     _render_code,
-    _walk_powers,
     decomposition_for,
     near_ties,
     pair_token,
@@ -321,14 +320,13 @@ def _ref_exact_ratios(g, kind):
     """Every pair's exact distance as (p, q), None across components."""
     n = g.n
     if kind.name == "prd":
-        scale, powers = _walk_powers(g, len(kind.weights) - 1)
+        scale, powers = exact.powers(g, exact.WALK, len(kind.weights) - 1)
         den = math.lcm(*(w.denominator for w in kind.weights)) * scale ** (len(powers) - 1)
         coeffs = [int(w * den / scale**k) for k, w in enumerate(kind.weights)]  # gamma_k den / l^k
         return [(sum(c * p[u][v] for c, p in zip(coeffs, powers)), den) for u in range(n) for v in range(n)]
     out = [None] * (n * n)
-    for comp in g.components():
+    for comp, (num, den) in zip(g.components(), exact.laplacian_pinvs(g)):
         sub = _subgraph(g, comp)
-        num, den = exact.laplacian_pinv(sub)
         if kind.name == "biharmonic":
             num, den = exact.matmul(num, num), den * den
         edges2 = sum(sub.degrees)
@@ -353,7 +351,7 @@ def _ref_distance_strings(g, kind, quant):
 
 
 def _ref_girt_strings(g, steps, quant):
-    scale, powers = _walk_powers(g, steps)
+    scale, powers = exact.powers(g, exact.WALK, steps)
     return [
         tuple(_round_ratio(p[u][v], scale**k, quant.digits) for k, p in enumerate(powers))
         for u in range(g.n)

@@ -9,8 +9,17 @@ from eigenwl.graphs import (
     is_isomorphic,
     random_connected_graph,
 )
-from eigenwl.highorder import token_graph, token_projection_entry, token_spectrum
+from eigenwl.highorder import token_graph
 from eigenwl.spectral import pair_token, spectrum_token
+
+
+def _spectrum(g, k, kind):
+    return spectrum_token(token_graph(g, k).product, kind)
+
+
+def _pair(g, k, kind, a, b):
+    tg = token_graph(g, k)
+    return pair_token(tg.product, kind, tg.index_of(a), tg.index_of(b))
 
 
 def test_order_one_reproduces_base():
@@ -31,7 +40,7 @@ def test_k2_second_power_is_isolated_vertex(k2):
     assert tg.product.num_edges == 0
     assert tg.product.has_isolated
     with pytest.raises(ValueError, match="isolated"):
-        token_spectrum(k2, 2, MatrixKind.NORMALIZED_LAPLACIAN)
+        _spectrum(k2, 2, MatrixKind.NORMALIZED_LAPLACIAN)
 
 
 def test_vertex_count_is_binomial():
@@ -78,31 +87,33 @@ def test_relabeling_equivariance():
 def test_spectrum_at_order_one_matches_base():
     g = random_connected_graph(6, 0.5, 4)
     for kind in (MatrixKind.ADJACENCY, MatrixKind.LAPLACIAN):
-        assert token_spectrum(g, 1, kind) == spectrum_token(g, kind)
+        assert _spectrum(g, 1, kind) == spectrum_token(g, kind)
 
 
 def test_second_power_separates_c6_from_triangles(c6, two_triangles):
-    a = token_spectrum(c6, 2, MatrixKind.ADJACENCY)
-    b = token_spectrum(two_triangles, 2, MatrixKind.ADJACENCY)
+    a = _spectrum(c6, 2, MatrixKind.ADJACENCY)
+    b = _spectrum(two_triangles, 2, MatrixKind.ADJACENCY)
     assert a != b
 
 
 def test_isomorphic_inputs_share_spectra():
     g = random_connected_graph(6, 0.5, 11)
     h = g.relabel([5, 3, 1, 0, 4, 2])
-    assert token_spectrum(g, 2, MatrixKind.ADJACENCY) == token_spectrum(h, 2, MatrixKind.ADJACENCY)
+    assert _spectrum(g, 2, MatrixKind.ADJACENCY) == _spectrum(h, 2, MatrixKind.ADJACENCY)
 
 
 def test_projection_entry_order_one(c6):
-    assert token_projection_entry(c6, 1, MatrixKind.ADJACENCY, (1,), (4,)) == pair_token(
+    assert _pair(c6, 1, MatrixKind.ADJACENCY, (1,), (4,)) == pair_token(
         c6, MatrixKind.ADJACENCY, 1, 4
     )
 
 
 def test_projection_entry_forgets_tuple_order():
     g = random_connected_graph(6, 0.5, 2)
-    a = token_projection_entry(g, 2, MatrixKind.ADJACENCY, (0, 3), (1, 4))
-    b = token_projection_entry(g, 2, MatrixKind.ADJACENCY, (3, 0), (4, 1))
+    tg = token_graph(g, 2)
+    assert tg.index_of((0, 3)) == tg.index_of((3, 0))
+    a = _pair(g, 2, MatrixKind.ADJACENCY, (0, 3), (1, 4))
+    b = _pair(g, 2, MatrixKind.ADJACENCY, (3, 0), (4, 1))
     assert a == b
 
 
@@ -117,8 +128,10 @@ def test_projection_entry_diagonal_sums_to_one():
 
 
 def test_projection_entry_rejects_repeats():
-    g = random_connected_graph(5, 0.5, 3)
+    tg = token_graph(random_connected_graph(5, 0.5, 3), 2)
     with pytest.raises(ValueError, match="repeated"):
-        token_projection_entry(g, 2, MatrixKind.ADJACENCY, (1, 1), (0, 2))
+        tg.index_of((1, 1))
     with pytest.raises(ValueError, match="distinct"):
-        token_projection_entry(g, 2, MatrixKind.ADJACENCY, (1,), (0, 2))
+        tg.index_of((1,))
+    with pytest.raises(IndexError, match="out of range"):
+        tg.index_of((0, 5))

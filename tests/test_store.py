@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from eigenwl import graphs, spectral
+from eigenwl import exact, graphs, spectral
 from eigenwl.graphs import MatrixKind, parse_graph6, random_connected_graph, write_graph6
 from eigenwl.refinement import AlgorithmSpec, distinguishes, stable_coloring
 from eigenwl.spectral import Quantization
@@ -31,14 +31,6 @@ def eigensolves(monkeypatch):
 
     monkeypatch.setattr(spectral, "decompose", counted)
     return calls
-
-
-@pytest.fixture
-def fresh_store(monkeypatch):
-    """An empty store in place of the process-wide one."""
-    store = graphs._DerivedStore(graphs.POOL_BYTES)
-    monkeypatch.setattr(graphs, "_STORE", store)
-    return store
 
 
 def test_memory_stays_bounded_over_a_stream_of_distinct_graphs():
@@ -160,7 +152,7 @@ def test_pool_sizes_walk_powers_again_once_grown(fresh_store):
     del g
 
     def pooled_bytes(steps):
-        spectral._walk_powers(parse_graph6(line), steps)  # released at once
+        exact.powers(parse_graph6(line), exact.WALK, steps)  # released at once
         probe = random_connected_graph(5, 0.5, steps)
         probe.derived  # pools the queued entry
         return fresh_store.pool[key][2]
