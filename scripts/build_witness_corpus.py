@@ -17,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from eigenwl.furer import Witness, furer, search_counterexamples, twist
 from eigenwl.graphs import complete_graph, write_graph6
 from eigenwl.refinement import AlgorithmSpec, distinguishes
-from eigenwl.witnesses import format_witness_corpus
+from eigenwl.witnesses import format_witness_corpus, hunt_status
 
 SEED = 1729
 
@@ -87,11 +87,7 @@ def main():
         )
         kept = curate(result.witnesses)
         witnesses.extend(kept)
-        statuses.append(
-            f"{a}|{b}|bases<={max_base_n}:mindeg>=2+random|budget={budget}|seed={SEED}|"
-            f"max-product={max_product_n}|examined={result.examined}|skipped={result.skipped}|"
-            f"found={'yes' if kept else 'no'}"
-        )
+        statuses.append(hunt_status(a, b, max_base_n, budget, SEED, max_product_n, result))
         print(statuses[-1])
         for w in kept:
             print("  ", w.to_line())

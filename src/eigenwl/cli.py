@@ -36,7 +36,7 @@ from .refinement import (
 )
 from .spectral import Quantization
 from .verify import VerifyConfig, run_all
-from .witnesses import append_corpus
+from .witnesses import append_corpus, hunt_status
 
 ENV_PREFIX = "EIGENWL_"
 
@@ -328,14 +328,13 @@ def cmd_hunt(cfg: RunConfig, args) -> int:
         max_product_n=cfg.max_product_n,
         quant=cfg.quant,
     )
-    status = (
-        f"{spec_a.label()}|{spec_b.label()}|bases<={cfg.max_base_n}:mindeg>=2+random|"
-        f"budget={cfg.budget}|seed={cfg.seed}|max-product={cfg.max_product_n}|"
-        f"examined={result.examined}|skipped={result.skipped}|unstable={result.unstable}|"
-        f"found={'yes' if result.witnesses else 'no'}"
+    status = hunt_status(
+        spec_a.label(), spec_b.label(), cfg.max_base_n, cfg.budget, cfg.seed, cfg.max_product_n, result
     )
     append_corpus(Path(args.out), result.witnesses, [status])
     print(status)
+    if result.unstable:
+        print(f"note: {result.unstable} disagreements dropped as unstable at one digit more or fewer", file=sys.stderr)
     for w in result.witnesses:
         print(w.to_line())
     return 0

@@ -269,7 +269,8 @@ class _BatchInterner:
         """Labels of the events of each ``(rows, pos)`` part: ``pos[i]`` is
         the position of event i and ``rows`` a 2-D int64 array of the
         events' keys, one row per event.  Parts of one width are numbered
-        together.
+        together; their rows are joined into one array only when they fit
+        in a block (``_unique_rows``) or go through the dict.
 
         The parts of a call may all be ``(rows, pos, shared)`` instead,
         with a bool mask ``shared`` over the events: ``rows`` then holds
@@ -282,19 +283,23 @@ class _BatchInterner:
             if len(pos):
                 by_width.setdefault(rows.shape[1], []).append(i)
         for members in by_width.values():
+            rows = [parts[i][0] for i in members]
             if len(members) == 1:
-                rows, pos, *shared = parts[members[0]]
+                _, pos, *shared = parts[members[0]]
             else:
-                rows, pos, *shared = map(np.concatenate, zip(*(parts[i] for i in members)))
-            if len(rows) < _DICT_KEYS:
+                pos, *shared = map(np.concatenate, zip(*(parts[i][1:] for i in members)))
+            hashed = sum(map(len, rows))
+            if hashed < _DICT_KEYS:
                 table: dict[bytes, int] = {}
-                inverse = np.array([table.setdefault(key, len(table)) for key in _row_bytes(rows)], np.int64)
+                keys = _row_bytes(rows[0] if len(rows) == 1 else np.concatenate(rows))
+                inverse = np.array([table.setdefault(key, len(table)) for key in keys], np.int64)
                 distinct = len(table)
             else:
-                at, inverse = _unique_rows(rows)
+                at, inverse = _unique_rows(*rows)
                 distinct = len(at)
-            labels = self.size + inverse
-            fresh = len(pos) - len(rows)
+            labels = inverse
+            labels += self.size
+            fresh = len(pos) - hashed
             self._grow(distinct + fresh)
             if shared:
                 every = np.empty(len(pos), np.int64)
@@ -344,18 +349,61 @@ def _row_words(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.uint64) @ (_HASH_BASE ** np.arange(1, width + 1, dtype=np.uint64))
 
 
-def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first index of each distinct row, distinct-row index of each row)
-    of a nonempty 2-D int64 array.
+# Bytes of one block of key rows.  ``_unique_rows`` checks rows a block at
+# a time and joins parts of at most a block in all into one array (a copy
+# that costs less than per-part gathers at that size); ``_ign_slices``
+# builds its tokens about a block at a time.  So numbering a call holds
+# its rows once, plus words, index arrays and about one block.
+_BLOCK_BYTES = 1 << 20
 
-    Rows are hashed to one 64-bit word each and the words are sorted; if
-    two different rows share a word, the rows' bytes are sorted instead.
+
+def _block_rows(width: int) -> int:
+    """Rows of width ``width`` (int64 entries) in one block, at least one."""
+    return max(1, _BLOCK_BYTES // (8 * max(1, width)))
+
+
+def _unique_rows(*parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first index of each distinct row, distinct-row index of each row)
+    of the rows of nonempty 2-D int64 arrays of one width, taken one
+    array after the other.
+
+    Rows are hashed to one 64-bit word each and the words are sorted.
+    Each row is then checked against its word's first row, a block of
+    rows at a time; if two different rows share a word, the rows' bytes
+    are sorted instead.
     """
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    at, inverse = _unique(_row_words(rows))
-    if not (rows[at[inverse]] == rows).all():
+    if len(parts) > 1 and sum(map(len, parts)) <= _block_rows(parts[0].shape[1]):
+        parts = (np.concatenate(parts),)
+    # the words are passed on, not kept, so that _unique frees them
+    at, inverse = _unique(_row_words(parts[0]) if len(parts) == 1 else np.concatenate([_row_words(r) for r in parts]))
+    if not _rows_match(parts, at, inverse):
+        rows = np.ascontiguousarray(np.concatenate(parts) if len(parts) > 1 else parts[0])
         at, inverse = _unique(rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel())
     return at, inverse
+
+
+def _rows_match(parts, at: np.ndarray, inverse: np.ndarray) -> bool:
+    """Whether every row of the parts equals the row at ``at[inverse]``
+    of its index: one part is checked against its own rows, several
+    against their distinct rows, gathered part by part."""
+    if len(parts) > 1:
+        distinct = np.empty((len(at), parts[0].shape[1]), np.int64)
+        start = 0
+        for rows in parts:
+            picked = (at >= start) & (at < start + len(rows))
+            distinct[picked] = rows[at[picked] - start]
+            start += len(rows)
+    step, start = _block_rows(parts[0].shape[1]), 0
+    for rows in parts:
+        for a in range(0, len(rows), step):
+            block = rows[a : a + step]
+            labels = inverse[start + a : start + a + len(block)]
+            first = distinct[labels] if len(parts) > 1 else rows[at[labels]]
+            if not (first == block).all():
+                return False
+            del first  # before the next block is gathered
+        start += len(rows)
+    return True
 
 
 def _unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -363,12 +411,17 @@ def _unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stable: a distinct value's first index is the least in its run."""
     order = np.argsort(keys)
     ordered = keys[order]
-    flags = np.empty(len(keys), bool)
+    del keys  # frees the keys of a caller that passed them on
+    flags = np.empty(len(ordered), bool)
     flags[0] = True
     flags[1:] = ordered[1:] != ordered[:-1]
-    inverse = np.empty(len(keys), np.intp)
-    inverse[order] = np.cumsum(flags) - 1
-    return np.minimum.reduceat(order, flags.nonzero()[0]), inverse
+    del ordered
+    at = np.minimum.reduceat(order, flags.nonzero()[0])
+    ranks = np.cumsum(flags)
+    ranks -= 1
+    inverse = np.empty(len(order), np.intp)
+    inverse[order] = ranks
+    return at, inverse
 
 
 def _first_seen(parts: list[np.ndarray]) -> list[np.ndarray]:
@@ -553,7 +606,9 @@ def _multiset_update(groups, parts, it: _BatchInterner) -> list[np.ndarray]:
     bags, pos = [], []
     for grp, (left, right, _) in zip(groups, parts):
         colors = grp.colors
-        bags.append(np.sort(left << 32 | right, axis=-1).reshape(colors.size, colors.shape[-1]))
+        bag = np.bitwise_or(left << 32, right, order="C")  # C order, so that the reshape below copies nothing
+        bag.sort(axis=-1)
+        bags.append(bag.reshape(colors.size, colors.shape[-1]))
         pos.append((grp.owner[:, None] << _POS_SHIFT | np.arange(0, 2 * colors[0].size, 2)).ravel())
     ms = it.ids(list(zip(bags, pos)))
     del bags
@@ -617,7 +672,9 @@ def _girt_update(groups, it):
         c = grp.colors
         s, n = c.shape[:2]
         pos.append(grp.owner[:, None, None] << _POS_SHIFT | np.arange(0, 2 * n * n, 2).reshape(n, n))
-        bags.append(np.sort(c << 32 | np.diagonal(c, axis1=1, axis2=2)[:, None, :], axis=2).reshape(s * n, n))
+        bag = c << 32 | np.diagonal(c, axis1=1, axis2=2)[:, None, :]
+        bag.sort(axis=2)
+        bags.append(bag.reshape(s * n, n))
     ms = it.ids([(b, np.diagonal(p, axis1=1, axis2=2).ravel()) for b, p in zip(bags, pos)])
     del bags
     toks = []
@@ -646,11 +703,11 @@ def _slice_multisets(stacks, it: _BatchInterner) -> list[tuple[np.ndarray, np.nd
     bags, full = [], []
     for colors, base in stacks:
         s, n = colors.shape[:2]
-        diag = np.diagonal(colors, axis1=1, axis2=2)
-        lines = np.concatenate(
-            [np.sort(colors, axis=2), np.sort(colors.transpose(0, 2, 1), axis=2), np.sort(diag, axis=1)[:, None, :]],
-            axis=1,
-        )
+        lines = np.empty((s, 2 * n + 1, n), np.int64)
+        lines[:, :n] = colors
+        lines[:, n : 2 * n] = colors.transpose(0, 2, 1)
+        lines[:, 2 * n] = np.diagonal(colors, axis1=1, axis2=2)
+        lines.sort(axis=2)
         bags.append((lines.reshape(s * (2 * n + 1), n), (base[:, None] + np.arange(2 * n + 1)).ravel()))
         full.append((np.sort(colors.reshape(s, n * n), axis=1), base + 2 * n + 1))
     ms = it.ids(bags + full)
@@ -672,25 +729,49 @@ def _ign_slices(stacks, it: _BatchInterner) -> list[np.ndarray]:
     packed two to a word (ids stay below 2**31), plus a diagonal flag.
     A pair whose color occurs once in the stacks has a token no other
     pair has, as c(u,v) is in its first slot; its token is not hashed.
+    The hashed tokens of all stacks are built into one array, about a
+    block (``_BLOCK_BYTES``) of dense tokens at a time, and numbered as
+    one part.
     """
-    counts = np.bincount(np.concatenate([np.empty(0, np.int64)] + [colors.ravel() for colors, _ in stacks]))
-    toks = []
-    for (colors, base), (lines_ms, full_ms) in zip(stacks, _slice_multisets(stacks, it)):
+    multisets = _slice_multisets(stacks, it)
+    bounds, shared = _shared([colors for colors, _ in stacks])
+    pos = np.empty(len(shared), np.int64)
+    tok = np.empty((np.count_nonzero(shared), 6), np.int64)
+    end = 0
+    for (colors, base), (lines_ms, full_ms), first, last in zip(stacks, multisets, bounds, bounds[1:]):
         s, n = colors.shape[:2]
+        np.add(base[:, None] + (2 * n + 2), np.arange(n * n), out=pos[first:last].reshape(s, n * n))
         diag = np.diagonal(colors, axis1=1, axis2=2)
         lines = lines_ms[:, :n] << 32 | lines_ms[:, n : 2 * n]  # row and column multiset of each vertex
-        tok = np.empty((s, n, n, 6), np.int64)
-        tok[..., 0] = colors << 32 | colors.transpose(0, 2, 1)
-        tok[..., 1] = diag[:, :, None] << 32 | diag[:, None, :]
-        tok[..., 2] = lines[:, :, None]
-        tok[..., 3] = lines[:, None, :]
-        tok[..., 4] = (lines_ms[:, 2 * n] << 32 | full_ms)[:, None, None]
-        tok[..., 5] = np.eye(n, dtype=np.int64)
-        shared = counts[colors.ravel()] > 1
-        pos = (base[:, None] + (2 * n + 2) + np.arange(n * n)).ravel()
-        toks.append((tok.reshape(s * n * n, 6).compress(shared, axis=0), pos, shared))
-        del tok  # the dense tokens: only the shared ones are kept
-    return [labels.reshape(c.shape) for (c, _), labels in zip(stacks, it.ids(toks))]
+        whole = lines_ms[:, 2 * n] << 32 | full_ms
+        step = max(1, _block_rows(6) // max(1, n * n))  # slices per block
+        buf = np.empty((min(step, s), n, n, 6), np.int64)
+        for a in range(0, s, step):
+            b = min(a + step, s)
+            block, c = buf[: b - a], colors[a:b]
+            block[..., 0] = c << 32 | c.transpose(0, 2, 1)
+            block[..., 1] = diag[a:b, :, None] << 32 | diag[a:b, None, :]
+            block[..., 2] = lines[a:b, :, None]
+            block[..., 3] = lines[a:b, None, :]
+            block[..., 4] = whole[a:b, None, None]
+            block[..., 5] = np.eye(n, dtype=np.int64)
+            picked = shared[first + a * n * n : first + b * n * n]
+            start, end = end, end + np.count_nonzero(picked)
+            np.compress(picked, block.reshape(-1, 6), axis=0, out=tok[start:end])
+    [labels] = it.ids([(tok, pos, shared)])
+    return [labels[a:b].reshape(colors.shape) for (colors, _), a, b in zip(stacks, bounds, bounds[1:])]
+
+
+def _shared(arrays: list[np.ndarray]) -> tuple[list[int], np.ndarray]:
+    """The bounds of each of the int64 id arrays in their flat
+    concatenation, and a bool mask over it: true where the id occurs more
+    than once in all the arrays."""
+    bounds = [0, *itertools.accumulate(a.size for a in arrays)]
+    counts = np.bincount(np.concatenate([np.empty(0, np.int64)] + [a.ravel() for a in arrays]))
+    shared = np.empty(bounds[-1], bool)
+    for a, start, end in zip(arrays, bounds, bounds[1:]):
+        np.greater(counts[a.ravel()], 1, out=shared[start:end])
+    return bounds, shared
 
 
 def _slice_stacks(groups) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -726,8 +807,11 @@ def _across_slices(groups, values, it: _BatchInterner) -> list[np.ndarray]:
         for k in sorted(set(count.tolist())):
             picked = count == k
             slices = vals[(first[picked, None] + np.arange(k)).ravel()].reshape(-1, k, width)
+            bags = slices.transpose(0, 2, 1).copy()  # C order, so that the reshape below copies nothing
+            del slices
+            bags.sort(axis=2)
             pos = grp.owner[first[picked], None] << _POS_SHIFT | np.arange(width)
-            parts.append((np.sort(slices.mT, axis=2).reshape(-1, k), pos.ravel()))
+            parts.append((bags.reshape(-1, k), pos.ravel()))
             where.append((g, picked))
         out.append(np.empty((len(first), *vals.shape[1:]), np.int64))
     for (g, picked), labels in zip(where, it.ids(parts)):
@@ -758,15 +842,20 @@ def _cross_update(groups, it):
     slices = [_graph_slices(grp) for grp in groups]
     stacks = [(s, grp.owner[first] << _POS_SHIFT) for s, grp, (first, _) in zip(sp, groups, slices)]
     cross = [it.rank(labels) for labels in _ign_slices(stacks, it)]
-    counts = np.bincount(np.concatenate([np.empty(0, np.int64)] + [ids.ravel() for ids in slice_ids]))
-    toks = []
-    for grp, ids, crossed, (_, count) in zip(groups, slice_ids, cross, slices):
+    bounds, shared = _shared(slice_ids)
+    pos = np.empty(len(shared), np.int64)
+    pairs = np.empty((np.count_nonzero(shared), 2), np.int64)
+    end = 0
+    for grp, ids, crossed, (_, count), a, b in zip(groups, slice_ids, cross, slices, bounds, bounds[1:]):
         nn = grp.colors.shape[1] ** 2
-        shared = counts[ids.ravel()] > 1
-        pairs = np.stack([ids.ravel(), np.repeat(crossed, count, axis=0).ravel()], axis=1).compress(shared, axis=0)
-        pos = grp.owner[:, None] << _POS_SHIFT | grp.index[:, None] * nn + np.arange(nn)
-        toks.append((pairs, pos.ravel(), shared))
-    return [labels.reshape(grp.colors.shape) for grp, labels in zip(groups, it.ids(toks))]
+        at = grp.index[:, None] * nn + np.arange(nn)
+        np.bitwise_or(grp.owner[:, None] << _POS_SHIFT, at, out=pos[a:b].reshape(len(grp.index), nn))
+        picked = shared[a:b]
+        start, end = end, end + np.count_nonzero(picked)
+        np.compress(picked, ids.ravel(), out=pairs[start:end, 0])
+        np.compress(picked, np.repeat(crossed, count, axis=0).ravel(), out=pairs[start:end, 1])
+    [labels] = it.ids([(pairs, pos, shared)])
+    return [labels[a:b].reshape(grp.colors.shape) for grp, a, b in zip(groups, bounds, bounds[1:])]
 
 
 def _row_update(groups, it):

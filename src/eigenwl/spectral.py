@@ -281,9 +281,13 @@ def quantized_projections(
         dec = decomposition_for(g, kind, quant)
         lams, lam_ties = _decimal_codes(np.asarray(dec.eigenvalues, float), quant.digits)
         width = np.int32 if quant.digits <= _INT32_DIGITS else np.int64
-        entries, near_ties = _decimal_codes(dec.projectors().ravel(), quant.digits, width)
+        projs = dec.projectors().ravel()
+        entries = np.empty(len(projs), width)
+        near_ties = lam_ties
+        for a in range(0, len(projs), _QUANT_BLOCK):
+            entries[a : a + _QUANT_BLOCK], ties = _decimal_codes(projs[a : a + _QUANT_BLOCK], quant.digits, width)
+            near_ties += ties
         entries = entries.reshape(dec.m, g.n, g.n)
-        near_ties += lam_ties
         lams.flags.writeable = entries.flags.writeable = False
         # "lam:" record prefixes of the pair tokens
         prefixes = tuple(f"{_render_code(lam, quant.digits)}:" for lam in lams.tolist())
@@ -314,6 +318,10 @@ _EXACT_POWERS = 22
 _INT64 = 1 << 63
 # 10**9 < 2**31 < 10**10, and projector entries lie in [-1, 1]
 _INT32_DIGITS = 9
+# Projector entries quantized at a time: ``_decimal_codes`` makes several
+# float64 temporaries the size of its input, so quantizing the stacked
+# projectors in blocks bounds them at a few MB whatever m n^2 is
+_QUANT_BLOCK = 1 << 16
 _SPLIT = 134217729.0  # 2**27 + 1
 
 

@@ -15,17 +15,35 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
-from .furer import Witness
+from .furer import SearchResult, Witness
 
 __all__ = [
     "STATUS_PREFIX",
     "append_corpus",
     "bundled_witnesses",
     "format_witness_corpus",
+    "hunt_status",
     "parse_witness_corpus",
 ]
 
 STATUS_PREFIX = "# hunt-status: "
+
+
+def hunt_status(
+    spec_a: str, spec_b: str, max_base_n: int, budget: int, seed: int, max_product_n: int, result: SearchResult
+) -> str:
+    """The hunt-status record of one search: its parameters, everything
+    before ``examined=``, then what it examined, skipped and found."""
+    return (
+        f"{spec_a}|{spec_b}|bases<={max_base_n}:mindeg>=2+random|budget={budget}|seed={seed}|"
+        f"max-product={max_product_n}|examined={result.examined}|skipped={result.skipped}|"
+        f"found={'yes' if result.witnesses else 'no'}"
+    )
+
+
+def _search(status: str) -> str:
+    """The search parameters of a hunt-status record."""
+    return status.partition("examined=")[0]
 
 
 def parse_witness_corpus(text: str) -> tuple[list[Witness], list[str]]:
@@ -59,18 +77,23 @@ def bundled_witnesses() -> tuple[list[Witness], list[str]]:
 
 
 def append_corpus(path: Path, witnesses: Iterable[Witness], statuses: Iterable[str]) -> None:
-    """Append witnesses and statuses to a corpus file, creating it if absent."""
+    """Append witnesses and statuses to a corpus file, creating it if absent.
+
+    A witness already in the file is not appended again, nor a status
+    whose search (its parameters, see ``hunt_status``) the file records."""
     path = Path(path)
     existing = path.read_text() if path.exists() else ""
-    known = set()
+    known, searched = set(), set()
     if existing:
         old_wits, old_stats = parse_witness_corpus(existing)
-        known = {w.to_line() for w in old_wits} | set(old_stats)
+        known = {w.to_line() for w in old_wits}
+        searched = {_search(s) for s in old_stats}
     with path.open("a") as fh:
         if not existing:
             fh.write("# regression witness corpus: specA|specB|g6A|g6B|aDistinguishes|bDistinguishes|note\n")
         for s in statuses:
-            if s not in known:
+            if _search(s) not in searched:
+                searched.add(_search(s))
                 fh.write(STATUS_PREFIX + s + "\n")
         for w in witnesses:
             if w.to_line() not in known:

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -20,6 +22,26 @@ def fresh_store(monkeypatch):
     store = graphs._DerivedStore(graphs.POOL_BYTES)
     monkeypatch.setattr(graphs, "_STORE", store)
     return store
+
+
+def _peak_bytes(fn, *args) -> int:
+    """The most bytes that ``fn(*args)`` allocates above what is allocated
+    when it starts (tracemalloc, so the count is the same on every run)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def peak_bytes():
+    """``peak_bytes(fn, *args)``: the peak traced allocation of one call
+    above its start."""
+    return _peak_bytes
 
 
 @pytest.fixture(scope="session")

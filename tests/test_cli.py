@@ -6,7 +6,9 @@ import pytest
 from eigenwl import cli
 from eigenwl.cli import SCAN_REPORT_SCHEMA, RunConfig, main
 from eigenwl.graphs import parse_graph6, write_graph6
-from eigenwl.witnesses import parse_witness_corpus
+from eigenwl.furer import search_counterexamples
+from eigenwl.refinement import AlgorithmSpec
+from eigenwl.witnesses import format_witness_corpus, hunt_status, parse_witness_corpus
 
 C6 = "EhEG"
 TWO_TRIANGLES = "EwCW"
@@ -389,6 +391,27 @@ def test_hunt_is_deterministic_and_appends(tmp_path, capsys):
     assert witnesses and statuses
     code, _, _ = run_cli(capsys, *argv)
     assert out.read_text() == first  # rerun appends nothing new
+
+
+def test_hunt_writes_the_script_status_and_skips_a_recorded_search(tmp_path, capsys):
+    """The CLI writes the status record of the corpus script
+    (``hunt_status``), and a corpus that records the same search takes no
+    second status for it, whatever its record says after ``examined=``:
+    rerunning a bundled hunt leaves the corpus as it is."""
+    out = tmp_path / "w.txt"
+    argv = ["hunt", "--a", "wl1", "--b", "epwl:A", "--max-base-n", "3", "--budget", "4", "--seed", "9"]
+    result = search_counterexamples(AlgorithmSpec.parse("wl1"), AlgorithmSpec.parse("epwl:A"), 3, 4, 9, 48)
+    status = hunt_status("wl1", "epwl:A", 3, 4, 9, 48, result)
+    code, printed, _ = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 0
+    assert printed.splitlines()[0] == status
+    assert parse_witness_corpus(out.read_text())[1] == [status]
+    recorded = tmp_path / "recorded.txt"
+    older = status.replace("|found=", "|unstable=0|found=")  # a record with one more count
+    recorded.write_text(format_witness_corpus(result.witnesses, [older]))
+    before = recorded.read_text()
+    run_cli(capsys, *argv, "--out", str(recorded))
+    assert recorded.read_text() == before
 
 
 @pytest.mark.parametrize("digits, expected", [("4", {3, 4, 5}), ("0", {0, 1})])

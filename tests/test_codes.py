@@ -145,6 +145,23 @@ def test_entry_codes_are_int32_while_ten_to_the_digits_fits(digits):
     assert quantized_projections(pendant, MatrixKind.ADJACENCY, quant)[1].max() == 10**digits
 
 
+def test_quantization_holds_projectors_and_codes_plus_bounded_blocks(fresh_store, peak_bytes):
+    """Quantizing a random connected graph on 128 vertices under Lhat
+    (m = 128, so 2,097,152 entries) holds the stacked float projectors
+    and the codes, plus blocks of bounded size, not full-size float
+    temporaries; the codes and near-tie count are those of one pass."""
+    g = random_connected_graph(128, 0.2, 5)
+    dec = decomposition_for(g, MatrixKind.NORMALIZED_LAPLACIAN)
+    peak = peak_bytes(quantized_projections, g, MatrixKind.NORMALIZED_LAPLACIAN)
+    _, codes = quantized_projections(g, MatrixKind.NORMALIZED_LAPLACIAN)
+    assert codes.shape == (128, 128, 128)
+    assert peak < 1.25 * (codes.size * 8 + codes.nbytes)
+    ref, ties = _decimal_codes(dec.projectors().ravel(), 6, np.int32)
+    assert np.array_equal(codes.ravel(), ref)
+    lam_ties = _decimal_codes(np.asarray(dec.eigenvalues, float), 6)[1]
+    assert near_ties(g, MatrixKind.NORMALIZED_LAPLACIAN) == ties + lam_ties
+
+
 # ---------------------------------------------------------------------------
 # near ties
 

@@ -1439,27 +1439,63 @@ def test_unique_rows_single_row():
 @settings(max_examples=40, deadline=None)
 @given(
     calls=st.lists(
-        st.tuples(st.integers(1, 3), st.integers(1, 700), st.integers(0, 2**32)),
+        st.tuples(st.integers(1, 3), st.integers(1, 700), st.integers(0, 2**32), st.integers(0, 3), st.booleans()),
         min_size=1,
         max_size=8,
-    )
+    ),
+    block=st.sampled_from([refinement._BLOCK_BYTES, 64]),
 )
-def test_batch_interner_matches_one_key_at_a_time(base, calls):
+def test_batch_interner_matches_one_key_at_a_time(base, calls, block):
     """Calls of every size, in the dict below _DICT_KEYS rows and by
     sorting above, give the ids of an intern table fed the keys in event
-    order with one role per call: equal keys of two calls get two ids."""
+    order with one role per call: equal keys of two calls get two ids.
+    A call's keys come in up to four parts of one width, with or without
+    ``shared`` masks, and get the labels of the same keys in one part;
+    with 64-byte blocks the parts are checked one by one, block by block."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(refinement, "_HASH_BASE", base)
-        it, table = refinement._BatchInterner(), _Interner()
+        mp.setattr(refinement, "_BLOCK_BYTES", block)
+        it, whole, table = refinement._BatchInterner(), refinement._BatchInterner(), _Interner()
         start = 0
-        for role, (width, count, seed) in enumerate(calls):
+        for role, (width, count, seed, cuts, masked) in enumerate(calls):
             rng = np.random.default_rng(seed)
             rows = rng.integers(0, 1 + count // 3, (count, width))
-            events = rng.permutation(count)  # rows come out of event order
-            [labels] = it.ids([(rows, start + events)])
-            got = it.rank(labels)
+            events = start + rng.permutation(count)  # rows come out of event order
+            bounds = [0, *np.sort(rng.integers(0, count + 1, cuts)).tolist(), count]
+            if masked:
+                # a key seen once in the call may go unhashed
+                _, inverse, seen = np.unique(rows, axis=0, return_inverse=True, return_counts=True)
+                shared = (seen[inverse.ravel()] > 1) | (rng.random(count) < 0.5)
+                parts = [(rows[a:b][shared[a:b]], events[a:b], shared[a:b]) for a, b in zip(bounds, bounds[1:])]
+                [one] = whole.ids([(rows[shared], events, shared)])
+            else:
+                parts = [(rows[a:b], events[a:b]) for a, b in zip(bounds, bounds[1:])]
+                [one] = whole.ids([(rows, events)])
+            got = np.concatenate([it.rank(labels) for labels in it.ids(parts)])
             want = np.empty(count, np.int64)
             for i in np.argsort(events).tolist():
                 want[i] = table.id(role, tuple(rows[i].tolist()))
-            assert got.tolist() == want.tolist()
+            assert got.tolist() == want.tolist() == whole.rank(one).tolist()
             start += count
+
+
+def test_numbering_holds_no_copy_of_the_key_rows(monkeypatch, peak_bytes):
+    """Numbering the static rows of Q7 and a relabelled copy under Lhat,
+    two parts of 16,384 rows of 16 codes, holds hash words, index arrays
+    and a bounded block of rows beside the rows, not a copy of them."""
+    captured = []
+    first_seen = refinement._first_seen
+    monkeypatch.setattr(refinement, "_first_seen", lambda parts: captured.append(parts) or first_seen(parts))
+    q7 = _hypercube(7)
+    refinement._proj_static(AlgorithmSpec.parse("epwl:Lhat"), [q7, _shuffled(q7, 1)], spectral.DEFAULT_QUANT)
+    [parts] = captured
+    assert [p.shape for p in parts] == [(16384, 16)] * 2
+    assert peak_bytes(first_seen, parts) < sum(p.nbytes for p in parts)
+
+
+@pytest.mark.parametrize("label", ["wl1", "epwl:A", "girt:K=4", "fwl2", "pswl", "ign2wl", "siamese:A", "spectralign:A"])
+def test_updates_match_reference_in_small_blocks(label, monkeypatch):
+    """Blocks of 256 bytes: the exactness check and the 15-slot tokens run
+    block by block, and the parts of one call are checked one by one."""
+    monkeypatch.setattr(refinement, "_BLOCK_BYTES", 256)
+    _assert_matches_reference(label, _defined_for(label, [*_mixed_sizes(), *_hunt_pair(24)]))
