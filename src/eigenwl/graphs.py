@@ -574,115 +574,6 @@ def build_matrix(g: Graph, kind: MatrixKind) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# exact isomorphism oracle
-
-
-def is_isomorphic(g: Graph, h: Graph) -> Optional[list[int]]:
-    """Exact isomorphism test; returns a witnessing bijection or None.
-
-    Backtracking with individualization-refinement: vertices are matched
-    one at a time inside joint vertex-refinement color classes, with a
-    full re-refinement (neighbor color counts, numpy) after each
-    assignment.  Correct for all inputs; practical up to a few dozen
-    vertices (it degrades on large refinement-homogeneous graphs such as
-    gadget products over dense bases).
-    """
-    if g.n != h.n or g.num_edges != h.num_edges:
-        return None
-    if sorted(g.degrees) != sorted(h.degrees):
-        return None
-    n = g.n
-    if n == 0:
-        return []
-
-    adj_a = np.zeros((n, n), dtype=np.int32)
-    adj_b = np.zeros((n, n), dtype=np.int32)
-    for u in range(n):
-        for v in g.neighbors(u):
-            adj_a[u, v] = 1
-        for v in h.neighbors(u):
-            adj_b[u, v] = 1
-
-    arange = np.arange(n)
-
-    def refine(ca: np.ndarray, cb: np.ndarray):
-        """Joint refinement to stability; None on class-histogram mismatch.
-
-        The histogram guard keeps the joint class count at most n, but the
-        signature buffers leave room for the individualization id anyway.
-        """
-        k = int(max(ca.max(initial=0), cb.max(initial=0))) + 1
-        sig_a = np.empty((n, n + 2), dtype=np.int32)
-        sig_b = np.empty((n, n + 2), dtype=np.int32)
-        while True:
-            onehot_a = np.zeros((n, k), dtype=np.int32)
-            onehot_a[arange, ca] = 1
-            onehot_b = np.zeros((n, k), dtype=np.int32)
-            onehot_b[arange, cb] = 1
-            sig_a[:, 0] = ca
-            np.matmul(adj_a, onehot_a, out=sig_a[:, 1 : k + 1])
-            sig_b[:, 0] = cb
-            np.matmul(adj_b, onehot_b, out=sig_b[:, 1 : k + 1])
-            table: dict = {}
-            new_ca = np.empty(n, dtype=np.int32)
-            new_cb = np.empty(n, dtype=np.int32)
-            width = k + 1
-            for i in range(n):
-                key = sig_a[i, :width].tobytes()
-                val = table.get(key)
-                if val is None:
-                    val = len(table)
-                    table[key] = val
-                new_ca[i] = val
-            for i in range(n):
-                key = sig_b[i, :width].tobytes()
-                val = table.get(key)
-                if val is None:
-                    val = len(table)
-                    table[key] = val
-                new_cb[i] = val
-            new_k = len(table)
-            if not np.array_equal(
-                np.bincount(new_ca, minlength=new_k), np.bincount(new_cb, minlength=new_k)
-            ):
-                return None
-            if new_k == k:
-                return new_ca, new_cb
-            ca, cb, k = new_ca, new_cb, new_k
-
-    def verify(mapping: np.ndarray) -> bool:
-        return all(h.has_edge(int(mapping[u]), int(mapping[v])) for u, v in g.edges())
-
-    def solve(ca: np.ndarray, cb: np.ndarray) -> Optional[list[int]]:
-        sizes = np.bincount(ca)
-        splittable = np.flatnonzero(sizes >= 2)
-        if splittable.size == 0:
-            # discrete coloring: read the bijection off the colors
-            order = np.argsort(cb)
-            mapping = order[ca]
-            return list(int(x) for x in mapping) if verify(mapping) else None
-        target = int(splittable[np.argmin(sizes[splittable])])
-        u = int(np.flatnonzero(ca == target)[0])
-        fresh = int(max(ca.max(), cb.max())) + 1
-        for v in np.flatnonzero(cb == target):
-            ca2 = ca.copy()
-            cb2 = cb.copy()
-            ca2[u] = fresh
-            cb2[int(v)] = fresh
-            refined = refine(ca2, cb2)
-            if refined is not None:
-                res = solve(*refined)
-                if res is not None:
-                    return res
-        return None
-
-    base = refine(np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
-    if base is None:
-        return None
-    return solve(*base)
-
-
-# ---------------------------------------------------------------------------
 # biconnectivity
 
 
@@ -751,7 +642,7 @@ def biconnectivity_report(g: Graph) -> BiconnectivityReport:
 
 
 # ---------------------------------------------------------------------------
-# canonical form (isomorph rejection for enumeration)
+# individualization-refinement: canonical form and exact isomorphism
 
 
 def _refine(rows: Sequence[int], cells: list[int], active: list[int]) -> list[int]:
@@ -798,24 +689,28 @@ def _refine(rows: Sequence[int], cells: list[int], active: list[int]) -> list[in
     return cells
 
 
-def _canonical_form(rows: Sequence[int]) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    """Canonical form of the graph with bit rows ``rows``, and automorphisms.
+def _leaves(
+    rows: Sequence[int], automorphisms: list[tuple[int, ...]]
+) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """Leaves of the search tree of the graph with bit rows ``rows``, as
+    ``(form, cells)`` in search order.
 
     Individualization-refinement (McKay & Piperno, "Practical graph
     isomorphism II", 2014).  The root is the equitable refinement of the
     degree partition (cells by ascending degree).  A node individualizes
     each vertex of its first non-singleton cell in turn and refines again;
-    a leaf is a discrete partition, read as a vertex order.  The form is
-    the least row tuple of the graph relabelled by a leaf, so two graphs
-    have equal forms iff they are isomorphic.
+    a leaf is a discrete partition ``cells``, read as a vertex order, and
+    ``form`` is the row tuple of the graph relabelled so that the vertex of
+    cell i becomes i.  Every step follows cell positions only, so an
+    isomorphism maps the whole tree of one graph onto the tree of the
+    other, leaf forms unchanged.
 
-    A leaf whose form equals the first or the best leaf's differs from it
-    by an automorphism, returned as ``perm`` with ``perm[v]`` the image of
-    ``v``.  Each prunes the search: a child is skipped when an automorphism
-    fixing the path to its node maps an explored sibling onto it.  At each
-    node of the first path, every child that the path's stabilizer maps the
-    first child to is pruned or leads to a leaf equal to the first, so the
-    automorphisms found generate the whole group.
+    A leaf whose form equals the first or the least leaf's so far differs
+    from it by an automorphism, appended to ``automorphisms`` as ``perm``
+    with ``perm[v]`` the image of ``v`` before the leaf is yielded.  Each
+    prunes the search: a child is skipped when an automorphism fixing the
+    path to its node maps an explored sibling onto it, so the skipped
+    subtree is the image of an explored one, with the same leaf forms.
     """
     n = len(rows)
     by_degree: dict[int, int] = {}
@@ -824,29 +719,7 @@ def _canonical_form(rows: Sequence[int]) -> tuple[tuple[int, ...], list[tuple[in
         by_degree[d] = by_degree.get(d, 0) | 1 << v
     cells = [by_degree[d] for d in sorted(by_degree)]
     nbr_lists = [[v for v in range(n) if row >> v & 1] for row in rows]
-    automorphisms: list[tuple[int, ...]] = []
     first = best = None  # (form, cells) of the first and the least leaf
-
-    def leaf(cells: list[int]) -> None:
-        nonlocal first, best
-        # the rows relabelled so that the vertex of cell i becomes i
-        new_bit = [0] * n
-        for i, c in enumerate(cells):
-            new_bit[c.bit_length() - 1] = 1 << i
-        bit = new_bit.__getitem__
-        form = tuple([sum(map(bit, nbr_lists[c.bit_length() - 1])) for c in cells])
-        if first is None:
-            first = best = form, cells
-            return
-        for ref_form, ref_cells in (first, best):
-            if form == ref_form:
-                perm = [0] * n
-                for a, b in zip(ref_cells, cells):
-                    perm[a.bit_length() - 1] = b.bit_length() - 1
-                automorphisms.append(tuple(perm))
-                return
-        if form < best[0]:
-            best = form, cells
 
     def pruned(v: int, explored: int, path: list[int]) -> bool:
         """Whether an automorphism fixing ``path`` maps an explored vertex to v."""
@@ -864,12 +737,26 @@ def _canonical_form(rows: Sequence[int]) -> tuple[tuple[int, ...], list[tuple[in
                     stack.append(w)
         return False
 
-    def search(cells: list[int], path: list[int]) -> None:
+    def search(cells: list[int], path: list[int]) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+        nonlocal first, best
         t = 0
         while t < len(cells) and cells[t] & (cells[t] - 1) == 0:
             t += 1
         if t == len(cells):
-            leaf(cells)
+            new_bit = [0] * n
+            for i, c in enumerate(cells):
+                new_bit[c.bit_length() - 1] = 1 << i
+            bit = new_bit.__getitem__
+            form = tuple([sum(map(bit, nbr_lists[c.bit_length() - 1])) for c in cells])
+            if first is None:
+                first = best = form, cells
+            elif form == first[0]:
+                automorphisms.append(tuple(_vertex_map(first[1], cells)))
+            elif form == best[0]:
+                automorphisms.append(tuple(_vertex_map(best[1], cells)))
+            elif form < best[0]:
+                best = form, cells
+            yield form, cells
             return
         target = cells[t]
         explored = 0
@@ -882,10 +769,58 @@ def _canonical_form(rows: Sequence[int]) -> tuple[tuple[int, ...], list[tuple[in
                 continue
             explored |= low
             child = cells[:t] + [low, target ^ low] + cells[t + 1 :]
-            search(_refine(rows, child, [low]), path + [v])
+            yield from search(_refine(rows, child, [low]), path + [v])
 
-    search(_refine(rows, cells, list(cells)), [])
-    return best[0], automorphisms
+    yield from search(_refine(rows, cells, list(cells)), [])
+
+
+def _vertex_map(cells: list[int], other: list[int]) -> list[int]:
+    """The map sending the vertex of each cell of the discrete partition
+    ``cells`` to the vertex at the same position of ``other``."""
+    out = [0] * len(cells)
+    for a, b in zip(cells, other):
+        out[a.bit_length() - 1] = b.bit_length() - 1
+    return out
+
+
+def _canonical_form(rows: Sequence[int]) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """Canonical form of the graph with bit rows ``rows``, and automorphisms.
+
+    The form is the least over all leaves of :func:`_leaves`, so two graphs
+    have equal forms iff they are isomorphic.  At each node of the first
+    path, every child that the path's stabilizer maps the first child to is
+    pruned or leads to a leaf equal to the first, so the automorphisms
+    found generate the whole group.
+    """
+    automorphisms: list[tuple[int, ...]] = []
+    form = min(form for form, _ in _leaves(rows, automorphisms))
+    return form, automorphisms
+
+
+def is_isomorphic(g: Graph, h: Graph) -> Optional[list[int]]:
+    """Exact isomorphism test; returns a witnessing bijection or None.
+
+    ``mapping[u]`` is the vertex of h that u goes to.  After the cheap
+    rejections (vertex count, edge count, degree sequence), g's first leaf
+    of :func:`_leaves` is compared with h's leaves in search order.  The
+    first of equal form gives the bijection, position to position: both
+    graphs relabelled by their leaves are the same graph.
+
+    This is complete: if some isomorphism maps g to h, it maps g's whole
+    search tree onto h's, so h's whole tree has a leaf of g's first form.
+    A leaf that h's search prunes lies in a subtree that an automorphism of
+    h fixing the path to it maps onto an explored sibling's, and automorphic
+    leaves have equal forms; by induction from the deepest pruned subtrees
+    up, every form of the whole tree is the form of an explored leaf.  So
+    None means g and h are not isomorphic.
+    """
+    if g.n != h.n or g.num_edges != h.num_edges or sorted(g.degrees) != sorted(h.degrees):
+        return None
+    form, cells = next(_leaves(g.rows, []))
+    for other_form, other_cells in _leaves(h.rows, []):
+        if other_form == form:
+            return _vertex_map(cells, other_cells)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -963,9 +898,9 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
 
     Exhaustive mode is limited to n <= 9; prefer :func:`random_graph` for
     larger sizes.  Classes are told apart by canonical form.  On one core
-    of a 2-core Xeon host, n = 7 takes about 0.4 s, n = 8 about 5 s and
-    n = 9 about 2.5 minutes at 325 MB peak (with the smaller sizes, which
-    each size needs and caches per process).
+    of a 2-core Xeon host, n = 7 takes about 0.4 s, n = 8 about 4.5 s and
+    n = 9 about 135 s at 325 MB peak (with the smaller sizes, which each
+    size needs and caches per process).
     """
     if n < 1:
         raise ValueError("n must be at least 1")

@@ -139,6 +139,14 @@ def test_vertex_refinement_blind_on_twists():
         assert not distinguishes(wl1, fg.product, twisted)
 
 
+def test_twist_of_k5_product_is_not_isomorphic():
+    """CFI pair on 40 vertices.  Both graphs are 16-regular, so the cheap
+    rejections pass and the search has to decide."""
+    fg = furer(complete_graph(5))
+    assert fg.product.n == 40
+    assert is_isomorphic(fg.product, twist(fg, [next(fg.base.edges())])) is None
+
+
 def test_search_finds_seed_witness():
     result = search_counterexamples(
         AlgorithmSpec.parse("wl1"), AlgorithmSpec.parse("epwl:A"), max_base_n=3, budget=5, seed=1

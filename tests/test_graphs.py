@@ -29,6 +29,7 @@ from eigenwl.graphs import (
     star_graph,
     write_graph6,
 )
+from test_refinement import _hypercube
 
 graphs_strategy = st.builds(
     random_graph,
@@ -170,6 +171,81 @@ def test_matrices_are_symmetric(g):
 
 # ---------------------------------------------------------------------------
 # isomorphism oracle
+
+
+def _brute_isomorphism(g, h):
+    """A bijection mapping g's edges onto h's, or None: degree-preserving
+    images tried vertex by vertex, each checked against the vertices
+    mapped before it.  Independent of the library's search."""
+    if g.n != h.n or g.num_edges != h.num_edges:
+        return None
+    image = []
+
+    def extend(u):
+        if u == g.n:
+            return True
+        for v in range(h.n):
+            if v not in image and h.degree(v) == g.degree(u):
+                if all(g.has_edge(u, w) == h.has_edge(v, image[w]) for w in range(u)):
+                    image.append(v)
+                    if extend(u + 1):
+                        return True
+                    image.pop()
+        return False
+
+    return image if extend(0) else None
+
+
+def _assert_bijection(g, h, mapping):
+    assert sorted(mapping) == list(range(g.n))
+    assert all(h.has_edge(mapping[u], mapping[v]) for u, v in g.edges())
+
+
+def _switched(g, rng, swaps):
+    """g after up to ``swaps`` degree-preserving edge switches
+    {a, b}, {c, d} -> {a, d}, {c, b}."""
+    edges = set(g.edges())
+    for _ in range(swaps):
+        if len(edges) < 2:
+            break
+        (a, b), (c, d) = rng.sample(sorted(edges), 2)
+        if rng.random() < 0.5:
+            c, d = d, c
+        new = {(min(a, d), max(a, d)), (min(c, b), max(c, b))}
+        if len({a, b, c, d}) == 4 and not new & edges:
+            edges -= {(min(a, b), max(a, b)), (min(c, d), max(c, d))}
+            edges |= new
+    return Graph.from_edges(g.n, sorted(edges))
+
+
+@settings(max_examples=120)
+@given(
+    n=st.integers(0, 7),
+    p=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**30),
+    swaps=st.integers(0, 4),
+    perm_seed=st.integers(0, 2**30),
+)
+def test_isomorphism_agrees_with_brute_force(n, p, seed, swaps, perm_seed):
+    """Relabelled copies (swaps = 0) and pairs with equal degree sequences."""
+    rng = random.Random(perm_seed)
+    g = random_graph(n, p, seed)
+    h = _switched(g, rng, swaps).relabel(rng.sample(range(n), n))
+    assert sorted(g.degrees) == sorted(h.degrees)
+    mapping = is_isomorphic(g, h)
+    assert (mapping is not None) == (_brute_isomorphism(g, h) is not None)
+    if mapping is not None:
+        _assert_bijection(g, h, mapping)
+
+
+def test_isomorphism_finds_bijections_on_fixed_families(rook_4x4, shrikhande):
+    rng = random.Random(13)
+    families = [_hypercube(d) for d in range(4, 8)] + _fixed_families(rook_4x4, shrikhande)
+    for g in families:
+        h = g.relabel(rng.sample(range(g.n), g.n))
+        mapping = is_isomorphic(g, h)
+        assert mapping is not None, g
+        _assert_bijection(g, h, mapping)
 
 
 def test_iso_c6_relabel(c6):
@@ -337,7 +413,8 @@ def _wl_certificate(g):
 
 def _reference_classes(n, cache={}):
     """The enumerator before canonical forms: every mask of every class on
-    n - 1 vertices, deduplicated by 1-WL buckets and pairwise is_isomorphic."""
+    n - 1 vertices, deduplicated by 1-WL buckets and pairwise brute-force
+    isomorphism."""
     if n not in cache:
         if n == 1:
             reps = [empty_graph(1)]
@@ -348,7 +425,7 @@ def _reference_classes(n, cache={}):
                     rows = [row | ((mask >> u & 1) << rep.n) for u, row in enumerate(rep.rows)]
                     cand = Graph(n, tuple(rows + [mask]))
                     bucket = buckets.setdefault(_wl_certificate(cand), [])
-                    if not any(is_isomorphic(cand, other) for other in bucket):
+                    if all(_brute_isomorphism(cand, other) is None for other in bucket):
                         bucket.append(cand)
             reps = [g for bucket in buckets.values() for g in bucket]
             reps.sort(key=lambda g: (g.num_edges, write_graph6(g)))
@@ -372,7 +449,7 @@ def test_enumeration_n7_matches_reference_digest():
 def test_enumeration_yields_distinct_classes():
     graphs = list(enumerate_graphs(5))
     for g, h in combinations(graphs, 2):
-        assert is_isomorphic(g, h) is None
+        assert _brute_isomorphism(g, h) is None
 
 
 def test_enumeration_refuses_large_n():
@@ -412,6 +489,20 @@ def _complete_bipartite(m):
 
 def _form(g):
     return _canonical_form(g.rows)[0]
+
+
+def _clique_number(g):
+    """Size of the largest clique, each clique grown once in vertex order."""
+
+    def grow(candidates, size):
+        best = size
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            best = max(best, grow(candidates & g.rows[low.bit_length() - 1], size + 1))
+        return best
+
+    return grow((1 << g.n) - 1, 0)
 
 
 def _group_order(generators, n):
@@ -464,8 +555,9 @@ def test_canonical_form_equality_agrees_with_isomorphism(corpus_n5, rook_4x4, sh
     graphs = corpus_n5 + [g.relabel(rng.sample(range(g.n), g.n)) for g in corpus_n5]
     forms = [_form(g) for g in graphs]
     for (g, fg), (h, fh) in combinations(zip(graphs, forms), 2):
-        assert (fg == fh) == (is_isomorphic(g, h) is not None), (g, h)
-    assert is_isomorphic(rook_4x4, shrikhande) is None
+        assert (fg == fh) == (_brute_isomorphism(g, h) is not None), (g, h)
+    # too large for brute force: clique numbers tell the two apart
+    assert (_clique_number(rook_4x4), _clique_number(shrikhande)) == (4, 3)
     assert _form(rook_4x4) != _form(shrikhande)
 
 

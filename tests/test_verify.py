@@ -1,9 +1,13 @@
 from dataclasses import replace
 
+from eigenwl import verify
+from eigenwl.furer import Witness
+from eigenwl.graphs import cycle_graph, write_graph6
 from eigenwl.spectral import Quantization
 from eigenwl.verify import (
     VerifyConfig,
     check_exact_float_agreement,
+    check_witness_corpus,
     connected_corpus,
     hierarchy_directions,
     random_corpus,
@@ -43,3 +47,16 @@ def test_quick_config_shrinks_every_corpus():
     assert quick.corpus_max_n <= 5
     assert quick.random_graphs <= 25
     assert quick.parity_max_base_n <= 4
+
+
+def test_witness_check_rejects_an_isomorphic_pair(monkeypatch):
+    """A recorded pair of isomorphic graphs fails the witness check, also
+    when its flags replay and it is not the first gadget pair."""
+    witnesses, statuses = verify.bundled_witnesses()
+    c6 = cycle_graph(6)
+    relabelled = write_graph6(c6.relabel([3, 1, 5, 0, 2, 4]))
+    pair = Witness("wl1", "epwl:A", write_graph6(c6), relabelled, False, False, "seed:c6-relabelled")
+    monkeypatch.setattr(verify, "bundled_witnesses", lambda: (witnesses + [pair], statuses))
+    result = check_witness_corpus(replace(VerifyConfig(), parity_max_base_n=2))
+    assert not result.passed
+    assert "witness-pair-isomorphic" in result.details and relabelled in result.details
