@@ -6,7 +6,9 @@ are structural (equal canonical tokens get equal ids across graphs) and
 signatures are comparable within the run.  The run stops at the first
 iteration where the joint partition over the union of all domains stops
 changing, which realizes the stable-refinement semantics: one further
-application of the update changes nothing.
+application of the update changes nothing.  ``distinguishes`` stops a
+two-graph run sooner, at the first round whose color counts differ
+between the graphs (its docstring gives why the verdict is the same).
 
 Implemented algorithms (selected by :class:`AlgorithmSpec`):
 
@@ -74,7 +76,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -384,26 +386,47 @@ def _unique_rows(*parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _rows_match(parts, at: np.ndarray, inverse: np.ndarray) -> bool:
     """Whether every row of the parts equals the row at ``at[inverse]``
-    of its index: one part is checked against its own rows, several
-    against their distinct rows, gathered part by part."""
-    if len(parts) > 1:
-        distinct = np.empty((len(at), parts[0].shape[1]), np.int64)
-        start = 0
-        for rows in parts:
-            picked = (at >= start) & (at < start + len(rows))
-            distinct[picked] = rows[at[picked] - start]
-            start += len(rows)
-    step, start = _block_rows(parts[0].shape[1]), 0
-    for rows in parts:
+    of its index, a block of rows at a time.  One part is checked against
+    its own rows; several against their distinct rows, each copied out of
+    the block that holds its first index, as a row's first index is never
+    after it.  So the work is linear in the rows, however many parts."""
+    step = _block_rows(parts[0].shape[1])
+    if len(parts) == 1:
+        rows = parts[0]
         for a in range(0, len(rows), step):
-            block = rows[a : a + step]
-            labels = inverse[start + a : start + a + len(block)]
-            first = distinct[labels] if len(parts) > 1 else rows[at[labels]]
-            if not (first == block).all():
+            if not (rows[at[inverse[a : a + step]]] == rows[a : a + step]).all():
                 return False
-            del first  # before the next block is gathered
-        start += len(rows)
+        return True
+    distinct = np.empty((len(at), parts[0].shape[1]), np.int64)
+    start = 0
+    for block in _blocks(parts, step):
+        end = start + len(block)
+        labels = inverse[start:end]
+        first = at[labels] == np.arange(start, end)
+        distinct[labels[first]] = block[first]
+        if not (distinct[labels] == block).all():
+            return False
+        start = end
     return True
+
+
+def _blocks(parts, step: int) -> Iterator[np.ndarray]:
+    """The rows of the parts, one part after the other, in blocks of
+    ``step`` rows (the last one shorter); a block that spans parts is a
+    joined copy, so small parts cost one slice each."""
+    pending, held = [], 0
+    for rows in parts:
+        a = 0
+        while a < len(rows):
+            piece = rows[a : a + step - held]
+            pending.append(piece)
+            held += len(piece)
+            a += len(piece)
+            if held == step:
+                yield pending[0] if len(pending) == 1 else np.concatenate(pending)
+                pending, held = [], 0
+    if pending:
+        yield pending[0] if len(pending) == 1 else np.concatenate(pending)
 
 
 def _unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1218,17 +1241,26 @@ def _classes(colors: np.ndarray) -> int:
     return int(np.count_nonzero(np.bincount(colors)))
 
 
+def _rounds(spec: AlgorithmSpec, graphs: Sequence[Graph], quant: Quantization) -> Iterator[ColorState]:
+    """Every state of a joint run, round 0 first, up to the first stable one."""
+    state = joint_initial_coloring(spec, graphs, quant)
+    yield state
+    cap = sum(len(cols) for cols in state.colors) + 1
+    for _ in range(cap):
+        state = refine_once(spec, state)
+        yield state
+        if state.stable:
+            return
+    raise InternalError(f"{spec.label()}: no stable partition within the domain-size cap {cap}")
+
+
 def stable_coloring(
     spec: AlgorithmSpec, graphs: Sequence[Graph], quant: Quantization = DEFAULT_QUANT
 ) -> ColorState:
     """Joint refinement iterated to the first stable joint partition."""
-    state = joint_initial_coloring(spec, graphs, quant)
-    cap = sum(len(cols) for cols in state.colors) + 1
-    for _ in range(cap):
-        state = refine_once(spec, state)
-        if state.stable:
-            return state
-    raise InternalError(f"{spec.label()}: no stable partition within the domain-size cap {cap}")
+    for state in _rounds(spec, graphs, quant):
+        pass
+    return state
 
 
 def signatures(state: ColorState) -> list[Signature]:
@@ -1250,8 +1282,33 @@ def signature(spec: AlgorithmSpec, g: Graph, state: ColorState) -> Signature:
 def distinguishes(
     spec: AlgorithmSpec, g: Graph, h: Graph, quant: Quantization = DEFAULT_QUANT
 ) -> bool:
-    """Whether the algorithm separates g and h in a fresh joint run."""
-    state = stable_coloring(spec, [g, h], quant)
+    """Whether the algorithm separates g and h in a fresh joint run.
+
+    The run stops at the first round (round 0 included) at which the two
+    graphs' color multisets differ, and returns True there; only a pair
+    whose multisets agree at every round is refined to stability and
+    told apart by its signatures.  The verdict is the one the
+    signatures of the stable coloring give:
+
+    * each partition refines the one before and ids are joint across the
+      run, so an element's stable color fixes its color at every earlier
+      round, and different multisets at round t mean different multisets
+      of stable domain colors;
+    * every pool's signature fixes the graph's multiset of stable domain
+      colors: the joint pool is that multiset; the row, pair, pair-row
+      and ``spe`` pools are multisets of parts whose union is it; under
+      ``girt`` a stable diagonal color fixes the multiset of its row; and
+      every 5-slot ``basisnet`` token holds its whole slice's multiset.
+
+    ``eigenwl compare`` prints the number of iterations to stability, so
+    it refines to stability itself.
+    """
+    for state in _rounds(spec, [g, h], quant):
+        # ids are not dense (multiset keys take ids too): count up to the largest
+        size = 1 + max(int(cols.max(initial=-1)) for cols in state.colors)
+        g_counts, h_counts = (np.bincount(cols, minlength=size) for cols in state.colors)
+        if not np.array_equal(g_counts, h_counts):
+            return True
     sig = signatures(state)
     return sig[0].value != sig[1].value
 

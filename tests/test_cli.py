@@ -34,6 +34,25 @@ def test_compare_indistinguishable_exit_code(capsys):
     assert json.loads(out)["distinguished"] is False
 
 
+@pytest.mark.parametrize(
+    "alg, g, h, iterations",
+    [
+        # the eigenvalues differ at round 0
+        ("spectralign:A", C6, TWO_TRIANGLES, 2),
+        # P6 against the 5-leaf star: the degree counts differ at round 1
+        ("wl1", "EhCG", "Esa?", 3),
+    ],
+)
+def test_compare_runs_to_stability_on_a_pair_separated_earlier(capsys, alg, g, h, iterations):
+    """compare prints the iterations to the stable partition, also where
+    the color counts of the two graphs differ before it."""
+    code, out, _ = run_cli(capsys, "compare", "--alg", alg, "--g", g, "--h", h)
+    assert code == 1
+    meta = {"config_hash": "a9ab58d1c90c7de9", "digits": 6, "eig_gap_scale": 1e-08, "seed": 1729, "version": "0.1.0"}
+    detail = {"algorithm": alg, "distinguished": True, "graphs": [g, h], "iterations": iterations, "meta": meta}
+    assert out == json.dumps(detail, sort_keys=True) + "\n"
+
+
 def test_compare_empty_graph(capsys):
     code, out, _ = run_cli(capsys, "compare", "--alg", "spectralign:A", "--g", "?", "--h", "A_")
     assert code == 1

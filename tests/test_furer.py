@@ -12,6 +12,7 @@ from eigenwl.graphs import (
     path_graph,
 )
 from eigenwl.refinement import AlgorithmSpec, distinguishes
+from eigenwl.witnesses import bundled_witnesses, hunt_status
 
 
 def test_k2_product_is_k2(k2):
@@ -203,3 +204,18 @@ def test_product_size_from_base_degrees():
 def test_witness_line_round_trip():
     w = Witness("wl1", "epwl:A", "EhEG", "EwCW", False, True, "seed:c6-vs-2c3")
     assert Witness.from_line(w.to_line()) == w
+
+
+@pytest.mark.parametrize("spec_a, spec_b", [("fwl2", "pswl"), ("swl", "epwl:Lhat")])
+def test_bundled_hunts_replay(spec_a, spec_b):
+    """The two hunts of the benchmark, rerun with their bundled parameters,
+    examine, skip and find what their bundled status lines record, and
+    find every bundled witness line of their two specs again."""
+    params = {"max_base_n": 6, "budget": 140, "seed": 1729, "max_product_n": 48}
+    result = search_counterexamples(AlgorithmSpec.parse(spec_a), AlgorithmSpec.parse(spec_b), **params)
+    bundled, statuses = bundled_witnesses()
+    status = hunt_status(spec_a, spec_b, result=result, **params)
+    [line] = [s for s in statuses if s.startswith(status.partition("examined=")[0])]
+    assert status == line
+    lines = [w.to_line() for w in bundled if (w.spec_a, w.spec_b) == (spec_a, spec_b)]
+    assert lines and set(lines) <= {w.to_line() for w in result.witnesses}

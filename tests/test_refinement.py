@@ -24,13 +24,14 @@ from eigenwl.graphs import (
     disjoint_union,
     empty_graph,
     enumerate_graphs,
+    parse_graph6,
     path_graph,
     random_connected_graph,
     random_graph,
     star_graph,
     write_graph6,
 )
-from eigenwl import cli, furer, refinement, spectral
+from eigenwl import cli, furer, refinement, spectral, witnesses
 from eigenwl.refinement import (
     _VARIANTS,
     AlgorithmSpec,
@@ -523,6 +524,73 @@ def test_spec_without_table_row_is_rejected(variant, init):
         AlgorithmSpec(variant, kind=MatrixKind.ADJACENCY, init=init)
 
 
+# ---------------------------------------------------------------------------
+# stopping at the first differing round
+
+
+def _early_exit_pairs():
+    """The bundled witness pairs, the first Furer pairs of the hunt stream
+    up to 24 vertices, pairs of unequal vertex counts, and pairs of graphs
+    with no or one vertex."""
+    wits, _ = witnesses.bundled_witnesses()
+    pairs = [(parse_graph6(a), parse_graph6(b)) for a, b in dict.fromkeys((w.graph6_a, w.graph6_b) for w in wits)]
+    for base, _ in itertools.islice(furer._candidate_bases(6, 140, 1729), 8):
+        fg = furer.furer(base)
+        if fg.product.n <= 24:
+            pairs.append((fg.product, furer.twist(fg, [next(fg.base.edges())])))
+    pairs += [(path_graph(5), cycle_graph(6)), (cycle_graph(6), complete_graph(4)), (star_graph(4), path_graph(6))]
+    k0, k1 = empty_graph(0), empty_graph(1)
+    pairs += [(k0, k0), (k0, k1), (k1, k1), (k1, complete_graph(2)), (k0, complete_graph(2))]
+    return pairs
+
+
+def _verdict(run, *args):
+    """What ``run(*args)`` returns, or the type and message of the usage
+    error it raises."""
+    try:
+        return run(*args)
+    except UsageError as exc:
+        return type(exc), str(exc)
+
+
+def _stable_verdict(spec, g, h):
+    sig = signatures(stable_coloring(spec, [g, h]))
+    return sig[0].value != sig[1].value
+
+
+@pytest.mark.parametrize("label", DIGEST_SPEC_LABELS)
+def test_distinguishes_matches_stable_signatures(label):
+    """Stopping at the first round whose color counts differ gives the
+    verdict of the signatures of the stable coloring."""
+    spec = AlgorithmSpec.parse(label)
+    pairs = _early_exit_pairs()
+    assert len(pairs) > 16
+    for g, h in pairs:
+        want = _verdict(_stable_verdict, spec, g, h)
+        assert _verdict(distinguishes, spec, g, h) == want, (label, write_graph6(g), write_graph6(h))
+
+
+def test_distinguishes_stops_at_the_first_round_whose_counts_differ(monkeypatch, c6, two_triangles):
+    calls = []
+    original = refinement.refine_once
+    monkeypatch.setattr(refinement, "refine_once", lambda spec, state: calls.append(spec.label()) or original(spec, state))
+    wl1, spectralign = AlgorithmSpec.parse("wl1"), AlgorithmSpec.parse("spectralign:A")
+    p6, star = path_graph(6), star_graph(5)
+    # the degree counts of P6 and the 5-leaf star differ at round 1
+    assert distinguishes(wl1, p6, star)
+    assert calls == ["wl1"]
+    calls.clear()
+    assert stable_coloring(wl1, [p6, star]).iteration == 3
+    assert len(calls) == 3
+    calls.clear()
+    # the eigenvalues of C6 and two triangles differ at round 0
+    assert distinguishes(spectralign, c6, two_triangles)
+    assert calls == []
+    # a pair the refinement never separates runs to stability
+    assert not distinguishes(wl1, c6, two_triangles)
+    assert len(calls) == stable_coloring(wl1, [c6, two_triangles]).iteration
+
+
 def _perfbench(name):
     """A module of the benchmark harness in ``perfbench/``, loaded from its file."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
@@ -541,16 +609,20 @@ def test_benchmark_tracer_hooks(c6, two_triangles, monkeypatch):
         importlib.import_module(f"eigenwl.{name}")
     # a cold projection cache, so that every quantization below is counted
     monkeypatch.setattr(spectral, "_QPROJ_CACHE", {})
-    original = refinement.distinguishes
+    originals = refinement.stable_coloring, refinement.distinguishes
     labels = ["wl1", "pswl", "spectralign:A", "girt:K=4", "gdwl:rd"]
     tracer = tracing.Tracer()
     tracer.install()
     try:
+        # distinguishes stops at the first round whose color counts differ
+        # (round 0 for spectralign:A on this pair), so the rounds of every
+        # domain are reached through stable_coloring
         for label in labels:
-            refinement.distinguishes(AlgorithmSpec.parse(label), c6, two_triangles)
+            refinement.stable_coloring(AlgorithmSpec.parse(label), [c6, two_triangles])
+        refinement.distinguishes(AlgorithmSpec.parse("wl1"), c6, two_triangles)
     finally:
         tracer.uninstall()
-    assert refinement.distinguishes is original
+    assert (refinement.stable_coloring, refinement.distinguishes) == originals
     metrics = tracing.layer_metrics(tracer.spans, 0.0)
     for name in (
         "refinement.refine_s.nodes",
@@ -1477,6 +1549,47 @@ def test_batch_interner_matches_one_key_at_a_time(base, calls, block):
                 want[i] = table.id(role, tuple(rows[i].tolist()))
             assert got.tolist() == want.tolist() == whole.rank(one).tolist()
             start += count
+
+
+class _Reads(np.ndarray):
+    """An index array that counts the entries the operations on it read:
+    every ufunc or numpy function reads all of it, indexing reads what it
+    picks."""
+
+    counter = [0]
+
+    def _plain(self, args):
+        return [a.view(np.ndarray) if isinstance(a, _Reads) else a for a in args]
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        self.counter[0] += sum(a.size for a in inputs if isinstance(a, _Reads))
+        return getattr(ufunc, method)(*self._plain(inputs), **kwargs)
+
+    def __array_function__(self, func, types, args, kwargs):
+        self.counter[0] += sum(a.size for a in args if isinstance(a, _Reads))
+        return func(*self._plain(args), **kwargs)
+
+    def __getitem__(self, key):
+        out = self.view(np.ndarray)[key]
+        self.counter[0] += np.size(out)
+        return out
+
+
+def test_checking_many_parts_reads_each_index_once_per_row(monkeypatch):
+    """The exactness check of a call of many small parts reads each entry
+    of the first-index and inverse arrays about once per row numbered,
+    not once per part (work, not seconds): 300 parts of 8 rows drawn from
+    1600, so that many rows repeat rows of earlier parts."""
+    rng = np.random.default_rng(7)
+    pool = rng.integers(0, 1 << 40, (1600, 2))
+    parts = [pool[rng.integers(0, len(pool), 8)] for _ in range(300)]
+    rows = sum(map(len, parts))
+    at, inverse = refinement._unique_rows(np.concatenate(parts))
+    assert len(at) < rows
+    counter = [0]
+    monkeypatch.setattr(_Reads, "counter", counter)
+    assert refinement._rows_match(parts, at.view(_Reads), inverse.view(_Reads))
+    assert 0 < counter[0] <= 2 * rows
 
 
 def test_numbering_holds_no_copy_of_the_key_rows(monkeypatch, peak_bytes):
