@@ -451,10 +451,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = RunConfig.from_sources(getattr(args, "config", None), args)
         return command(cfg, args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, Graph6Error, OSError) as exc:
+    except (ValueError, Graph6Error, OSError) as exc:  # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalError as exc:

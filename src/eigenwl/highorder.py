@@ -18,7 +18,7 @@ case normalized-Laplacian requests are rejected like everywhere else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
@@ -35,13 +35,16 @@ class TokenGraph:
 
     ``subsets[p]`` is the vertex set of product vertex p as a bitmask
     over base vertices; masks are ascending, which makes k = 1 reproduce
-    the base graph exactly.
+    the base graph exactly.  ``positions`` is the inverse map, mask to
+    product vertex; it follows from ``subsets``, so repr, equality and
+    hashing leave it out.
     """
 
     base: Graph
     k: int
     product: Graph
     subsets: tuple[int, ...]
+    positions: dict[int, int] = field(repr=False, compare=False, hash=False)
 
     def index_of(self, vertices) -> int:
         """Product vertex id of a k-element vertex set."""
@@ -54,11 +57,7 @@ class TokenGraph:
             mask |= 1 << v
         if mask.bit_count() != self.k:
             raise ValueError(f"need exactly {self.k} distinct vertices")
-        try:
-            return self._positions[mask]
-        except AttributeError:
-            object.__setattr__(self, "_positions", {m: i for i, m in enumerate(self.subsets)})
-            return self._positions[mask]
+        return self.positions[mask]
 
 
 def token_graph(g: Graph, k: int) -> TokenGraph:
@@ -92,4 +91,4 @@ def token_graph(g: Graph, k: int) -> TokenGraph:
                 q = position[mask ^ bit_a ^ bit_b]
                 rows[p] |= 1 << q
                 rows[q] |= 1 << p
-    return TokenGraph(g, k, Graph(size, tuple(rows)), tuple(masks))
+    return TokenGraph(g, k, Graph(size, tuple(rows)), tuple(masks), position)

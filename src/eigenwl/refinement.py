@@ -257,12 +257,19 @@ class _BatchInterner:
     finds its distinct keys by sorting (``_unique_rows``), or in a dict
     below ``_DICT_KEYS`` rows; keys its caller knows to be unique in the
     call (the singleton rule) it labels without either, in the same call.
+
+    The tables hold one pass: an ``ids`` call made when every label so far
+    is ranked starts them over, and ``rank`` numbers on from the ids given
+    before.  Every caller (``_per_graph``, ``_across_slices``, ``_pool``,
+    ``_cross_update``, ``_pool_basisnet``) ranks a pass's labels before
+    the next pass's ``ids`` call.
     """
 
-    __slots__ = ("size", "first", "ranked_ids", "ranked")
+    __slots__ = ("base", "size", "first", "ranked_ids", "ranked")
 
     def __init__(self):
-        self.size = 0  # labels given so far
+        self.base = 0  # ids given before the labels in the tables
+        self.size = 0  # labels in the tables
         self.first = np.full(_START_LABELS, _NEVER)  # per label: earliest event position
         self.ranked_ids = np.zeros(_START_LABELS, np.int64)  # per label: its id, once ranked
         self.ranked = 0  # labels below this are ranked
@@ -279,6 +286,10 @@ class _BatchInterner:
         the keys of the events where it is true only, and every other
         event's key is known to match no other key of the call, so the
         event gets a label of its own without being hashed."""
+        if self.ranked == self.size:
+            self.first[: self.size] = _NEVER
+            self.base += self.size
+            self.size = self.ranked = 0
         out = [np.empty(0, np.int64)] * len(parts)
         by_width: dict[int, list[int]] = {}
         for i, (rows, pos, *_) in enumerate(parts):
@@ -328,7 +339,7 @@ class _BatchInterner:
         every event interned after a call must come after every event
         interned before it."""
         order = np.argsort(self.first[self.ranked : self.size])
-        self.ranked_ids[self.ranked + order] = np.arange(self.ranked, self.size)
+        self.ranked_ids[self.ranked + order] = np.arange(self.base + self.ranked, self.base + self.size)
         self.ranked = self.size
         return self.ranked_ids[labels]
 
@@ -473,13 +484,14 @@ def _atp_flat(g: Graph) -> np.ndarray:
     return out
 
 
-def _proj_static(spec, graphs, quant):
-    """Flat n*n static ids of the projection pair invariants.  A pair's
-    invariant is the row of its (eigenvalue code, entry code) records in
-    sorted order: equal rows are equal multisets."""
+def _projection_pair_ids(kind: MatrixKind, graphs: Sequence[Graph], quant: Quantization) -> list[np.ndarray]:
+    """Flat n*n ids of the projection pair invariants of the kind,
+    numbered jointly over the graphs.  A pair's invariant is the row of
+    its (eigenvalue code, entry code) records in sorted order: equal rows
+    are equal multisets, and equal ids equal ``pair_token`` bytes."""
     parts = []
     for g in graphs:
-        lams, codes = quantized_projections(g, spec.kind, quant)
+        lams, codes = quantized_projections(g, kind, quant)
         m, nn = codes.shape[0], g.n * g.n
         rows = np.empty((nn, m, 2), np.int64)
         rows[:, :, 0] = lams
@@ -491,6 +503,11 @@ def _proj_static(spec, graphs, quant):
                 rows[:, a:b, 1].sort(axis=1)
         parts.append(rows.reshape(nn, 2 * m))
     return _first_seen(parts)
+
+
+def _proj_static(spec, graphs, quant):
+    """Flat n*n static ids of the projection pair invariants."""
+    return _projection_pair_ids(spec.kind, graphs, quant)
 
 
 def _require_no_isolated(spec: AlgorithmSpec, g: Graph):

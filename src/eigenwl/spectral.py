@@ -289,9 +289,7 @@ def quantized_projections(
             near_ties += ties
         entries = entries.reshape(dec.m, g.n, g.n)
         lams.flags.writeable = entries.flags.writeable = False
-        # "lam:" record prefixes of the pair tokens
-        prefixes = tuple(f"{_render_code(lam, quant.digits)}:" for lam in lams.tolist())
-        cached = g.derived[key] = (lams, entries, near_ties, prefixes)
+        cached = g.derived[key] = (lams, entries, near_ties)
     return cached[:2]
 
 
@@ -429,12 +427,15 @@ class SpectrumToken:
 def pair_token(
     g: Graph, kind: MatrixKind, u: int, v: int, quant: Quantization = DEFAULT_QUANT
 ) -> PairToken:
-    """Projection pair invariant of (u, v) as a canonical token."""
+    """Projection pair invariant of (u, v) as a canonical token, its
+    records rendered from the codes on every call."""
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise IndexError(f"vertex pair ({u}, {v}) out of range")
-    _, codes = quantized_projections(g, kind, quant)
-    prefixes, d = g.derived[_codes_key(kind, quant)][3], quant.digits
-    records = sorted([lam + _render_code(ent, d) for lam, ent in zip(prefixes, codes[:, u, v].tolist())])
+    lams, codes = quantized_projections(g, kind, quant)
+    d = quant.digits
+    records = sorted(
+        [f"{_render_code(lam, d)}:{_render_code(ent, d)}" for lam, ent in zip(lams.tolist(), codes[:, u, v].tolist())]
+    )
     return PairToken(f"P[{kind.value}]" .encode() + ";".join(records).encode())
 
 

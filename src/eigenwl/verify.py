@@ -33,16 +33,10 @@ from .graphs import (
     random_connected_graph,
     write_graph6,
 )
-from .refinement import AlgorithmSpec, distinguishes, refinement_violations, signatures, stable_coloring
-from .spectral import (
-    DEFAULT_QUANT,
-    EPS_ALG,
-    Quantization,
-    decomposition_for,
-    exact_pair_token,
-    pair_token,
-    validate_decomposition,
+from .refinement import (
+    AlgorithmSpec, _first_seen, _projection_pair_ids, distinguishes, refinement_violations, signatures, stable_coloring
 )
+from .spectral import DEFAULT_QUANT, EPS_ALG, Quantization, _exact_data, decomposition_for, validate_decomposition
 from .witnesses import bundled_witnesses
 
 __all__ = ["CheckResult", "VerifyConfig", "run_all", "ALL_CHECKS"]
@@ -122,6 +116,52 @@ def _kinds_for(g: Graph) -> list[MatrixKind]:
     return kinds
 
 
+def _joined(arrays) -> np.ndarray:
+    """The int64 arrays one after the other, also when there are none."""
+    return np.concatenate([np.empty(0, np.int64), *arrays])
+
+
+def _pair_at(graphs: list[Graph], i: int) -> tuple[Graph, int, int]:
+    """The graph and the pair (u, v) of element i of the graphs' flat n*n
+    arrays, joined graph after graph."""
+    for g in graphs:
+        if i < g.n * g.n:
+            return g, *divmod(i, g.n)
+        i -= g.n * g.n
+
+
+def _differs(values: np.ndarray, *keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mask of the elements whose value differs from the value at the
+    first element with the same keys, index of that first element), as a
+    dict from keys to first values finds them element by element.  The
+    nonnegative key columns are packed into one int64 by shifts."""
+    packed, bits = np.zeros(len(values), np.int64), 0
+    for col in reversed(keys):
+        packed |= col << bits
+        bits += int(col.max(initial=0)).bit_length()
+    if bits > 63:
+        raise ValueError(f"pair keys need {bits} bits, more than an int64 holds")
+    _, at, inverse = np.unique(packed, return_index=True, return_inverse=True)
+    first = at[inverse]
+    return values[first] != values, first
+
+
+def _exact_pair_ids(kind: MatrixKind, graphs: list[Graph]) -> list[np.ndarray]:
+    """Flat n*n ids of the ``exact_pair_token``s of an integer kind (A, L),
+    numbered jointly over the graphs from rows of the id of the graph's
+    characteristic polynomial, then the moments M^k(u, v) for k < n."""
+    polys, rows = [], []
+    for g in graphs:
+        poly, _, powers = _exact_data(g, kind)
+        polys.append(np.array([[c.numerator for c in poly]], np.int64))
+        row = np.empty((g.n * g.n, g.n + 1), np.int64)
+        row[:, 1:] = np.array(powers, np.int64).reshape(g.n, -1).T
+        rows.append(row)
+    for row, poly in zip(rows, _first_seen(polys)):
+        row[:, 0] = poly
+    return _first_seen(rows)
+
+
 # ---------------------------------------------------------------------------
 # the checks
 
@@ -150,32 +190,34 @@ def check_spectral_algebra(cfg: VerifyConfig) -> CheckResult:
 
 
 def check_exact_float_agreement(cfg: VerifyConfig) -> CheckResult:
-    """Per graph, the quantized pair tokens and the exact rational tokens
-    must induce the same partition of ordered vertex pairs (adjacency and
-    Laplacian kinds); across graphs, equal exact tokens must imply equal
-    quantized tokens."""
+    """Per graph, the quantized pair invariants and the exact rational
+    ones must induce the same partition of ordered vertex pairs (adjacency
+    and Laplacian kinds); across graphs, equal exact invariants must imply
+    equal quantized ones.  Both sides compare as ids: the projection pair
+    ids and the ids of the exact integer rows."""
     start = time.time()
     corpus = connected_corpus(cfg.corpus_max_n)
+    owner = np.repeat(np.arange(len(corpus)), [g.n * g.n for g in corpus])
+    kinds = (MatrixKind.ADJACENCY, MatrixKind.LAPLACIAN)
+    # (graph, kind, pair, cross-graph) of the first three failures of each
+    # kind and test: sorted, they start with the first three failures of a
+    # walk graph by graph, kind by kind, pair by pair
+    found = []
+    for ki, kind in enumerate(kinds):
+        floats = _joined(_projection_pair_ids(kind, corpus, cfg.quant))
+        exacts = _joined(_exact_pair_ids(kind, corpus))
+        within, _ = _differs(exacts, owner, floats)
+        # a pair flagged already never becomes the first of its exact key
+        kept = ~within
+        within[kept] = _differs(floats[kept], owner[kept], exacts[kept])[0]
+        for cross, mask in enumerate((within, _differs(floats, exacts)[0])):
+            found += [(int(owner[i]), ki, i, cross) for i in np.flatnonzero(mask)[:3].tolist()]
     bad = []
-    count = 0
-    # exact tokens are keyed by their bytes, which name the kind: hashing
-    # and comparing the Fraction tuples themselves costs far more
-    cross: dict[bytes, bytes] = {}
-    for g in corpus:
-        for kind in (MatrixKind.ADJACENCY, MatrixKind.LAPLACIAN):
-            f2e: dict[bytes, bytes] = {}
-            e2f: dict[bytes, bytes] = {}
-            for u in range(g.n):
-                for v in range(g.n):
-                    ft = pair_token(g, kind, u, v, cfg.quant).data
-                    ekey = exact_pair_token(g, kind, u, v).serialize()
-                    count += 1
-                    if f2e.setdefault(ft, ekey) != ekey or e2f.setdefault(ekey, ft) != ft:
-                        bad.append((write_graph6(g), kind.value, u, v))
-                    if cross.setdefault(ekey, ft) != ft:
-                        bad.append((write_graph6(g), kind.value, u, v, "cross-graph"))
-    details = f"failures {bad[:3]}" if bad else ""
-    return CheckResult("exact-float-agreement", not bad, details, time.time() - start, count)
+    for _, ki, i, cross in sorted(found)[:3]:
+        g, u, v = _pair_at(corpus, i)
+        bad.append((write_graph6(g), kinds[ki].value, u, v) + ("cross-graph",) * cross)
+    details = f"failures {bad}" if bad else ""
+    return CheckResult("exact-float-agreement", not bad, details, time.time() - start, 2 * len(owner))
 
 
 def check_distance_cross_forms(cfg: VerifyConfig) -> CheckResult:
@@ -202,37 +244,33 @@ def check_distances_determined(cfg: VerifyConfig) -> CheckResult:
     distance constant inside each group (exact for shortest paths)."""
     start = time.time()
     corpus = random_corpus(cfg.random_graphs, cfg.random_max_n, cfg.seed)
-    spec = AlgorithmSpec.parse("epwl:Lhat")
-    state = stable_coloring(spec, corpus, cfg.quant)
+    state = stable_coloring(AlgorithmSpec.parse("epwl:Lhat"), corpus, cfg.quant)
     kinds = DistanceKind.all_default()
-    matrices = [[distance_matrix(g, kind).values for kind in kinds] for g in corpus]
-
-    groups: dict[tuple, list[float]] = {}
+    exact = np.array([kind.compares_exactly for kind in kinds])
+    values = np.concatenate(
+        [np.empty((0, len(kinds)))]
+        + [np.stack([distance_matrix(g, kind).values.ravel() for kind in kinds], axis=1) for g in corpus]
+    )
+    _, first = _differs(
+        values,
+        _joined(np.repeat(cols, g.n) for g, cols in zip(corpus, state.colors)),
+        _joined(np.tile(cols, g.n) for g, cols in zip(corpus, state.colors)),
+        _joined(_projection_pair_ids(MatrixKind.NORMALIZED_LAPLACIAN, corpus, cfg.quant)),
+    )
+    # each pair against the first of its group: infinite on one side only,
+    # or both finite and apart
+    ref = values[first]
+    inf = np.isinf(ref) != np.isinf(values)
+    with np.errstate(invalid="ignore"):
+        apart = ~np.isinf(ref) & np.where(exact, ref != values, np.abs(ref - values) > DISTANCE_GROUP_TOL)
     bad = []
-    count = 0
-    for gi, g in enumerate(corpus):
-        cols = state.colors[gi].tolist()
-        for u in range(g.n):
-            for v in range(g.n):
-                key = (cols[u], cols[v], pair_token(g, MatrixKind.NORMALIZED_LAPLACIAN, u, v, cfg.quant).data)
-                vals = [mat[u, v] for mat in matrices[gi]]
-                count += 1
-                ref = groups.get(key)
-                if ref is None:
-                    groups[key] = vals
-                    continue
-                for ki, (a, b) in enumerate(zip(ref, vals)):
-                    if np.isinf(a) != np.isinf(b):
-                        bad.append((write_graph6(g), u, v, kinds[ki].label(), "inf-mismatch"))
-                    elif np.isinf(a):
-                        continue
-                    elif kinds[ki].compares_exactly:
-                        if a != b:
-                            bad.append((write_graph6(g), u, v, kinds[ki].label()))
-                    elif abs(a - b) > DISTANCE_GROUP_TOL:
-                        bad.append((write_graph6(g), u, v, kinds[ki].label(), abs(a - b)))
-    details = f"{len(groups)} groups" + (f"; violations {bad[:3]}" if bad else "")
-    return CheckResult("distances-determined-by-stable-colors", not bad, details, time.time() - start, count)
+    for i, ki in np.argwhere(inf | apart)[:3].tolist():
+        g, u, v = _pair_at(corpus, i)
+        tail = ("inf-mismatch",) if inf[i, ki] else () if exact[ki] else (abs(ref[i, ki] - values[i, ki]),)
+        bad.append((write_graph6(g), u, v, kinds[ki].label(), *tail))
+    groups = np.count_nonzero(first == np.arange(len(first)))
+    details = f"{groups} groups" + (f"; violations {bad}" if bad else "")
+    return CheckResult("distances-determined-by-stable-colors", not bad, details, time.time() - start, len(first))
 
 
 def hierarchy_directions() -> list[tuple[str, str, str]]:
@@ -372,18 +410,14 @@ def check_pair_colors_determine_projections(cfg: VerifyConfig) -> CheckResult:
     bad = []
     count = 0
     for kind in (MatrixKind.ADJACENCY, MatrixKind.LAPLACIAN, MatrixKind.NORMALIZED_LAPLACIAN):
-        seen: dict[int, bytes] = {}
-        for gi, g in enumerate(corpus):
-            if kind is MatrixKind.NORMALIZED_LAPLACIAN and g.has_isolated:
-                continue
-            cols = state.colors[gi].tolist()
-            n = g.n
-            for u in range(n):
-                for v in range(n):
-                    tok = pair_token(g, kind, u, v, cfg.quant).data
-                    count += 1
-                    if seen.setdefault(cols[u * n + v], tok) != tok:
-                        bad.append((kind.value, write_graph6(g), u, v))
+        picked = [gi for gi, g in enumerate(corpus) if kind in _kinds_for(g)]
+        graphs = [corpus[gi] for gi in picked]
+        ids = _joined(_projection_pair_ids(kind, graphs, cfg.quant))
+        mask, _ = _differs(ids, _joined(state.colors[gi] for gi in picked))
+        count += len(mask)
+        for i in np.flatnonzero(mask)[:3].tolist():
+            g, u, v = _pair_at(graphs, i)
+            bad.append((kind.value, write_graph6(g), u, v))
     details = f"failures {bad[:3]}" if bad else ""
     return CheckResult("pair-colors-determine-projections", not bad, details, time.time() - start, count)
 

@@ -135,3 +135,19 @@ def test_projection_entry_rejects_repeats():
         tg.index_of((1,))
     with pytest.raises(IndexError, match="out of range"):
         tg.index_of((0, 5))
+
+
+def test_index_of_round_trips_every_subset():
+    g = random_connected_graph(6, 0.5, 4)
+    for k in (1, 2, 3):
+        tg = token_graph(g, k)
+        for p, mask in enumerate(tg.subsets):
+            assert tg.index_of([v for v in range(g.n) if mask >> v & 1]) == p
+
+
+def test_token_graph_builds_compare_equal():
+    g = random_connected_graph(6, 0.5, 4)
+    a, b = token_graph(g, 2), token_graph(g, 2)
+    assert a == b and hash(a) == hash(b)
+    assert "positions" not in repr(a)
+    assert a != token_graph(g, 3)

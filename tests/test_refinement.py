@@ -1336,6 +1336,27 @@ def test_spectralign_interns_once_per_pass_whatever_the_run_size(monkeypatch):
     assert counts[0] == counts[1]
 
 
+def test_interner_tables_hold_one_pass(monkeypatch):
+    """An ids call made when every label so far is ranked starts the
+    tables over: after one spectralign refine_once on the scan base corpus
+    (four passes) they hold at most twice the largest pass's labels."""
+    spec = AlgorithmSpec.parse("spectralign:A")
+    state = joint_initial_coloring(spec, _SKIP_INPUTS["scan"]())
+    seen = {}
+    ids = refinement._BatchInterner.ids
+
+    def counted(self, parts):
+        out = ids(self, parts)
+        seen[self] = max(seen.get(self, 0), self.size)
+        return out
+
+    monkeypatch.setattr(refinement._BatchInterner, "ids", counted)
+    refine_once(spec, state)
+    [(it, largest)] = seen.items()
+    assert it.base > largest  # the tables started over at least once
+    assert len(it.first) == len(it.ranked_ids) <= 2 * largest
+
+
 # ---------------------------------------------------------------------------
 # reference oracle: iteration 0 as the per-key intern tables made it, one
 # static.id call per distinct static key in first-seen order and one
