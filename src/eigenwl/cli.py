@@ -2,7 +2,8 @@
 suites, counterexample hunts, distance dumps, and gadget construction.
 
 Exit codes: 0 success (or "indistinguishable"), 1 distinguished or a
-failed verification, 2 usage error, 3 violated internal invariant.
+failed verification, 2 usage error, 3 violated internal invariant or
+eigensolver failure.
 Reports are deterministic under a fixed configuration: randomness is
 seed-threaded and timing is only emitted on request.
 """
@@ -10,6 +11,7 @@ seed-threaded and timing is only emitted on request.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -34,7 +36,7 @@ from .refinement import (
     signatures,
     stable_coloring,
 )
-from .spectral import Quantization
+from .spectral import DEFAULT_QUANT, Quantization, SpectralError
 from .verify import VerifyConfig, run_all
 from .witnesses import append_corpus, hunt_status
 
@@ -104,18 +106,18 @@ _NONNEGATIVE = (
 class RunConfig:
     """All tunables of a CLI invocation; seed fixes every random choice."""
 
-    seed: int = 1729
+    seed: int = VerifyConfig.seed
     budget: int = 140
     max_base_n: int = 5
     max_product_n: int = 48
-    digits: int = 6
-    eig_gap_scale: float = 1e-8
-    corpus_max_n: int = 7
-    random_graphs: int = 200
-    random_max_n: int = 12
-    hierarchy_random_graphs: int = 200
-    hierarchy_random_max_n: int = 10
-    parity_max_base_n: int = 5
+    digits: int = DEFAULT_QUANT.digits
+    eig_gap_scale: float = DEFAULT_QUANT.eig_gap_scale
+    corpus_max_n: int = VerifyConfig.corpus_max_n
+    random_graphs: int = VerifyConfig.random_graphs
+    random_max_n: int = VerifyConfig.random_max_n
+    hierarchy_random_graphs: int = VerifyConfig.hierarchy_random_graphs
+    hierarchy_random_max_n: int = VerifyConfig.hierarchy_random_max_n
+    parity_max_base_n: int = VerifyConfig.parity_max_base_n
     jobs: int = 1
 
     def __post_init__(self):
@@ -245,19 +247,13 @@ def cmd_scan(cfg: RunConfig, args) -> int:
 
     timing: dict[str, float] = {}
     sigs: dict[str, list[int]] = {}
-    if cfg.jobs > 1:
-        # independent joint runs; results merged in algorithm order.  The
-        # pool starts every worker at the first submit, so it gets no more
-        # workers than there are runs.
-        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(specs))) as pool:
-            futures = [pool.submit(_scan_one, spec, corpus, cfg.quant) for spec in specs]
-            for spec, fut in zip(specs, futures):
-                vals, elapsed = fut.result()
-                sigs[spec.label()] = vals
-                timing[spec.label()] = elapsed
-    else:
-        for spec in specs:
-            vals, elapsed = _scan_one(spec, corpus, cfg.quant)
+    run = functools.partial(_scan_one, corpus=corpus, quant=cfg.quant)
+    # independent joint runs; results merged in algorithm order.  The pool
+    # starts every worker at the first submit, so it gets no more workers
+    # than there are runs.
+    parallel = cfg.jobs > 1
+    with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(specs))) if parallel else contextlib.nullcontext() as pool:
+        for spec, (vals, elapsed) in zip(specs, pool.map(run, specs) if parallel else map(run, specs)):
             sigs[spec.label()] = vals
             timing[spec.label()] = elapsed
 
@@ -454,7 +450,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, Graph6Error, OSError) as exc:  # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InternalError as exc:
+    except (InternalError, SpectralError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

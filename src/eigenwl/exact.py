@@ -9,7 +9,7 @@ What a graph needs of it is kept in ``Graph.derived``: per matrix kind
 one table of exact powers [M^0, M^1, ...], extended in place to the
 largest power asked for (:func:`powers`), and the pseudo-inverse of each
 component's Laplacian (:func:`laplacian_pinvs`).  The characteristic
-polynomial is read off the traces of the powers (:func:`charpoly`).
+polynomial is read off the traces of the powers (:func:`power_charpoly`).
 """
 
 from __future__ import annotations
@@ -49,6 +49,16 @@ def charpoly(traces: list[int]) -> list[int]:
         assert rem == 0, "Newton's identities must divide exactly"
         coeffs.append(c)
     return coeffs
+
+
+def power_charpoly(powers: list, mat: list[list[int]]) -> list[int]:
+    """:func:`charpoly` of the n x n integer matrix ``mat`` = M from its
+    powers [M^0, ..., M^{n-1}]: tr(M^n) is the sum over (u, v) of
+    M^{n-1}(u, v) M(v, u), so M^n is never built."""
+    n = len(mat)
+    traces = [sum(p[i][i] for i in range(n)) for p in powers[1:]]
+    traces.append(sum(map(mul, chain.from_iterable(powers[-1]), chain.from_iterable(zip(*mat)))))
+    return charpoly(traces)
 
 
 def _matrix(g, kind) -> tuple[int, list[list[int]]]:

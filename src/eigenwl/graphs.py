@@ -378,23 +378,18 @@ def _g6_header(n: int) -> str:
     raise ValueError("n too large for graph6")
 
 
+# 6-bit groups as binary strings, and the graph6 characters they map to
+_G6_CHARS = {format(i, "06b"): chr(i + 63) for i in range(64)}
+_G6_BITS = {ord(c): bits for bits, c in _G6_CHARS.items()}
+
+
 def write_graph6(g: Graph) -> str:
     """Canonical graph6 line: header N(n), upper triangle column-major,
     6-bit groups.  The empty graph is the bare header ``?``."""
-    bits = []
-    for v in range(1, g.n):
-        col = g.rows[v]
-        for u in range(v):
-            bits.append(col >> u & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = []
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i : i + 6]:
-            val = val << 1 | b
-        chars.append(chr(val + 63))
-    return _g6_header(g.n) + "".join(chars)
+    # column v holds the bits u < v, the low v bits of rows[v], u = 0 first
+    bits = "".join([format(g.rows[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, g.n)])
+    bits += "0" * (-len(bits) % 6)
+    return _g6_header(g.n) + "".join([_G6_CHARS[bits[i : i + 6]] for i in range(0, len(bits), 6)])
 
 
 def parse_graph6(text: str) -> Graph:
@@ -440,23 +435,20 @@ def parse_graph6(text: str) -> Graph:
     if len(raw) > pos + nbytes:
         raise Graph6Error("trailing garbage after graph6 data", pos + nbytes)
 
-    bits = []
-    for i in range(nbytes):
-        val = raw[pos + i] - 63
-        for k in range(5, -1, -1):
-            bits.append(val >> k & 1)
-    for j in range(nbits, len(bits)):
-        if bits[j]:
-            raise Graph6Error("nonzero padding bit", pos + j // 6)
+    bits = "".join(map(_G6_BITS.__getitem__, raw[pos:]))
+    pad = bits.find("1", nbits)
+    if pad >= 0:
+        raise Graph6Error("nonzero padding bit", pos + pad // 6)
 
     rows = [0] * n
-    idx = 0
+    start = 0
     for v in range(1, n):  # column-major upper triangle
-        for u in range(v):
-            if bits[idx]:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            idx += 1
+        col = rows[v] = int(bits[start : start + v][::-1], 2)
+        start += v
+        while col:
+            low = col & -col
+            rows[low.bit_length() - 1] |= 1 << v
+            col ^= low
     return Graph(n, tuple(rows))
 
 
@@ -545,17 +537,21 @@ def atomic_type(g: Graph, u: int, v: int) -> AtomicType:
     return AtomicType.ADJACENT if g.has_edge(u, v) else AtomicType.NON_ADJACENT
 
 
+def _adjacency_bits(g: Graph) -> np.ndarray:
+    """The (n, n) 0/1 uint8 adjacency matrix, all bit rows decoded at once."""
+    n = g.n
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join([row.to_bytes(width, "little") for row in g.rows]), np.uint8)
+    return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little")
+
+
 def build_matrix(g: Graph, kind: MatrixKind) -> np.ndarray:
     """Dense symmetric matrix of the requested kind (float64).
 
     The normalized Laplacian D^{-1/2} (D - A) D^{-1/2} is only defined
     when no vertex is isolated; a ValueError is raised otherwise.
     """
-    n = g.n
-    a = np.zeros((n, n))
-    for u in range(n):
-        for v in g.neighbors(u):
-            a[u, v] = 1.0
+    a = _adjacency_bits(g).astype(float)
     if kind is MatrixKind.ADJACENCY:
         return a
     d = np.diag([float(x) for x in g.degrees])
@@ -600,15 +596,13 @@ def biconnectivity_report(g: Graph) -> BiconnectivityReport:
         if disc[root] != -1:
             continue
         root_children = 0
-        stack = [(root, iter(range(n)))]
+        stack = [(root, g.neighbors(root))]
         disc[root] = low[root] = timer
         timer += 1
         while stack:
             u, it = stack[-1]
             advanced = False
             for v in it:
-                if not g.has_edge(u, v):
-                    continue
                 if disc[v] == -1:
                     parent[v] = u
                     if u == root:
@@ -616,7 +610,7 @@ def biconnectivity_report(g: Graph) -> BiconnectivityReport:
                     edge_stack.append((u, v))
                     disc[v] = low[v] = timer
                     timer += 1
-                    stack.append((v, iter(range(n))))
+                    stack.append((v, g.neighbors(v)))
                     advanced = True
                     break
                 elif v != parent[u] and disc[v] < disc[u]:

@@ -82,7 +82,7 @@ import numpy as np
 
 from . import exact
 from .distances import DistanceKind, _Param, distance_tokens, label_params, parse_params
-from .graphs import Graph, MatrixKind
+from .graphs import Graph, MatrixKind, _adjacency_bits
 from .spectral import DEFAULT_QUANT, Quantization, _int64_codes, decomposition_for, quantized_projections
 
 __all__ = [
@@ -475,12 +475,8 @@ def _first_seen(parts: list[np.ndarray]) -> list[np.ndarray]:
 
 def _atp_flat(g: Graph) -> np.ndarray:
     """Flat n*n atomic types: 0 on the diagonal, 1 for edges, 2 otherwise."""
-    n = g.n
-    width = (n + 7) // 8
-    packed = np.frombuffer(b"".join([row.to_bytes(width, "little") for row in g.rows]), np.uint8)
-    out = np.full(n * n, 2, np.int64)
-    out -= np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").ravel()
-    out[:: n + 1] = 0
+    out = 2 - _adjacency_bits(g).ravel().astype(np.int64)
+    out[:: g.n + 1] = 0
     return out
 
 

@@ -24,8 +24,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -490,16 +488,12 @@ def _exact_data(g: Graph, kind: MatrixKind):
     ``exact.powers``, and the charpoly, in Fractions, from their traces,
     kept in ``g.derived``.  (M / scale)^k is M^k / scale**k, its powers
     stay integers."""
-    n = g.n
-    scale, powers = exact.powers(g, kind, n - 1)
+    scale, powers = exact.powers(g, kind, g.n - 1)
     key = ("charpoly", kind)
     cp = g.derived.get(key)
     if cp is None:
         mat = exact.powers(g, kind, 1)[1][1]
-        # tr(M^n) = sum over (u, v) of M^{n-1}(u, v) M(v, u): M^n is never built
-        traces = [sum(p[i][i] for i in range(n)) for p in powers[1:]]
-        traces.append(sum(map(mul, chain.from_iterable(powers[-1]), chain.from_iterable(zip(*mat)))))
-        cp = g.derived[key] = tuple(Fraction(c, scale**k) for k, c in enumerate(exact.charpoly(traces)))
+        cp = g.derived[key] = tuple(Fraction(c, scale**k) for k, c in enumerate(exact.power_charpoly(powers, mat)))
     return cp, scale, powers
 
 

@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
+from . import exact
 from . import furer as furer_mod
 from .distances import DistanceKind, cross_validate, distance_matrix
 from .graphs import (
@@ -36,7 +37,7 @@ from .graphs import (
 from .refinement import (
     AlgorithmSpec, _first_seen, _projection_pair_ids, distinguishes, refinement_violations, signatures, stable_coloring
 )
-from .spectral import DEFAULT_QUANT, EPS_ALG, Quantization, _exact_data, decomposition_for, validate_decomposition
+from .spectral import DEFAULT_QUANT, EPS_ALG, Quantization, decomposition_for, validate_decomposition
 from .witnesses import bundled_witnesses
 
 __all__ = ["CheckResult", "VerifyConfig", "run_all", "ALL_CHECKS"]
@@ -149,11 +150,16 @@ def _differs(values: np.ndarray, *keys: np.ndarray) -> tuple[np.ndarray, np.ndar
 def _exact_pair_ids(kind: MatrixKind, graphs: list[Graph]) -> list[np.ndarray]:
     """Flat n*n ids of the ``exact_pair_token``s of an integer kind (A, L),
     numbered jointly over the graphs from rows of the id of the graph's
-    characteristic polynomial, then the moments M^k(u, v) for k < n."""
+    characteristic polynomial, then the moments M^k(u, v) for k < n.  The
+    powers are a local list, not the graph's table: once numbered, only
+    the rows are needed."""
     polys, rows = [], []
     for g in graphs:
-        poly, _, powers = _exact_data(g, kind)
-        polys.append(np.array([[c.numerator for c in poly]], np.int64))
+        mat = exact.int_matrix(g, kind)
+        powers = [exact.identity(g.n), mat]
+        exact.extend_powers(powers, g.n - 1)
+        del powers[g.n :]  # M^0, ..., M^{n-1}, also for n = 1
+        polys.append(np.array([exact.power_charpoly(powers, mat)], np.int64))
         row = np.empty((g.n * g.n, g.n + 1), np.int64)
         row[:, 1:] = np.array(powers, np.int64).reshape(g.n, -1).T
         rows.append(row)

@@ -92,6 +92,19 @@ def test_compare_bad_graph6_is_usage_error(capsys):
     assert "truncated" in err
 
 
+def test_eigensolver_failure_exits_3(capsys, monkeypatch, fresh_store):
+    import numpy as np
+
+    def fail(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    code, out, err = run_cli(capsys, "compare", "--alg", "epwl:A", "--g", "Bw", "--h", "Bw")
+    assert code == 3
+    assert out == ""
+    assert "eigensolver failed" in err
+
+
 def test_scan_report_schema_and_determinism(tmp_path, capsys):
     corpus = tmp_path / "corpus.g6"
     corpus.write_text("# demo corpus\n" + "\n".join([C6, TWO_TRIANGLES, "Bw"]) + "\n")
@@ -187,8 +200,6 @@ def test_scan_timings_only_on_request(tmp_path, capsys):
 
 
 def test_scan_pool_has_no_more_workers_than_algorithms(tmp_path, capsys, monkeypatch):
-    from concurrent.futures import Future
-
     from eigenwl import cli
 
     made = []
@@ -205,10 +216,8 @@ def test_scan_pool_has_no_more_workers_than_algorithms(tmp_path, capsys, monkeyp
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, *args):
-            fut = Future()
-            fut.set_result(fn(*args))
-            return fut
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
     corpus = tmp_path / "corpus.g6"

@@ -8,7 +8,7 @@ import pytest
 from eigenwl import spectral, verify
 from eigenwl.distances import DistanceKind, distance_matrix
 from eigenwl.furer import Witness
-from eigenwl.graphs import MatrixKind, cycle_graph, write_graph6
+from eigenwl.graphs import MatrixKind, cycle_graph, random_connected_graph, write_graph6
 from eigenwl.refinement import AlgorithmSpec, stable_coloring
 from eigenwl.spectral import Quantization, exact_pair_token, pair_token
 from eigenwl.verify import (
@@ -68,6 +68,22 @@ def test_witness_check_rejects_an_isomorphic_pair(monkeypatch):
     result = check_witness_corpus(replace(VerifyConfig(), parity_max_base_n=2))
     assert not result.passed
     assert "witness-pair-isomorphic" in result.details and relabelled in result.details
+
+
+def test_exact_pair_ids_keep_no_power_tables(fresh_store):
+    """Check 2's exact ids leave no power table in ``g.derived`` and
+    equal the first-seen numbering of the tokens read from the tables."""
+    graphs = [random_connected_graph(n, 0.5, 900 + n) for n in range(1, 9)]
+    graphs.append(graphs[-1].relabel([7, 6, 5, 4, 3, 2, 1, 0]))
+    for kind in (MatrixKind.ADJACENCY, MatrixKind.LAPLACIAN):
+        ids = verify._exact_pair_ids(kind, graphs)
+        assert not any(("powers", kind) in g.derived for g in graphs)
+        seen = {}
+        want = [
+            [seen.setdefault(exact_pair_token(g, kind, u, v), len(seen)) for u in range(g.n) for v in range(g.n)]
+            for g in graphs
+        ]
+        assert [part.tolist() for part in ids] == want
 
 
 # ---------------------------------------------------------------------------
