@@ -19,7 +19,16 @@ import random
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
-from .graphs import Graph, cycle_graph, disjoint_union, enumerate_graphs, is_isomorphic, random_connected_graph, write_graph6
+from .graphs import (
+    Graph,
+    _canonical_form,
+    cycle_graph,
+    disjoint_union,
+    enumerate_graphs,
+    is_isomorphic,
+    random_connected_graph,
+    write_graph6,
+)
 from .refinement import AlgorithmSpec, InternalError, distinguishes
 from .spectral import DEFAULT_QUANT, Quantization
 
@@ -188,10 +197,38 @@ class Witness:
 
     @classmethod
     def from_line(cls, line: str) -> "Witness":
-        parts = line.split("|")
-        if len(parts) != 7:
-            raise ValueError(f"bad witness line: {line!r}")
-        return cls(parts[0], parts[1], parts[2], parts[3], parts[4] == "1", parts[5] == "1", parts[6])
+        """The witness of a :meth:`to_line` line.
+
+        graph6 data may hold ``|`` (byte 124), so each graph field is read
+        by the length its size header implies and must be followed by
+        ``|``; the note is the rest of the line.
+        """
+        fields = line.split("|", 2)
+        if len(fields) == 3:
+            spec_a, spec_b, rest = fields
+            graph6_a, rest = _graph6_field(rest)
+            graph6_b, rest = _graph6_field(rest)
+            fields = rest.split("|", 2)
+            if graph6_a and graph6_b and len(fields) == 3:
+                flag_a, flag_b, note = fields
+                return cls(spec_a, spec_b, graph6_a, graph6_b, flag_a == "1", flag_b == "1", note)
+        raise ValueError(f"bad witness line: {line!r}")
+
+
+def _graph6_field(text: str) -> tuple[str, str]:
+    """The graph6 field that ``text`` starts with and the text after its
+    closing ``|``; ``("", text)`` if the field or the ``|`` is missing."""
+    width, start = (6, 2) if text[:2] == "~~" else (3, 1) if text[:1] == "~" else (1, 0)
+    digits = text[start : start + width]
+    if len(digits) != width or not all("?" <= c <= "~" for c in digits):
+        return "", text
+    n = 0
+    for c in digits:
+        n = n << 6 | (ord(c) - 63)
+    end = start + width + (n * (n - 1) // 2 + 5) // 6
+    if text[end : end + 1] != "|":
+        return "", text
+    return text[:end], text[end + 1 :]
 
 
 @dataclass(frozen=True)
@@ -201,6 +238,7 @@ class SearchResult:
     skipped: int
     unstable: int
     status: str  # "complete" or "budget exhausted"
+    repeats: int = 0  # examined bases isomorphic to one examined before
 
 
 def _seed_pairs() -> list[tuple[Graph, Graph, str]]:
@@ -246,26 +284,52 @@ def search_counterexamples(
     digits) and dropped unless every evaluation agrees: on large graphs a
     projection entry can straddle a decimal rounding boundary and
     fabricate a distinction that no exact computation would make.
+
+    An examined base isomorphic to an earlier one counts in ``repeats``,
+    and an exact algorithm (not ``quantization_sensitive``) gives it the
+    verdict it gave the first base of its class, without refining again.
+    That verdict is the one a fresh run would give:
+
+    * an isomorphism of two bases induces one of their products;
+    * all single-edge twists of one base are isomorphic (the parity law,
+      see :func:`parity_check`);
+    * the ids of an exact algorithm are structural, so its verdict depends
+      only on the isomorphism classes of the two graphs.
+
+    Quantization-sensitive algorithms are run on every pair: on a decimal
+    rounding tie an isomorphic copy can get another verdict.  The seed
+    pairs have no base and are always run.  Witness lines are built from
+    each candidate's own product and twist.
     """
     witnesses: list[Witness] = []
     examined = 0
     skipped = 0
     unstable = 0
+    repeats = 0
     remaining = budget
     sensitive = spec_a.quantization_sensitive or spec_b.quantization_sensitive
     perturbed = tuple(
         replace(quant, digits=d) for d in (quant.digits - 1, quant.digits + 1) if d >= 0
     )
+    verdicts: dict[tuple[str, tuple[int, ...]], bool] = {}  # (spec label, base form) -> verdict
+
+    def verdict(spec: AlgorithmSpec, ga: Graph, gb: Graph, form: Optional[tuple[int, ...]]) -> bool:
+        if form is None or spec.quantization_sensitive:
+            return distinguishes(spec, ga, gb, quant)
+        key = (spec.label(), form)
+        if key not in verdicts:
+            verdicts[key] = distinguishes(spec, ga, gb, quant)
+        return verdicts[key]
 
     def stable_flag(spec: AlgorithmSpec, ga: Graph, gb: Graph, flag: bool) -> bool:
         if not spec.quantization_sensitive:
             return True
         return all(distinguishes(spec, ga, gb, q) == flag for q in perturbed)
 
-    def consider(ga: Graph, gb: Graph, note: str):
+    def consider(ga: Graph, gb: Graph, note: str, form: Optional[tuple[int, ...]] = None):
         nonlocal examined, unstable
-        a = distinguishes(spec_a, ga, gb, quant)
-        b = distinguishes(spec_b, ga, gb, quant)
+        a = verdict(spec_a, ga, gb, form)
+        b = verdict(spec_b, ga, gb, form)
         examined += 1
         if a != b:
             if sensitive and not (stable_flag(spec_a, ga, gb, a) and stable_flag(spec_b, ga, gb, b)):
@@ -283,21 +347,20 @@ def search_counterexamples(
                 )
             )
 
-    stream: list[tuple[Graph, Graph, str]] = []
-    for ga, gb, note in _seed_pairs():
-        stream.append((ga, gb, note))
+    def result(status: str) -> SearchResult:
+        return SearchResult(tuple(witnesses), examined, skipped, unstable, status, repeats)
 
-    if remaining <= len(stream):
-        status = "budget exhausted"
-        for ga, gb, note in stream[:remaining]:
+    seeds = _seed_pairs()
+    if remaining <= len(seeds):
+        for ga, gb, note in seeds[:remaining]:
             consider(ga, gb, note)
-        return SearchResult(tuple(witnesses), examined, skipped, unstable, status)
-
-    for ga, gb, note in stream:
+        return result("budget exhausted")
+    for ga, gb, note in seeds:
         remaining -= 1
         consider(ga, gb, note)
 
     status = "complete"
+    forms: set[tuple[int, ...]] = set()
     for base, note in _candidate_bases(max_base_n, budget, seed):
         if remaining <= 0:
             status = "budget exhausted"
@@ -306,7 +369,11 @@ def search_counterexamples(
         if max_product_n is not None and _product_n(base) > max_product_n:
             skipped += 1
             continue
+        form = _canonical_form(base.rows)[0]
+        if form in forms:
+            repeats += 1
+        forms.add(form)
         fg = furer(base)
         first_edge = next(fg.base.edges())
-        consider(fg.product, twist(fg, [first_edge]), note)
-    return SearchResult(tuple(witnesses), examined, skipped, unstable, status)
+        consider(fg.product, twist(fg, [first_edge]), note, form)
+    return result(status)

@@ -421,6 +421,20 @@ def test_hunt_is_deterministic_and_appends(tmp_path, capsys):
     assert out.read_text() == first  # rerun appends nothing new
 
 
+def test_hunts_append_to_a_corpus_whose_witness_graph6_holds_a_pipe(tmp_path, capsys):
+    """graph6 byte 124 is ``|``, the witness field separator: a second hunt
+    reads a corpus holding such a witness and appends to it."""
+    out = tmp_path / "w.txt"
+    argv = ["hunt", "--a", "wl1", "--b", "fwl2", "--max-base-n", "2", "--out", str(out)]
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    witnesses, _ = parse_witness_corpus(out.read_text())
+    assert any("|" in w.graph6_a for w in witnesses)
+    code, _, _ = run_cli(capsys, *argv, "--budget", "20")
+    assert code == 0
+    assert len(parse_witness_corpus(out.read_text())[1]) == 2
+
+
 def test_hunt_writes_the_script_status_and_skips_a_recorded_search(tmp_path, capsys):
     """The CLI writes the status record of the corpus script
     (``hunt_status``), and a corpus that records the same search takes no

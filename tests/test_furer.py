@@ -1,4 +1,6 @@
 import itertools
+import random
+from importlib import resources
 
 import pytest
 
@@ -10,8 +12,10 @@ from eigenwl.graphs import (
     enumerate_graphs,
     is_isomorphic,
     path_graph,
+    write_graph6,
 )
 from eigenwl.refinement import AlgorithmSpec, distinguishes
+from eigenwl.spectral import DEFAULT_QUANT
 from eigenwl.witnesses import bundled_witnesses, hunt_status
 
 
@@ -206,6 +210,48 @@ def test_witness_line_round_trip():
     assert Witness.from_line(w.to_line()) == w
 
 
+def test_witness_line_round_trip_with_pipe_in_graph6():
+    """graph6 byte 124 is ``|``, the field separator of witness lines."""
+    w = Witness("wl1", "fwl2", "F?o|W", "F?o|W", False, True, "furer:F?o|W")
+    assert Witness.from_line(w.to_line()) == w
+
+
+def test_witness_line_round_trip_with_long_graph6_headers():
+    big = write_graph6(path_graph(70))
+    assert big.startswith("~") and not big.startswith("~~")
+    w = Witness("swl", "pswl", big, write_graph6(cycle_graph(3)), True, False, "note|with|pipes")
+    assert Witness.from_line(w.to_line()) == w
+
+
+def test_bundled_witness_lines_parse_as_seven_fields():
+    """No bundled line has a ``|`` inside a field, and each parses to the
+    witness its seven ``|``-separated fields name."""
+    text = resources.files("eigenwl").joinpath("data/witnesses.txt").read_text()
+    lines = [line for line in text.splitlines() if line and not line.startswith("#")]
+    assert lines
+    for line in lines:
+        parts = line.split("|")
+        assert len(parts) == 7
+        assert Witness.from_line(line) == Witness(*parts[:4], parts[4] == "1", parts[5] == "1", parts[6])
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "",
+        "wl1|fwl2",
+        "wl1|fwl2|EhEG|EwCW|0|1",  # no note
+        "wl1|fwl2|EhEG|EwCWX|0|1|n",  # graph6 longer than its header says
+        "wl1|fwl2|EhE|EwCW|0|1|n",  # graph6 shorter than its header says
+        "wl1|fwl2||EwCW|0|1|n",
+        "wl1|fwl2|~??|EwCW|0|1|n",  # truncated long header
+    ],
+)
+def test_malformed_witness_lines_are_rejected(line):
+    with pytest.raises(ValueError, match="bad witness line"):
+        Witness.from_line(line)
+
+
 @pytest.mark.parametrize("spec_a, spec_b", [("fwl2", "pswl"), ("swl", "epwl:Lhat")])
 def test_bundled_hunts_replay(spec_a, spec_b):
     """The two hunts of the benchmark, rerun with their bundled parameters,
@@ -219,3 +265,73 @@ def test_bundled_hunts_replay(spec_a, spec_b):
     assert status == line
     lines = [w.to_line() for w in bundled if (w.spec_a, w.spec_b) == (spec_a, spec_b)]
     assert lines and set(lines) <= {w.to_line() for w in result.witnesses}
+
+
+def test_isomorphic_bases_give_isomorphic_products_and_twists():
+    """The lemma behind the hunt memo: relabelling a base relabels its
+    product, and its first-edge twist stays in the same class, over the
+    bundled hunts' bases."""
+    rng = random.Random(24)
+    bases = [b for b, _ in furer_module._candidate_bases(6, 140, 1729) if furer_module._product_n(b) <= 48]
+    assert len(bases) > 90
+    for base in bases:
+        perm = list(range(base.n))
+        rng.shuffle(perm)
+        copy = base.relabel(perm)
+        fg, fc = furer(base), furer(copy)
+        assert is_isomorphic(fg.product, fc.product) is not None
+        assert is_isomorphic(twist(fg, [next(base.edges())]), twist(fc, [next(copy.edges())])) is not None
+
+
+def _unmemoized_search(spec_a, spec_b, max_base_n, budget, seed, max_product_n):
+    """The witnesses, examined, skipped and status of a hunt of two exact
+    specs, with every verdict computed afresh."""
+    candidates = furer_module._seed_pairs()
+    assert budget > len(candidates)
+    remaining = budget - len(candidates)
+    skipped = 0
+    status = "complete"
+    for base, note in furer_module._candidate_bases(max_base_n, budget, seed):
+        if remaining == 0:
+            status = "budget exhausted"
+            break
+        remaining -= 1
+        if furer_module._product_n(base) > max_product_n:
+            skipped += 1
+            continue
+        fg = furer(base)
+        candidates.append((fg.product, twist(fg, [next(base.edges())]), note))
+    witnesses = []
+    for ga, gb, note in candidates:
+        a, b = distinguishes(spec_a, ga, gb), distinguishes(spec_b, ga, gb)
+        if a != b:
+            witnesses.append(Witness(spec_a.label(), spec_b.label(), write_graph6(ga), write_graph6(gb), a, b, note))
+    return tuple(witnesses), len(candidates), skipped, status
+
+
+@pytest.mark.parametrize("spec_a, spec_b", [("wl1", "fwl2"), ("swl", "pswl")])
+def test_memoized_search_equals_recomputed_verdicts(spec_a, spec_b):
+    params = {"max_base_n": 6, "budget": 500, "seed": 1729, "max_product_n": 32}
+    sa, sb = AlgorithmSpec.parse(spec_a), AlgorithmSpec.parse(spec_b)
+    result = search_counterexamples(sa, sb, **params)
+    assert result.repeats > 0
+    assert result.unstable == 0
+    assert (result.witnesses, result.examined, result.skipped, result.status) == _unmemoized_search(sa, sb, **params)
+
+
+def test_exact_specs_run_once_per_base_class(monkeypatch):
+    """swl (exact) is refined once per seed pair and base class, epwl:Lhat
+    (quantized) on every examined pair at the hunt's quantization."""
+    calls = {}
+    run = furer_module.distinguishes
+
+    def counting(spec, g, h, quant=DEFAULT_QUANT):
+        if quant == DEFAULT_QUANT:
+            calls[spec.label()] = calls.get(spec.label(), 0) + 1
+        return run(spec, g, h, quant)
+
+    monkeypatch.setattr(furer_module, "distinguishes", counting)
+    params = {"max_base_n": 6, "budget": 140, "seed": 1729, "max_product_n": 48}
+    result = search_counterexamples(AlgorithmSpec.parse("swl"), AlgorithmSpec.parse("epwl:Lhat"), **params)
+    assert result.repeats == 22
+    assert calls == {"swl": result.examined - result.repeats, "epwl:Lhat": result.examined}

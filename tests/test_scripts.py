@@ -44,3 +44,26 @@ def test_hunt_status_gives_back_the_bundled_statuses():
         found = (None,) if counts["found"] == "yes" else ()
         result = SearchResult(found, int(counts["examined"]), int(counts["skipped"]), 0, "complete")
         assert hunt_status(a, b, max_base_n, budget, script.SEED, max_product_n, result) == line
+
+
+def test_check_passes_on_the_written_corpus_and_names_the_first_drift(tmp_path, monkeypatch, capsys):
+    """``--out`` writes the corpus to the given file; ``--check`` exits 0
+    on that file, and 1 naming the first differing line once it drifts."""
+    script = _load_script()
+    monkeypatch.setattr(script, "HUNTS", [("wl1", "fwl2", 4, 8, 16)])
+    out = tmp_path / "w.txt"
+    bundled = script.BUNDLED.read_text()
+    assert script.main(["--out", str(out)]) == 0
+    assert script.BUNDLED.read_text() == bundled
+    assert script.main(["--out", str(out), "--check"]) == 0
+    text = out.read_text()
+    lines = text.splitlines()
+    lines[1] += "x"
+    out.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert script.main(["--out", str(out), "--check"]) == 1
+    err = capsys.readouterr().err
+    assert "differs at line 2" in err and lines[1] in err
+    out.write_text(text.rsplit("\n", 2)[0])  # the last line and the newline before it gone
+    assert script.main(["--out", str(out), "--check"]) == 1
+    assert f"differs at line {len(lines) - 1}" in capsys.readouterr().err
