@@ -2,8 +2,8 @@
 suites, counterexample hunts, distance dumps, and gadget construction.
 
 Exit codes: 0 success (or "indistinguishable"), 1 distinguished or a
-failed verification, 2 usage error, 3 violated internal invariant or
-eigensolver failure.
+failed verification, 2 usage error, 3 violated internal invariant,
+eigensolver failure or any other error (a ``MemoryError``, a bug).
 Reports are deterministic under a fixed configuration: randomness is
 seed-threaded and timing is only emitted on request.
 """
@@ -452,6 +452,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except (InternalError, SpectralError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # exit 1 is a verdict, so no crash may end with it
+        print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
 
 

@@ -103,7 +103,7 @@ def furer(base: Graph) -> FurerGraph:
                 if (subset_masks[q] >> x & 1) == x_in_y_side:
                     rows[p] |= 1 << q
                     rows[q] |= 1 << p
-    product = Graph(total, tuple(rows))
+    product = Graph._built(total, tuple(rows))
     return FurerGraph(base, product, tuple(meta_index), tuple(subset_masks))
 
 
@@ -130,7 +130,10 @@ def twist(fg: FurerGraph, edges: Iterable[tuple[int, int]], start: Optional[Grap
     applies the twist to an already-twisted graph instead of the plain
     product (sequential twisting composes by symmetric difference).
     """
-    rows = list((start or fg.product).rows)
+    start = start or fg.product
+    if start.n != fg.product.n:
+        raise ValueError("start graph is not on the product's vertices")
+    rows = list(start.rows)
     for x, y in _normalize_twist(fg, edges):
         mask_x = 0
         for p in fg.meta_index[x]:
@@ -142,7 +145,7 @@ def twist(fg: FurerGraph, edges: Iterable[tuple[int, int]], start: Optional[Grap
             rows[p] ^= mask_y
         for q in fg.meta_index[y]:
             rows[q] ^= mask_x
-    return Graph(fg.product.n, tuple(rows))
+    return Graph._built(fg.product.n, tuple(rows))
 
 
 def parity_check(
@@ -201,7 +204,8 @@ class Witness:
 
         graph6 data may hold ``|`` (byte 124), so each graph field is read
         by the length its size header implies and must be followed by
-        ``|``; the note is the rest of the line.
+        ``|``; the note is the rest of the line.  Each flag is ``0`` or
+        ``1``.
         """
         fields = line.split("|", 2)
         if len(fields) == 3:
@@ -209,7 +213,7 @@ class Witness:
             graph6_a, rest = _graph6_field(rest)
             graph6_b, rest = _graph6_field(rest)
             fields = rest.split("|", 2)
-            if graph6_a and graph6_b and len(fields) == 3:
+            if graph6_a and graph6_b and len(fields) == 3 and {fields[0], fields[1]} <= {"0", "1"}:
                 flag_a, flag_b, note = fields
                 return cls(spec_a, spec_b, graph6_a, graph6_b, flag_a == "1", flag_b == "1", note)
         raise ValueError(f"bad witness line: {line!r}")

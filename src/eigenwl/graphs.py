@@ -107,7 +107,9 @@ class Graph:
 
     ``rows[u]`` has bit v set iff ``{u, v}`` is an edge.  Symmetry and a
     zero diagonal are asserted at construction and can never be violated
-    afterwards (instances are immutable and hashable).
+    afterwards (instances are immutable and hashable).  The builders of
+    this package that make their rows symmetric, loop-free and in range by
+    construction skip the checks (``_built``).
     """
 
     n: int
@@ -130,8 +132,20 @@ class Graph:
                     raise ValueError(f"adjacency not symmetric at ({u}, {v})")
                 rem ^= low
 
+    @classmethod
+    def _built(cls, n: int, rows: tuple[int, ...]) -> "Graph":
+        """The graph of n rows that its caller built symmetric, without
+        self-loops and within range, so the checks of ``__post_init__``,
+        which cost more than building the rows, are not run again."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "rows", rows)
+        return g
+
     @staticmethod
     def from_edges(n: int, edges: Sequence[tuple[int, int]]) -> "Graph":
+        if n < 0:
+            raise ValueError("n must be nonnegative")
         rows = [0] * n
         for u, v in edges:
             if u == v:
@@ -140,7 +154,7 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return Graph(n, tuple(rows))
+        return Graph._built(n, tuple(rows))
 
     def __getstate__(self):
         # derived data and cached properties are recomputed, never pickled
@@ -200,7 +214,7 @@ class Graph:
         for u, v in self.edges():
             rows[perm[u]] |= 1 << perm[v]
             rows[perm[v]] |= 1 << perm[u]
-        return Graph(self.n, tuple(rows))
+        return Graph._built(self.n, tuple(rows))
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, ordered by minimum."""
@@ -449,7 +463,7 @@ def parse_graph6(text: str) -> Graph:
             low = col & -col
             rows[low.bit_length() - 1] |= 1 << v
             col ^= low
-    return Graph(n, tuple(rows))
+    return Graph._built(n, tuple(rows))
 
 
 def read_corpus(lines) -> list[Graph]:
@@ -502,6 +516,8 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p) sample, deterministic in the seed."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be a probability")
     rng = random.Random(seed)
@@ -511,7 +527,7 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
             if rng.random() < p:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+    return Graph._built(n, tuple(rows))
 
 
 def random_connected_graph(n: int, p: float, seed: int, max_tries: int = 10000) -> Graph:

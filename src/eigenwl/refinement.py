@@ -383,8 +383,11 @@ def _unique_rows(*parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Rows are hashed to one 64-bit word each and the words are sorted.
     Each row is then checked against its word's first row, a block of
     rows at a time; if two different rows share a word, the rows' bytes
-    are sorted instead.
+    are sorted instead.  One-column rows are their own words
+    (``_unique_values``).
     """
+    if parts[0].shape[1] == 1:
+        return _unique_values(np.concatenate(parts).ravel() if len(parts) > 1 else parts[0].ravel())
     if len(parts) > 1 and sum(map(len, parts)) <= _block_rows(parts[0].shape[1]):
         parts = (np.concatenate(parts),)
     # the words are passed on, not kept, so that _unique frees them
@@ -456,6 +459,22 @@ def _unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inverse = np.empty(len(order), np.intp)
     inverse[order] = ranks
     return at, inverse
+
+
+def _unique_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_unique_rows`` of one-column rows, from a nonempty 1-D int64
+    array of their values: counted in a table when the values span at most
+    twice as many numbers as there are values, sorted otherwise."""
+    lo, hi = int(values.min()), int(values.max())
+    if hi - lo >= 2 * len(values):
+        return _unique(values)
+    offsets = values - lo
+    first = np.full(hi - lo + 1, len(values))
+    np.minimum.at(first, offsets, np.arange(len(values)))
+    present = first < len(values)
+    index = np.cumsum(present)
+    index -= 1
+    return first[present], index[offsets]
 
 
 def _first_seen(parts: list[np.ndarray]) -> list[np.ndarray]:
@@ -894,6 +913,72 @@ def _cross_update(groups, it):
     return [labels[a:b].reshape(grp.colors.shape) for grp, a, b in zip(groups, bounds, bounds[1:])]
 
 
+# ---------------------------------------------------------------------------
+# round 1 from atomic types: (size group) -> (codes, span): one int64 key
+# code in range(span) per element, an (S, elements) array for the group's
+# S graphs.
+#
+# From the initial coloring of wl1, swl, pswl and fwl2, an element's
+# round-1 multiset is fixed by, and fixes, a few counts of its graph: n
+# (the multiset's size), the atomic type, degrees and, for fwl2, the
+# common neighbours (A.A).  The token's other slots (the element's own
+# color, and pswl's diagonal color) are fixed by the atomic type.  So two
+# elements share a key iff they share a multiset iff they share a token,
+# and ``refine_once`` numbers the keys instead of building the multisets.
+# A key code packs these counts for one n; each size group's codes are
+# shifted past the spans of the groups before it, which stands for n.
+
+
+def _degrees(atp: np.ndarray) -> np.ndarray:
+    """(S, n) degrees of an (S, n, n) stack of atomic types."""
+    return np.count_nonzero(atp == 1, axis=2)
+
+
+def _wl1_first(grp):
+    """deg u: the multiset over v of (color of v, atp(u, v)) pairs the one
+    initial color with one 0, deg u ones and n - 1 - deg u twos."""
+    return _degrees(_pair_data(grp)), grp.colors.shape[1]
+
+
+def _marked_first(grp):
+    """(atp(u, v), deg v): in the multiset over w of (color of (u, w),
+    atp(v, w)), w = u is the one entry with the diagonal color, and the
+    others hold the atomic types of v's row without atp(v, u)."""
+    atp = _pair_data(grp)
+    n = atp.shape[1]
+    return (atp * n + _degrees(atp)[:, None, :]).reshape(len(atp), n * n), 3 * n
+
+
+def _fwl2_first(grp):
+    """(atp(u, v), deg u, deg v, |N(u) & N(v)|): these count every
+    (atp(u, w), atp(w, v)) of the multiset over w.  The common neighbours
+    are (A.A)(u, v), the degrees its diagonal."""
+    atp = _pair_data(grp)
+    s, n = atp.shape[:2]
+    adj = (atp == 1).astype(np.float32)  # exact: counts stay far below 2**24
+    common = np.matmul(adj, adj).astype(np.int64)
+    deg = np.diagonal(common, axis1=1, axis2=2)
+    pair = (atp * n + deg[:, :, None]) * n + deg[:, None, :]
+    return (pair * n + common).reshape(s, n * n), 3 * n**3
+
+
+def _first_round(keys, graphs, colors, data, domain: str) -> list[np.ndarray]:
+    """Round-1 ids per graph from the key codes of ``keys``.  The general
+    update, with its fresh interner, interns each element's multiset
+    (event 2e) and then its token (event 2e + 1), and a new token comes
+    with every new multiset; so the element whose key is the k-th new one
+    in run order gets the multiset id 2k and the token id 2k + 1."""
+    rows = [np.empty((0, 1), np.int64)] * len(graphs)
+    offset = 0
+    for grp in _size_groups(graphs, colors, domain, data):
+        codes, span = keys(grp)
+        codes += offset
+        offset += span
+        for i, c in zip(grp.owner.tolist(), codes):
+            rows[i] = c[:, None]
+    return [2 * ids + 1 for ids in _first_seen(rows)]
+
+
 def _row_update(groups, it):
     """Each node's multiset over its row of the pair slice."""
     parts = []
@@ -1083,6 +1168,7 @@ class _Variant:
     init: Callable  # (n, data) -> initial tokens as int64 rows
     update: Callable  # (size groups, batch interner) -> labels per group
     pool: Callable  # (spec, graphs, colors per graph, batch interner) -> signature ids
+    first_round: Optional[Callable]  # (size group) -> (round-1 key codes, span) from the atomic-type start, or None
 
 
 _N, _P, _S = "nodes", "pairs", "spectral_pairs"
@@ -1090,22 +1176,22 @@ _N, _P, _S = "nodes", "pairs", "spectral_pairs"
 # keyed by (AlgorithmSpec.variant, AlgorithmSpec.init); the columns are the
 # _Variant fields in order
 _VARIANTS: dict[tuple[str, str], _Variant] = {
-    ("wl1", "const"):             _Variant(_N, (),               False, _atp_static,  _node_init,   _vertex_update,  _pool_joint),
-    ("epwl", "const"):            _Variant(_N, (_KIND,),         True,  _proj_static, _node_init,   _vertex_update,  _pool_joint),
-    ("gdwl", "const"):            _Variant(_N, (_DISTANCE,),     True,  _dist_static, _node_init,   _vertex_update,  _pool_joint),
-    ("peg", "const"):             _Variant(_N, (_KIND,),         True,  _proj_static, _node_init,   _peg_update,     _pool_joint),
-    ("swl", "const"):             _Variant(_P, (),               False, _atp_static,  _marked_init, _swl_update,     _pool_rows),
-    ("pswl", "const"):            _Variant(_P, (),               False, _atp_static,  _marked_init, _pswl_update,    _pool_rows),
-    ("fwl2", "const"):            _Variant(_P, (),               False, _atp_static,  _data_init,   _fwl2_update,    _pool_joint),
-    ("girt", "const"):            _Variant(_P, (_STEPS,),        True,  _girt_static, _data_init,   _girt_update,    _pool_diag),
-    ("ign2wl", "const"):          _Variant(_P, (),               False, _no_static,   _pair_init,   _ign_update,     _pool_joint),
-    ("ign2wl", "atp"):            _Variant(_P, (),               False, _atp_static,  _data_init,   _ign_update,     _pool_joint),
-    ("ign2wl", "proj"):           _Variant(_P, (_KIND,),         True,  _proj_static, _data_init,   _ign_update,     _pool_joint),
-    ("spe", "const"):             _Variant(_P, (_KIND,),         True,  _proj_static, _data_init,   _ign_update,     _pool_spe),
-    ("spectralign", "const"):     _Variant(_S, (_KIND,),         True,  _eig_static,  _lam_init,    _cross_update,   _pool_pair_rows),
-    ("siamese", "const"):         _Variant(_S, (_KIND,),         True,  _eig_static,  _lam_init,    _ign_update,     _pool_joint),
-    ("weakspectralign", "const"): _Variant(_S, (_KIND,),         True,  _eig_static,  _lam_init,    _ign_update,     _pool_pairs),
-    ("basisnet", "const"):        _Variant(_S, (_KIND, _LAYERS), True,  _eig_static,  _mult_init,   _ign_update,     _pool_basisnet),
+    ("wl1", "const"):             _Variant(_N, (),               False, _atp_static,  _node_init,   _vertex_update,  _pool_joint,     _wl1_first),
+    ("epwl", "const"):            _Variant(_N, (_KIND,),         True,  _proj_static, _node_init,   _vertex_update,  _pool_joint,     None),
+    ("gdwl", "const"):            _Variant(_N, (_DISTANCE,),     True,  _dist_static, _node_init,   _vertex_update,  _pool_joint,     None),
+    ("peg", "const"):             _Variant(_N, (_KIND,),         True,  _proj_static, _node_init,   _peg_update,     _pool_joint,     None),
+    ("swl", "const"):             _Variant(_P, (),               False, _atp_static,  _marked_init, _swl_update,     _pool_rows,      _marked_first),
+    ("pswl", "const"):            _Variant(_P, (),               False, _atp_static,  _marked_init, _pswl_update,    _pool_rows,      _marked_first),
+    ("fwl2", "const"):            _Variant(_P, (),               False, _atp_static,  _data_init,   _fwl2_update,    _pool_joint,     _fwl2_first),
+    ("girt", "const"):            _Variant(_P, (_STEPS,),        True,  _girt_static, _data_init,   _girt_update,    _pool_diag,      None),
+    ("ign2wl", "const"):          _Variant(_P, (),               False, _no_static,   _pair_init,   _ign_update,     _pool_joint,     None),
+    ("ign2wl", "atp"):            _Variant(_P, (),               False, _atp_static,  _data_init,   _ign_update,     _pool_joint,     None),
+    ("ign2wl", "proj"):           _Variant(_P, (_KIND,),         True,  _proj_static, _data_init,   _ign_update,     _pool_joint,     None),
+    ("spe", "const"):             _Variant(_P, (_KIND,),         True,  _proj_static, _data_init,   _ign_update,     _pool_spe,       None),
+    ("spectralign", "const"):     _Variant(_S, (_KIND,),         True,  _eig_static,  _lam_init,    _cross_update,   _pool_pair_rows, None),
+    ("siamese", "const"):         _Variant(_S, (_KIND,),         True,  _eig_static,  _lam_init,    _ign_update,     _pool_joint,     None),
+    ("weakspectralign", "const"): _Variant(_S, (_KIND,),         True,  _eig_static,  _lam_init,    _ign_update,     _pool_pairs,     None),
+    ("basisnet", "const"):        _Variant(_S, (_KIND, _LAYERS), True,  _eig_static,  _mult_init,   _ign_update,     _pool_basisnet,  None),
 }
 
 _VARIANT_NAMES = {variant for variant, _ in _VARIANTS}
@@ -1162,6 +1248,8 @@ class ColorState:
     quant: Quantization
     _data: tuple = field(repr=False, default=())  # per-graph static data of the variant
     _sigs: Optional[tuple[int, ...]] = field(repr=False, default=None)
+    # set on the state joint_initial_coloring returns; replace() resets it
+    _initial: bool = field(repr=False, init=False, default=False)
 
     def __post_init__(self):
         self.colors = tuple(np.asarray(cols, np.int64) for cols in self.colors)
@@ -1198,7 +1286,7 @@ def joint_initial_coloring(
             _require_no_isolated(spec, g)
     data = variant.static(spec, graphs, quant)
     ids = _first_seen([variant.init(g.n, d) for g, d in zip(graphs, data)])
-    return ColorState(
+    state = ColorState(
         spec=spec,
         graphs=tuple(graphs),
         colors=tuple(ids),
@@ -1209,6 +1297,8 @@ def joint_initial_coloring(
         quant=quant,
         _data=tuple(data),
     )
+    state._initial = True
+    return state
 
 
 def refine_once(spec: AlgorithmSpec, state: ColorState) -> ColorState:
@@ -1216,12 +1306,18 @@ def refine_once(spec: AlgorithmSpec, state: ColorState) -> ColorState:
 
     Asserts the monotone-refinement invariant: the new partition must
     refine the old one.  Sets ``stable`` when the joint partition is
-    unchanged.
+    unchanged.  Round 1 of a variant with a ``first_round`` column, from
+    the state ``joint_initial_coloring`` returned, numbers that column's
+    key rows (``_first_round``) and gives the ids the update would give.
     """
     if spec != state.spec:
         raise UsageError("state was produced by a different algorithm spec")
-    update = _VARIANTS[spec.variant, spec.init].update
-    new_ids = _run_update(update, state.graphs, state.colors, state._data, state.domain, _BatchInterner())
+    variant = _VARIANTS[spec.variant, spec.init]
+    args = (state.graphs, state.colors, state._data, state.domain)
+    if state._initial and variant.first_round is not None:
+        new_ids = _first_round(variant.first_round, *args)
+    else:
+        new_ids = _run_update(variant.update, *args, _BatchInterner())
 
     # the new partition refines the old one iff every new color lies in
     # one old color: scatter each element's old color to its new color,

@@ -105,6 +105,33 @@ def test_eigensolver_failure_exits_3(capsys, monkeypatch, fresh_store):
     assert "eigensolver failed" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--alg", "wl1", "--g", C6, "--h", TWO_TRIANGLES],
+        ["scan", "--algs", "wl1,fwl2", "--corpus", "corpus.g6"],
+        ["hunt", "--a", "wl1", "--b", "fwl2", "--budget", "3", "--out", "w.txt"],
+        ["verify", "--quick"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_crash_in_the_engine_exits_3_not_as_a_verdict(tmp_path, capsys, monkeypatch, argv):
+    """Exit 1 means "distinguished" or a failed check, so an exception that
+    no clause of main expects (here a MemoryError out of the numbering of
+    every joint run) exits 3 with one line that names it."""
+    from eigenwl import refinement
+
+    def exhausted(parts):
+        raise MemoryError("cannot allocate")
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "corpus.g6").write_text(f"{C6}\n{TWO_TRIANGLES}\n")
+    monkeypatch.setattr(refinement, "_first_seen", exhausted)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert err.splitlines()[-1] == "internal error: MemoryError('cannot allocate')"
+
+
 def test_scan_report_schema_and_determinism(tmp_path, capsys):
     corpus = tmp_path / "corpus.g6"
     corpus.write_text("# demo corpus\n" + "\n".join([C6, TWO_TRIANGLES, "Bw"]) + "\n")

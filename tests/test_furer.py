@@ -245,6 +245,10 @@ def test_bundled_witness_lines_parse_as_seven_fields():
         "wl1|fwl2|EhE|EwCW|0|1|n",  # graph6 shorter than its header says
         "wl1|fwl2||EwCW|0|1|n",
         "wl1|fwl2|~??|EwCW|0|1|n",  # truncated long header
+        "wl1|fwl2|EhEG|EwCW|x|y|n",  # flags neither 0 nor 1
+        "wl1|fwl2|EhEG|EwCW|1|true|n",
+        "wl1|fwl2|EhEG|EwCW||0|n",
+        "wl1|fwl2|EhEG|EwCW|01|1|n",
     ],
 )
 def test_malformed_witness_lines_are_rejected(line):

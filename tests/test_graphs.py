@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eigenwl import furer
 from eigenwl.graphs import (
     _canonical_form,
     AtomicType,
@@ -51,6 +52,62 @@ def test_rows_must_be_symmetric():
 def test_no_self_loops():
     with pytest.raises(ValueError, match="self-loop"):
         Graph(1, (0b1,))
+
+
+@pytest.mark.parametrize(
+    "n, rows, fragment",
+    [
+        (2, (0b10, 0b00), "symmetric"),
+        (3, (0b000, 0b100, 0b000), "symmetric"),
+        (2, (0b01, 0b00), "self-loop"),
+        (2, (0b110, 0b001), "beyond vertex range"),
+        (2, (-1, 0), "beyond vertex range"),
+        (2, (0b10,), "row count"),
+        (-1, (), "row count"),
+    ],
+)
+def test_public_constructor_keeps_every_check(n, rows, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        Graph(n, rows)
+
+
+def _twists():
+    fg = furer.furer(cycle_graph(4))
+    twisted = furer.twist(fg, [(0, 1)])
+    return [twisted, furer.twist(fg, [(1, 2)], start=twisted)]
+
+
+_BUILDER_OUTPUTS = {
+    "parse_graph6": lambda: [parse_graph6(line) for line in ("?", "@", "A_", "Bw", "EhEG", write_graph6(random_graph(70, 0.3, 4)))],
+    "from_edges": lambda: [Graph.from_edges(0, []), Graph.from_edges(5, [(0, 4), (4, 0), (1, 2)])],
+    "relabel": lambda: [_hypercube(3).relabel([7, 6, 5, 4, 3, 2, 1, 0]), cycle_graph(5).relabel([2, 0, 4, 1, 3])],
+    "random_graph": lambda: [random_graph(n, p, seed) for n, p, seed in ((0, 0.5, 1), (1, 0.5, 1), (9, 0.4, 2), (70, 0.3, 3))],
+    "furer": lambda: [furer.furer(cycle_graph(4)).product, furer.furer(complete_graph(4)).product],
+    "twist": _twists,
+}
+
+
+@pytest.mark.parametrize("builder", list(_BUILDER_OUTPUTS))
+def test_unchecked_builders_equal_checked_constructions(builder):
+    """These builders make their rows symmetric, loop-free and in range,
+    so they skip the constructor's checks; the checked construction of
+    the same rows passes and gives an equal graph."""
+    for g in _BUILDER_OUTPUTS[builder]():
+        checked = Graph(g.n, g.rows)
+        assert type(g) is Graph and g == checked and hash(g) == hash(checked)
+
+
+def test_unchecked_builders_reject_bad_input():
+    with pytest.raises(ValueError, match="nonnegative"):
+        Graph.from_edges(-1, [])
+    with pytest.raises(ValueError, match="nonnegative"):
+        random_graph(-1, 0.5, 1)
+    with pytest.raises(ValueError, match="out of range"):
+        Graph.from_edges(2, [(0, 2)])
+    with pytest.raises(ValueError, match="permutation"):
+        cycle_graph(3).relabel([0, 0, 1])
+    with pytest.raises(ValueError, match="product's vertices"):
+        furer.twist(furer.furer(cycle_graph(4)), [(0, 1)], start=cycle_graph(5))
 
 
 @settings(max_examples=60)

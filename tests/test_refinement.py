@@ -1046,6 +1046,80 @@ def test_pair_updates_exact_when_every_row_hash_collides(monkeypatch):
         _assert_matches_reference(label, _defined_for(label, mixed))
 
 
+# Round 1 of wl1, swl, pswl and fwl2 from atomic types numbers the keys
+# of the variant's first_round column; the general update, on the same
+# iteration-0 state, is the oracle.
+
+FIRST_ROUND_LABELS = ["wl1", "swl", "pswl", "fwl2"]
+
+
+def _assert_first_round_matches_update(label, graphs):
+    spec = AlgorithmSpec.parse(label)
+    state = joint_initial_coloring(spec, graphs)
+    variant = _VARIANTS[spec.variant, spec.init]
+    args = (state.graphs, state.colors, state._data, state.domain)
+    expected = refinement._run_update(variant.update, *args, refinement._BatchInterner())
+    got = refinement._first_round(variant.first_round, *args)
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and np.array_equal(a, b), label
+
+
+def _isolated_and_disconnected():
+    """Sizes out of order with n = 0 and n = 1 among them, isolated
+    vertices and graphs of several components."""
+    return [
+        empty_graph(0), complete_graph(1), random_graph(9, 0.4, 1), empty_graph(4),
+        disjoint_union(cycle_graph(4), path_graph(3)), complete_graph(1), random_graph(5, 0.4, 2),
+        disjoint_union(complete_graph(3), empty_graph(2)), disjoint_union(star_graph(4), cycle_graph(3)),
+        empty_graph(0),
+    ]
+
+
+_FIRST_ROUND_INPUTS = {
+    "digest": _digest_corpus,
+    "hunt": lambda: [*_hunt_pair(24), *_hunt_pair(48)],
+    "isolated_and_disconnected": _isolated_and_disconnected,
+}
+
+
+@pytest.mark.parametrize("inputs", list(_FIRST_ROUND_INPUTS))
+@pytest.mark.parametrize("label", FIRST_ROUND_LABELS)
+def test_first_round_matches_the_general_update(label, inputs):
+    _assert_first_round_matches_update(label, _FIRST_ROUND_INPUTS[inputs]())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(FIRST_ROUND_LABELS),
+    st.lists(st.tuples(st.integers(0, 12), st.floats(0.0, 1.0), st.integers(0, 2**30)), min_size=1, max_size=5),
+)
+def test_first_round_matches_the_general_update_on_random_graphs(label, params):
+    _assert_first_round_matches_update(label, [random_graph(n, p, seed) for n, p, seed in params])
+
+
+def test_only_the_initial_state_takes_the_first_round(monkeypatch, c6, two_triangles):
+    """refine_once takes the closed form from the state
+    joint_initial_coloring returned, and the general update from any other
+    state, a copy made with dataclasses.replace among them."""
+    spec = AlgorithmSpec.parse("fwl2")
+    state = joint_initial_coloring(spec, [c6, two_triangles])
+    calls = []
+    first_round = refinement._first_round
+    monkeypatch.setattr(refinement, "_first_round", lambda *args: calls.append(1) or first_round(*args))
+    closed = refine_once(spec, state)
+    assert calls == [1]
+    general = refine_once(spec, dataclasses.replace(state))
+    refine_once(spec, closed)
+    assert calls == [1]
+    assert _tuples(closed.colors) == _tuples(general.colors)
+    assert (closed.stable, closed.iteration) == (general.stable, general.iteration)
+    for label in ("epwl:A", "ign2wl:atp", "girt:K=4"):
+        refine_once(AlgorithmSpec.parse(label), joint_initial_coloring(AlgorithmSpec.parse(label), [c6, two_triangles]))
+    assert calls == [1]
+    assert [v.first_round is not None for v in _VARIANTS.values()].count(True) == len(FIRST_ROUND_LABELS)
+
+
 # The 15-slot updates and spectralign's (slice token, cross token) pairs
 # number an element whose color no other element has without hashing its
 # key.  On the benchmark's scan graphs most elements of a spectral run's
