@@ -41,10 +41,13 @@ coloring to one signature per graph.
 Every update runs through one driver as numpy passes over all graphs of
 a run, grouped by vertex count.  Keys are int64 rows numbered by sorting
 (``_unique_rows``), one pass per phase: the static data of the
-projection, distance and walk variants (rows of int64 decimal codes),
-the initial tokens, then per iteration all multisets and then all
-tokens.  The ids come out as an intern table fed one key at a time
-would give them.  ``spectralign``'s cross update runs four such passes
+projection, distance and walk variants (rows of decimal codes), the
+initial tokens, then per iteration all multisets and then all tokens.
+A row takes as few words as its values need: multiset entries are
+uint32 two to a word where the run's ids allow (``_multiset_update``),
+token ids two to a word, and projection pair rows hold their entry
+codes two to a word (``_projection_pair_ids``).  The ids come out as an
+intern table fed one key at a time would give them.  ``spectralign``'s cross update runs four such passes
 per iteration, each ranked before the next because the later ones key on
 final ids, so its ids follow the keys pass by pass over the run
 (phase-major).  Each call numbers only its own keys, as one role of an
@@ -265,7 +268,7 @@ class _BatchInterner:
     the next pass's ``ids`` call.
     """
 
-    __slots__ = ("base", "size", "first", "ranked_ids", "ranked")
+    __slots__ = ("base", "size", "first", "ranked_ids", "ranked", "alone")
 
     def __init__(self):
         self.base = 0  # ids given before the labels in the tables
@@ -273,6 +276,7 @@ class _BatchInterner:
         self.first = np.full(_START_LABELS, _NEVER)  # per label: earliest event position
         self.ranked_ids = np.zeros(_START_LABELS, np.int64)  # per label: its id, once ranked
         self.ranked = 0  # labels below this are ranked
+        self.alone: list[tuple[int, int]] = []  # label ranges of unhashed events not ranked yet
 
     def ids(self, parts: list[tuple]) -> list[np.ndarray]:
         """Labels of the events of each ``(rows, pos)`` part: ``pos[i]`` is
@@ -319,6 +323,8 @@ class _BatchInterner:
                 every[shared[0]] = labels
                 every[~shared[0]] = np.arange(self.size - fresh, self.size)
                 labels = every
+                if fresh:
+                    self.alone.append((self.size - fresh, self.size))
             np.minimum.at(self.first, labels, pos)
             end = 0
             for i in members:
@@ -337,9 +343,35 @@ class _BatchInterner:
         """Ids of labels from ``ids``.  The labels given since the last
         call get the next ids, in the order of their earliest events, so
         every event interned after a call must come after every event
-        interned before it."""
-        order = np.argsort(self.first[self.ranked : self.size])
-        self.ranked_ids[self.ranked + order] = np.arange(self.base + self.ranked, self.base + self.size)
+        interned before it.
+
+        When most labels are those of unhashed events, only the others
+        are sorted.  An unhashed event has a label of its own, and ``ids``
+        hands those out in the order of the part's events, which its
+        callers list ascending within each size group; so they form a few
+        ascending runs, which are merged with one another and with the
+        sorted hashed labels.  With fewer of them, the passes of the merge
+        cost more than sorting them too."""
+        start, first = self.ranked, self.first[self.ranked : self.size]
+        ids = self.ranked_ids[start : self.size]
+        if 2 * sum(b - a for a, b in self.alone) <= len(first):
+            ids[np.argsort(first)] = np.arange(self.base + start, self.base + self.size)
+        else:
+            unhashed = np.zeros(len(first), bool)
+            for a, b in self.alone:
+                unhashed[a - start : b - start] = True
+            alone, hashed = np.flatnonzero(unhashed), np.flatnonzero(~unhashed)
+            alone_first = first[alone]
+            if not (alone_first[1:] > alone_first[:-1]).all():
+                by = np.argsort(alone_first, kind="stable")  # a merge sort that finds the runs
+                alone, alone_first = alone[by], alone_first[by]
+            hashed = hashed[np.argsort(first[hashed])]
+            # an id counts the labels of both kinds seen first before it
+            before = np.searchsorted(alone_first, first[hashed])
+            ids[hashed] = np.arange(len(hashed)) + before
+            ids[alone] = np.arange(len(alone)) + np.cumsum(np.bincount(before, minlength=len(alone) + 1)[:-1])
+            ids += self.base + start
+        self.alone.clear()
         self.ranked = self.size
         return self.ranked_ids[labels]
 
@@ -366,8 +398,11 @@ def _row_words(rows: np.ndarray) -> np.ndarray:
 # a time and joins parts of at most a block in all into one array (a copy
 # that costs less than per-part gathers at that size); ``_ign_slices``
 # builds its tokens about a block at a time.  So numbering a call holds
-# its rows once, plus words, index arrays and about one block.
-_BLOCK_BYTES = 1 << 20
+# its rows once, plus words, index arrays and about one block.  Checking a
+# block gathers a copy of it and some index entries per row, so the block
+# is kept small beside the narrow key rows of packed multisets and
+# projection pairs.
+_BLOCK_BYTES = 1 << 18
 
 
 def _block_rows(width: int) -> int:
@@ -480,11 +515,51 @@ def _unique_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _first_seen(parts: list[np.ndarray]) -> list[np.ndarray]:
     """Ids of the int64 rows of each part, numbered in the order the rows
     are first seen, part after part; rows of different widths never
-    match."""
-    it = _BatchInterner()
-    starts = np.cumsum([0] + [len(rows) for rows in parts]).tolist()
-    labels = it.ids([(rows, start + np.arange(len(rows))) for rows, start in zip(parts, starts)])
-    return [it.rank(part) for part in labels]
+    match, and every id is below the number of rows.
+
+    Below ``_DICT_KEYS`` rows in all, a dict keyed by the rows' bytes
+    (which fix the width) gives the ids.  Above, the rows of each width
+    are numbered by ``_unique_rows`` and the distinct rows of all widths
+    are ranked by the run index of their first row, so no event position
+    is kept per row."""
+    lengths = [len(rows) for rows in parts]
+    if sum(lengths) < _DICT_KEYS:
+        table: dict[bytes, int] = {}
+        return [np.array([table.setdefault(key, len(table)) for key in _row_bytes(rows)], np.int64) for rows in parts]
+    starts = np.cumsum([0] + lengths)
+    by_width: dict[int, list[int]] = {}
+    for i, rows in enumerate(parts):
+        if len(rows):
+            by_width.setdefault(rows.shape[1], []).append(i)
+    numbered, firsts = [], []
+    for members in by_width.values():
+        sizes = [lengths[i] for i in members]
+        at, inverse = _unique_rows(*(parts[i] for i in members))
+        # the distinct rows in the order of their first rows, which is the
+        # run order within one width; a first row's run index is its index
+        # in the joined rows shifted by where its part starts in the run
+        order = np.argsort(at)
+        at = at[order]
+        ends = np.cumsum(sizes)
+        shift = starts[members] - (ends - sizes)
+        firsts.append(at + np.repeat(shift, np.diff(np.searchsorted(at, ends), prepend=0)))
+        numbered.append((members, order, inverse))
+    # the rank of each distinct row: a merge of the widths' ascending runs
+    every = np.concatenate(firsts)
+    ranks = np.empty(len(every), np.int64)
+    ranks[np.argsort(every, kind="stable")] = np.arange(len(every))
+    out = [np.empty(0, np.int64)] * len(parts)
+    offset = 0
+    for members, order, inverse in numbered:
+        label_ranks = np.empty(len(order), np.int64)
+        label_ranks[order] = ranks[offset : offset + len(order)]
+        offset += len(order)
+        ids = label_ranks[inverse]
+        end = 0
+        for i in members:
+            start, end = end, end + lengths[i]
+            out[i] = ids[start:end]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -501,22 +576,32 @@ def _atp_flat(g: Graph) -> np.ndarray:
 
 def _projection_pair_ids(kind: MatrixKind, graphs: Sequence[Graph], quant: Quantization) -> list[np.ndarray]:
     """Flat n*n ids of the projection pair invariants of the kind,
-    numbered jointly over the graphs.  A pair's invariant is the row of
-    its (eigenvalue code, entry code) records in sorted order: equal rows
-    are equal multisets, and equal ids equal ``pair_token`` bytes."""
+    numbered jointly over the graphs.  A pair's invariant is the sorted
+    row of its (eigenvalue code, entry code) records: equal rows are
+    equal multisets, and equal ids equal ``pair_token`` bytes.
+
+    Every record of a graph holds one of its m eigenvalue codes, so the
+    row is keyed as the graph's spectrum id (numbered over the run from
+    the bytes of its eigenvalue codes, so it fixes m) and then the m entry
+    codes in record order, int32 codes two to a 64-bit word, zero-padded.
+    Equal keys are equal rows, and the key is 1 + ceil(m / 2) words, not
+    2m (1 + m past 9 digits, where codes are int64)."""
+    spectra: dict[bytes, int] = {}
     parts = []
     for g in graphs:
         lams, codes = quantized_projections(g, kind, quant)
         m, nn = codes.shape[0], g.n * g.n
-        rows = np.empty((nn, m, 2), np.int64)
-        rows[:, :, 0] = lams
-        rows[:, :, 1] = codes.reshape(m, nn).T
+        per_word = 8 // codes.itemsize
+        rows = np.zeros((nn, 1 + -(-m // per_word)), np.int64)
+        rows[:, 0] = spectra.setdefault(lams.tobytes(), len(spectra))
+        entries = rows[:, 1:].view(codes.dtype)
+        entries[:, :m] = codes.reshape(m, nn).T
         # eigenvalue codes ascend, so only the entries under an equal code need sorting
         bounds = [0, *(np.flatnonzero(np.diff(lams)) + 1).tolist(), m]
         for a, b in zip(bounds, bounds[1:]):
             if b - a > 1:
-                rows[:, a:b, 1].sort(axis=1)
-        parts.append(rows.reshape(nn, 2 * m))
+                entries[:, a:b].sort(axis=1)
+        parts.append(rows)
     return _first_seen(parts)
 
 
@@ -644,6 +729,9 @@ class _Group(NamedTuple):
     owner: np.ndarray  # (S,) run index of each slice's graph
     index: np.ndarray  # (S,) index of each slice within its graph
     data: Optional[list]  # per-graph static data of the graphs, in run order; None in the pools
+    # bounds of the run's ids: every color id is below the first and every
+    # static id below the second; None where not known
+    spans: tuple[Optional[int], Optional[int]] = (None, None)
 
 
 def _pair_data(grp: _Group) -> np.ndarray:
@@ -652,52 +740,95 @@ def _pair_data(grp: _Group) -> np.ndarray:
     return np.stack(grp.data).reshape(len(grp.data), n, n)
 
 
-def _multiset_update(groups, parts, it: _BatchInterner) -> list[np.ndarray]:
-    """Per group, the ``(left, right, head)`` of its elements.  Per element
-    e: the multiset of ``left << 32 | right`` over the last axis (event
-    2e), then the token (*head, multiset) (event 2e + 1).  Colors and
-    static ids stay below 2**31, so the packed values sort like the pairs
-    they encode."""
+def _run_spans(groups) -> tuple[Optional[int], Optional[int]]:
+    """The ``spans`` of the run's groups."""
+    return groups[0].spans if groups else (None, None)
+
+
+# A multiset entry (left, right) is the uint32 ``left * span + right`` when
+# every such value is below this bound, and a multiset of odd width is
+# padded with it: no entry takes the value, so the multisets of n = 2k - 1
+# and 2k entries, which fill the same k words, never match
+_ENTRY_LIMIT = 0xFFFFFFFF
+
+
+def _packed_bags(left: np.ndarray, right: np.ndarray, span: int, shape: tuple) -> np.ndarray:
+    """The sorted uint32 entries ``left * span + right`` over the last
+    axis of the arrays, broadcast to ``shape``, padded to an even width
+    with ``_ENTRY_LIMIT`` and read as int64 words, two entries to a word."""
+    width = shape[-1]
+    bag = np.empty((*shape[:-1], width + width % 2), np.uint32)
+    np.add(left.astype(np.uint32) * np.uint32(span), right.astype(np.uint32), out=bag[..., :width])
+    if width % 2:
+        bag[..., width] = _ENTRY_LIMIT
+    bag.sort(axis=-1)
+    return bag.view(np.int64)
+
+
+def _paired(ids: list[np.ndarray]) -> np.ndarray:
+    """The 1-D id arrays as the columns of one int64 array, two ids to a
+    word (ids stay below 2**31)."""
+    words = [a << 32 | b for a, b in zip(ids[::2], ids[1::2])] + ids[len(ids) & ~1 :]
+    return words[0][:, None] if len(words) == 1 else np.stack(words, axis=1)
+
+
+def _multiset_update(groups, parts, it: _BatchInterner, spans) -> list[np.ndarray]:
+    """Per group, the ``(left, right, head)`` of its elements, where every
+    left is below ``spans[0]`` and every right below ``spans[1]`` (a span
+    that is None is read off the arrays).  Per element e: the multiset of
+    its (left, right) pairs over the last axis (event 2e), then the token
+    (*head, multiset) (event 2e + 1), its ids packed two to a word.
+
+    A pair enters a multiset as the uint32 ``left * spans[1] + right``
+    when the spans' product is below ``_ENTRY_LIMIT`` (``_packed_bags``),
+    and as the int64 ``left << 32 | right`` otherwise (colors and static
+    ids stay below 2**31).  Either encodes the pair one to one, so equal
+    multisets stay equal and the ids do not depend on the route."""
+    left_span, right_span = (
+        1 + max((int(part[k].max()) for part in parts if part[k].size), default=-1) if span is None else span
+        for k, span in enumerate(spans)
+    )
+    packed = left_span * right_span < _ENTRY_LIMIT
     bags, pos = [], []
     for grp, (left, right, _) in zip(groups, parts):
         colors = grp.colors
-        bag = np.bitwise_or(left << 32, right, order="C")  # C order, so that the reshape below copies nothing
-        bag.sort(axis=-1)
-        bags.append(bag.reshape(colors.size, colors.shape[-1]))
+        if packed:
+            bag = _packed_bags(left, right, right_span, (*colors.shape, colors.shape[-1]))
+        else:
+            bag = np.bitwise_or(left << 32, right, order="C")  # C order, so that the reshape below copies nothing
+            bag.sort(axis=-1)
+        bags.append(bag.reshape(colors.size, bag.shape[-1]))
         pos.append((grp.owner[:, None] << _POS_SHIFT | np.arange(0, 2 * colors[0].size, 2)).ravel())
     ms = it.ids(list(zip(bags, pos)))
     del bags
-    toks = [
-        (np.stack([*(np.ravel(x) for x in head), m], axis=1), p + 1) for (_, _, head), m, p in zip(parts, ms, pos)
-    ]
+    toks = [(_paired([*(np.ravel(x) for x in head), m]), p + 1) for (_, _, head), m, p in zip(parts, ms, pos)]
     return [labels.reshape(grp.colors.shape) for grp, labels in zip(groups, it.ids(toks))]
 
 
 def _vertex_update(groups, it):
     """Own color plus the multiset over v of (color of v, pair data of (u, v))."""
-    return _multiset_update(
-        groups, [(grp.colors[:, None, :], _pair_data(grp), (grp.colors,)) for grp in groups], it
-    )
+    parts = [(grp.colors[:, None, :], _pair_data(grp), (grp.colors,)) for grp in groups]
+    return _multiset_update(groups, parts, it, _run_spans(groups))
 
 
 def _peg_update(groups, it):
     """The multiset over v of (color of v, d(u,u), d(v,v), d(u,v)), without
     the own color; the three data ids enter as one dense code."""
-    parts = []
+    parts, codes = [], 0
     for grp in groups:
         d = _pair_data(grp)
         diag = np.diagonal(d, axis1=1, axis2=2)
         code = np.unique(diag[:, None, :] << 32 | d, return_inverse=True)[1]
-        code = np.unique(diag[:, :, None] << 32 | code, return_inverse=True)[1]
+        distinct, code = np.unique(diag[:, :, None] << 32 | code, return_inverse=True)
+        codes = max(codes, len(distinct))
         parts.append((grp.colors[:, None, :], code, ()))
-    return _multiset_update(groups, parts, it)
+    return _multiset_update(groups, parts, it, (_run_spans(groups)[0], codes))
 
 
 def _swl_update(groups, it):
     """Own color plus the multiset over w of (color of (u, w), atomic type of (v, w))."""
-    return _multiset_update(
-        groups, [(grp.colors[:, :, None, :], _pair_data(grp)[:, None], (grp.colors,)) for grp in groups], it
-    )
+    parts = [(grp.colors[:, :, None, :], _pair_data(grp)[:, None], (grp.colors,)) for grp in groups]
+    return _multiset_update(groups, parts, it, _run_spans(groups))
 
 
 def _pswl_update(groups, it):
@@ -707,14 +838,14 @@ def _pswl_update(groups, it):
         c = grp.colors
         diag_v = np.broadcast_to(np.diagonal(c, axis1=1, axis2=2)[:, None, :], c.shape)
         parts.append((c[:, :, None, :], _pair_data(grp)[:, None, :, :], (c, diag_v)))
-    return _multiset_update(groups, parts, it)
+    return _multiset_update(groups, parts, it, _run_spans(groups))
 
 
 def _fwl2_update(groups, it):
     """Own color plus the multiset over w of (color of (u, w), color of (w, v))."""
-    return _multiset_update(
-        groups, [(grp.colors[:, :, None, :], grp.colors.mT[:, None], (grp.colors,)) for grp in groups], it
-    )
+    colors = _run_spans(groups)[0]
+    parts = [(grp.colors[:, :, None, :], grp.colors.mT[:, None], (grp.colors,)) for grp in groups]
+    return _multiset_update(groups, parts, it, (colors, colors))
 
 
 def _girt_update(groups, it):
@@ -993,10 +1124,10 @@ def _row_update(groups, it):
 # the update driver
 
 
-def _size_groups(graphs, colors, domain: str, data=None) -> list[_Group]:
+def _size_groups(graphs, colors, domain: str, data=None, spans=(None, None)) -> list[_Group]:
     """The graphs grouped by vertex count, groups in order of first
     appearance; ``colors`` holds one int64 array per graph and ``data``,
-    if given, the graphs' static data.
+    if given, the graphs' static data; ``spans`` is the groups' ``spans``.
 
     A graph has one length-n slice on the node domain, one n x n slice on
     the pair domain and one per eigenvalue on the spectral domain, where
@@ -1012,7 +1143,7 @@ def _size_groups(graphs, colors, domain: str, data=None) -> list[_Group]:
         index = np.fromiter(itertools.chain.from_iterable(map(range, counts)), np.int64, len(owner))
         shape = (n,) if domain == _N else (n, n)
         group_data = None if data is None else [data[i] for i in members]
-        groups.append(_Group(flat.reshape(len(owner), *shape), owner, index, group_data))
+        groups.append(_Group(flat.reshape(len(owner), *shape), owner, index, group_data, spans))
     return groups
 
 
@@ -1028,12 +1159,12 @@ def _per_graph(groups, labels, it: _BatchInterner, size: int) -> list[np.ndarray
     return out
 
 
-def _run_update(update, graphs, colors, data, domain: str, it: _BatchInterner) -> list[np.ndarray]:
+def _run_update(update, graphs, colors, data, domain: str, it: _BatchInterner, spans=(None, None)) -> list[np.ndarray]:
     """New color ids per graph, in run order, from one int64 color array
-    per graph.  Every refinement update runs here: ``update`` interns
-    every key of the run into ``it`` first, then the labels are ranked
-    into ids."""
-    groups = _size_groups(graphs, colors, domain, data)
+    per graph (``spans`` as in ``_Group``).  Every refinement update runs
+    here: ``update`` interns every key of the run into ``it`` first, then
+    the labels are ranked into ids."""
+    groups = _size_groups(graphs, colors, domain, data, spans)
     return _per_graph(groups, update(groups, it), it, len(graphs))
 
 
@@ -1144,7 +1275,8 @@ def _wl_layers(graphs, node_colors, it: _BatchInterner, steps: Optional[int]) ->
     limit = steps if steps is not None else sum(g.n for g in graphs) + 1
     prev_count = _classes(np.concatenate([np.empty(0, np.int64), *node_colors]))
     for _ in range(limit):
-        node_colors = _run_update(_vertex_update, graphs, node_colors, atps, _N, it)
+        # every node color is an id of this interner, and atomic types are 0, 1 or 2
+        node_colors = _run_update(_vertex_update, graphs, node_colors, atps, _N, it, (it.base + it.size, 3))
         if steps is None:
             count = _classes(np.concatenate([np.empty(0, np.int64), *node_colors]))
             if count == prev_count:
@@ -1250,6 +1382,10 @@ class ColorState:
     _sigs: Optional[tuple[int, ...]] = field(repr=False, default=None)
     # set on the state joint_initial_coloring returns; replace() resets it
     _initial: bool = field(repr=False, init=False, default=False)
+    # the bounds of the color and static ids that _Group.spans holds; set by
+    # joint_initial_coloring and refine_once, and reset by replace(), which
+    # may change the colors or data
+    _spans: tuple[Optional[int], Optional[int]] = field(repr=False, init=False, default=(None, None))
 
     def __post_init__(self):
         self.colors = tuple(np.asarray(cols, np.int64) for cols in self.colors)
@@ -1298,6 +1434,9 @@ def joint_initial_coloring(
         _data=tuple(data),
     )
     state._initial = True
+    # ids from _first_seen are below the number of rows, and atomic types
+    # (0, 1, 2) below n * n once a graph has two vertices
+    state._spans = (sum(map(len, ids)), sum(len(d) for d in data if isinstance(d, np.ndarray)))
     return state
 
 
@@ -1317,7 +1456,7 @@ def refine_once(spec: AlgorithmSpec, state: ColorState) -> ColorState:
     if state._initial and variant.first_round is not None:
         new_ids = _first_round(variant.first_round, *args)
     else:
-        new_ids = _run_update(variant.update, *args, _BatchInterner())
+        new_ids = _run_update(variant.update, *args, _BatchInterner(), state._spans)
 
     # the new partition refines the old one iff every new color lies in
     # one old color: scatter each element's old color to its new color,
@@ -1332,7 +1471,7 @@ def refine_once(spec: AlgorithmSpec, state: ColorState) -> ColorState:
             f"{spec.label()}: update did not refine the partition at iteration {state.iteration + 1}"
         )
     stable = _classes(new) == _classes(old)
-    return ColorState(
+    out = ColorState(
         spec=spec,
         graphs=state.graphs,
         colors=tuple(new_ids),
@@ -1343,6 +1482,8 @@ def refine_once(spec: AlgorithmSpec, state: ColorState) -> ColorState:
         quant=state.quant,
         _data=state._data,
     )
+    out._spans = (len(owner), state._spans[1])
+    return out
 
 
 def _classes(colors: np.ndarray) -> int:

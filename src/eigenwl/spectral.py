@@ -169,26 +169,21 @@ def decompose(matrix: np.ndarray, quant: Quantization = DEFAULT_QUANT) -> Spectr
         raise SpectralError(f"eigensolver failed: {exc}", matrix) from exc
 
     tau = quant.eig_gap_scale * max(1.0, float(np.max(np.abs(matrix))))
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, n):
-        if w[i] - w[i - 1] > tau:
-            clusters.append([i])
-        else:
-            clusters[-1].append(i)
+    bounds = [0, *(np.flatnonzero(np.diff(w) > tau) + 1).tolist(), n]
 
     eigenvalues = []
     mults = []
     blocks = []
-    for idxs in clusters:
-        lam = float(np.mean(w[idxs]))
+    for a, b in zip(bounds, bounds[1:]):
+        lam = float(np.mean(w[a:b]))
         # snap the kernel cluster exactly to zero so pseudo-inverses are clean
         if abs(lam) <= tau:
             lam = 0.0
-        # a copy, so that v itself is not kept
-        block = v[:, idxs]
+        # a column-major copy, so that v itself is not kept
+        block = v[:, a:b].copy(order="F")
         block.flags.writeable = False
         eigenvalues.append(lam)
-        mults.append(len(idxs))
+        mults.append(b - a)
         blocks.append(block)
     return SpectralDecomposition(tuple(eigenvalues), tuple(mults), tuple(blocks))
 

@@ -492,16 +492,21 @@ def _tuples(colors):
     return tuple(tuple(cols.tolist()) for cols in colors)
 
 
+def _spec_records(spec, graphs, quant=spectral.DEFAULT_QUANT):
+    """Every iteration's coloring of a joint run, then its signatures."""
+    state = joint_initial_coloring(spec, graphs, quant)
+    yield repr(_tuples(state.colors)).encode()
+    while not state.stable:
+        state = refine_once(spec, state)
+        yield repr(_tuples(state.colors)).encode()
+    yield repr([s.value for s in signatures(state)]).encode()
+
+
 def _refinement_records(graphs):
     for label in DIGEST_SPEC_LABELS:
         spec = AlgorithmSpec.parse(label)
         yield f"{spec.label()}|{spec.quantization_sensitive}".encode()
-        state = joint_initial_coloring(spec, graphs)
-        yield repr(_tuples(state.colors)).encode()
-        while not state.stable:
-            state = refine_once(spec, state)
-            yield repr(_tuples(state.colors)).encode()
-        yield repr([s.value for s in signatures(state)]).encode()
+        yield from _spec_records(spec, graphs)
 
 
 def test_refinement_golden_digest():
@@ -1697,7 +1702,7 @@ def test_numbering_holds_no_copy_of_the_key_rows(monkeypatch, peak_bytes):
     q7 = _hypercube(7)
     refinement._proj_static(AlgorithmSpec.parse("epwl:Lhat"), [q7, _shuffled(q7, 1)], spectral.DEFAULT_QUANT)
     [parts] = captured
-    assert [p.shape for p in parts] == [(16384, 16)] * 2
+    assert [p.shape for p in parts] == [(16384, 5)] * 2
     assert peak_bytes(first_seen, parts) < sum(p.nbytes for p in parts)
 
 
@@ -1707,3 +1712,185 @@ def test_updates_match_reference_in_small_blocks(label, monkeypatch):
     block by block, and the parts of one call are checked one by one."""
     monkeypatch.setattr(refinement, "_BLOCK_BYTES", 256)
     _assert_matches_reference(label, _defined_for(label, [*_mixed_sizes(), *_hunt_pair(24)]))
+
+
+# ---------------------------------------------------------------------------
+# narrow key rows: packed multiset entries, paired token ids, one-spectrum
+# projection rows and the merged ranks of unhashed labels
+
+
+_PACKED_INPUTS = {
+    "digest": _digest_corpus,
+    "hunt_24_48": lambda: [*_hunt_pair(24), *_hunt_pair(48)],
+    "scan": lambda: _perfbench("workloads").scan_base_corpus(),
+}
+
+
+def _packed_calls(monkeypatch) -> list:
+    """Spy on ``_packed_bags``: the shape of each multiset array it packs."""
+    shapes = []
+    packed = refinement._packed_bags
+
+    def spy(*args):
+        out = packed(*args)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(refinement, "_packed_bags", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("inputs", list(_PACKED_INPUTS))
+@pytest.mark.parametrize("label", INITIAL_SPEC_LABELS)
+def test_int64_multisets_give_the_packed_ids(label, inputs, monkeypatch):
+    """Every row of the variant table gives the same colorings and
+    signatures with uint32 multiset entries as with the int64 ones that
+    a zero entry bound forces."""
+    spec = AlgorithmSpec.parse(label)
+    graphs = _defined_for(label, _PACKED_INPUTS[inputs]())
+    packed = _packed_calls(monkeypatch)
+    want = list(_spec_records(spec, graphs))
+    if _VARIANTS[spec.variant, spec.init].update in (
+        refinement._vertex_update, refinement._peg_update, refinement._swl_update, refinement._pswl_update,
+        refinement._fwl2_update,
+    ) or spec.variant in ("spe", "basisnet"):
+        assert packed  # the multiset updates, and the vertex-refinement layers of the two pools
+    monkeypatch.setattr(refinement, "_ENTRY_LIMIT", 0)
+    packed.clear()
+    assert list(_spec_records(spec, graphs)) == want
+    assert not packed
+
+
+@pytest.mark.parametrize("label", ["wl1", "epwl:A", "gdwl:spd", "peg:A", "swl", "pswl", "fwl2"])
+def test_packed_multisets_of_odd_and_even_sizes_in_one_run(label, monkeypatch):
+    """Graphs of 2k - 1 and 2k vertices fill multiset rows of the same
+    words and are numbered in one call, beside graphs of 0 and 1 vertex."""
+    graphs = [
+        cycle_graph(5), random_graph(6, 0.5, 3), complete_graph(1), empty_graph(0), random_graph(8, 0.4, 1),
+        path_graph(3), random_graph(7, 0.4, 2), complete_graph(2), empty_graph(0), star_graph(3), complete_graph(1),
+    ]
+    graphs = _defined_for(label, graphs)
+    packed = _packed_calls(monkeypatch)
+    _assert_matches_reference(label, graphs)
+    widths = {shape[-1] for shape in packed}
+    assert widths == {0, 1, 2, 3, 4}  # n = 0 | 1, 2 | 3, 4 | 5, 6 | 7, 8
+    spec = AlgorithmSpec.parse(label)
+    want = list(_spec_records(spec, graphs))
+    monkeypatch.setattr(refinement, "_ENTRY_LIMIT", 0)
+    assert list(_spec_records(spec, graphs)) == want
+
+
+def test_packed_multisets_of_2k_minus_1_and_2k_entries_never_match():
+    """The pad keeps a multiset of three zero entries apart from one of
+    four, though both fill two uint32 words of zeros but one."""
+    groups, parts = [], []
+    for i, n in enumerate((3, 4)):
+        colors = np.zeros((1, n), np.int64)
+        groups.append(refinement._Group(colors, np.array([i]), np.array([0]), None))
+        parts.append((colors[:, None, :], np.zeros((1, n, n), np.int64), (colors,)))
+    three, four = refinement._multiset_update(groups, parts, refinement._BatchInterner(), (1, 1))
+    assert len(set(three.ravel().tolist())) == len(set(four.ravel().tolist())) == 1
+    assert three[0, 0] != four[0, 0]
+
+
+def test_multisets_of_large_ids_are_not_packed():
+    """Where the spans' product reaches the entry bound, entries stay
+    int64: packed into uint32 words, the colors 0 and 2**11 under a span
+    of 2**21 would wrap onto one entry and merge two multisets."""
+    colors = np.array([[0, 1], [2048, 2049]])
+    data = np.array([[[0, 1], [1, 0]]] * 2)
+    group = refinement._Group(colors, np.array([0, 1]), np.array([0, 0]), None)
+    parts = [(colors[:, None, :], data, ())]
+    [labels] = refinement._multiset_update([group], parts, refinement._BatchInterner(), (1 << 21, 1 << 21))
+    assert set(labels[0].tolist()).isdisjoint(labels[1].tolist())
+
+
+def test_multiset_spans_read_off_the_arrays():
+    """Without known spans the entries are bounded by the arrays: the
+    pairs (0, 1) and (1, 0) stay two entries."""
+    colors = np.array([[0], [1]])
+    group = refinement._Group(colors, np.array([0, 1]), np.array([0, 0]), None)
+    parts = [(colors[:, None, :], np.array([[[1]], [[0]]]), ())]
+    [labels] = refinement._multiset_update([group], parts, refinement._BatchInterner(), (None, None))
+    assert labels[0, 0] != labels[1, 0]
+
+
+def test_projection_rows_of_m_and_m_plus_one_eigenvalues():
+    """C4, K_{1,3}, P3 and K2 + K1 have three distinct adjacency
+    eigenvalues, P4 and its relabelled copy four, K1 one and K2 two: each
+    pair of counts fills projection rows of one width, told apart by the
+    spectrum id, and a relabelled copy shares its rows.  The middle vertex
+    of P3 and an end of K2 + K1 have equal entry codes under different
+    eigenvalues."""
+    p4 = path_graph(4)
+    graphs = [
+        cycle_graph(4), p4, complete_graph(1), star_graph(3), complete_graph(2), path_graph(3),
+        disjoint_union(complete_graph(2), complete_graph(1)), _shuffled(p4, 1),
+    ]
+    captured = []
+    first_seen = refinement._first_seen
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(refinement, "_first_seen", lambda parts: captured.append(parts) or first_seen(parts))
+        _assert_initial_matches_reference("epwl:A", graphs)
+    assert [p.shape[1] for p in captured[0]] == [3, 3, 2, 3, 2, 3, 3, 3]
+    _assert_matches_reference("epwl:A", graphs)
+    _assert_matches_reference("peg:A", graphs)
+
+
+def test_projection_rows_of_int64_codes_at_ten_digits(capsys):
+    """At 10 digits the entry codes are int64 and the rows hold one code
+    a word; the static ids are still those of the sorted record rows, and
+    ``compare --digits 10`` gives the verdicts of 6 digits."""
+    quant = spectral.Quantization(digits=10)
+    spec = AlgorithmSpec.parse("epwl:L")
+    product, twist = _hunt_pair(24)
+    graphs = [cycle_graph(4), path_graph(4), complete_graph(1), product, twist, _shuffled(path_graph(4), 1)]
+    assert all(spectral.quantized_projections(g, spec.kind, quant)[1].dtype == np.int64 for g in graphs)
+    table = _Interner()
+    want = [_ref_proj_static(spec, g, quant, table) for g in graphs]
+    assert [ids.tolist() for ids in refinement._proj_static(spec, graphs, quant)] == want
+    for g, h in [(path_graph(4), _shuffled(path_graph(4), 1)), (cycle_graph(4), path_graph(4)), (product, twist)]:
+        argv = ["compare", "--alg", "epwl:L", "--g", write_graph6(g), "--h", write_graph6(h)]
+        assert cli.main([*argv, "--digits", "10"]) == cli.main(argv) == int(distinguishes(spec, g, h))
+    capsys.readouterr()
+
+
+def test_rank_merges_unhashed_runs_of_two_size_groups():
+    """A masked part whose events come from two size groups, the group of
+    the later graph first: most labels are those of unhashed events, which
+    form two ascending runs, and the ranks are those of a plain argsort
+    of the labels' first events."""
+    it = refinement._BatchInterner()
+    shift = refinement._POS_SHIFT
+    # a hashed call first, so that the ranked labels span two calls
+    [before] = it.ids([(np.array([[5], [6], [5]]), np.array([1 << shift, 0, 2 << shift | 7]))])
+    pos = np.concatenate([(2 << shift) + np.arange(10, 16), (1 << shift) + np.arange(4)])
+    shared = np.array([0, 1, 0, 0, 1, 0, 0, 1, 0, 1], bool)
+    [labels] = it.ids([(np.array([[1], [2], [1], [2]]), pos, shared)])
+    assert 2 * sum(b - a for a, b in it.alone) > it.size == 10
+    first = it.first[: it.size].copy()
+    want = np.empty(it.size, np.int64)
+    want[np.argsort(first)] = np.arange(it.size)
+    assert it.rank(before).tolist() == want[before].tolist()
+    assert it.rank(labels).tolist() == want[labels].tolist()
+    assert len(set(want[labels].tolist())) == np.count_nonzero(~shared) + 2
+
+
+@pytest.mark.parametrize("label", ["wl1", "epwl:A", "gdwl:spd", "peg:A", "swl", "pswl", "fwl2"])
+def test_states_bound_their_color_and_static_ids(label, c6, two_triangles):
+    """The spans a state hands to the multiset updates exceed every color
+    id and every static id of its run, at every iteration: the initial
+    state's count the elements and the static entries, a refined state's
+    color span is one past its largest id, and a copy made with
+    dataclasses.replace knows none and reads them off the arrays."""
+    spec = AlgorithmSpec.parse(label)
+    for graphs in ([c6, two_triangles, path_graph(5), complete_graph(1)], [complete_graph(1)] * 2, [empty_graph(0)]):
+        graphs = _defined_for(label, graphs)
+        data = max((int(np.max(d)) for d in joint_initial_coloring(spec, graphs)._data if len(d)), default=-1)
+        for state in refinement._rounds(spec, graphs, spectral.DEFAULT_QUANT):
+            top = max((int(c.max()) for c in state.colors if c.size), default=-1)
+            colors, statics = state._spans
+            assert colors > top and statics > data
+            if state.iteration:
+                assert colors == top + 1
+        assert dataclasses.replace(state)._spans == (None, None)

@@ -108,6 +108,40 @@ def test_projectors_built_from_blocks_equal_the_reference_bit_for_bit(kind):
         assert all(np.array_equal(p, r) for p, r in zip(projs, ref)), write_graph6(g)
 
 
+def _reference_decompose(matrix, quant):
+    """The clustering loop ``decompose`` replaced: eigenvalues walked one
+    by one, each cluster's mean and eigenvector block taken by a list of
+    indices."""
+    w, v = np.linalg.eigh(matrix)
+    tau = quant.eig_gap_scale * max(1.0, float(np.max(np.abs(matrix))))
+    clusters = [[0]]
+    for i in range(1, len(w)):
+        if w[i] - w[i - 1] > tau:
+            clusters.append([i])
+        else:
+            clusters[-1].append(i)
+    lams = [float(np.mean(w[idxs])) for idxs in clusters]
+    lams = [0.0 if abs(lam) <= tau else lam for lam in lams]
+    return lams, [len(idxs) for idxs in clusters], [v[:, idxs] for idxs in clusters]
+
+
+@pytest.mark.parametrize("kind", [MatrixKind.ADJACENCY, MatrixKind.LAPLACIAN, MatrixKind.NORMALIZED_LAPLACIAN])
+def test_decompose_matches_the_clustering_loop(kind):
+    """Eigenvalues, multiplicities and eigenvector blocks, their bytes
+    and memory layout included, on the digest corpus and on random graphs
+    with 16, 32 and 48 vertices."""
+    graphs = [*_digest_corpus(), *(random_connected_graph(n, 0.2, n) for n in (16, 32, 48)), _hypercube(5)]
+    for g in graphs:
+        matrix = build_matrix(g, kind)
+        dec = decompose(matrix)
+        lams, mults, blocks = _reference_decompose(matrix, DEFAULT_QUANT)
+        assert np.array(dec.eigenvalues).tobytes() == np.array(lams).tobytes(), write_graph6(g)
+        assert dec.multiplicities == tuple(mults)
+        for block, ref in zip(dec.blocks, blocks, strict=True):
+            assert block.strides == ref.strides and block.tobytes(order="A") == ref.tobytes(order="A")
+            assert not block.flags.writeable and block.base is None
+
+
 def test_validate_decomposition_detects_missing_projection():
     g = cycle_graph(5)
     m = build_matrix(g, MatrixKind.ADJACENCY)
